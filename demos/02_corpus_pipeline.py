@@ -25,7 +25,7 @@ shards, stats = build_corpus(read_post_dump(DUMP), os.path.join(out_dir, "train"
 
 # most posts are rejected: too small, negatively scored, flagged, or broken
 print("\nfilter report:")
-print(json.dumps(json.loads(stats.to_json()), indent=2))
+print(json.dumps(stats.as_dict(), indent=2, sort_keys=True))
 
 # shards are byte-deterministic: same dump in, same bytes out, every time
 instances = list(read_instances(shards[0]))

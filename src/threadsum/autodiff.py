@@ -34,7 +34,7 @@ __all__ = [
     "GradCheckReport",
     # ops
     "add", "sub", "mul", "scale", "matmul", "transpose", "permute", "reshape",
-    "concat", "take_rows", "embedding_lookup", "take_per_row", "gather_pairs",
+    "concat", "take_rows", "take_per_row", "gather_pairs",
     "softmax", "layer_norm", "linear", "gelu", "sigmoid", "log", "dropout",
     "tensor_sum", "tensor_mean", "cross_entropy", "binary_cross_entropy",
 ]
@@ -343,9 +343,6 @@ def take_rows(a: Tensor, ids) -> Tensor:
         a.accumulate_grad(ga)
 
     return _make(a.data[ids], (a,), bwd, "take_rows")
-
-
-embedding_lookup = take_rows
 
 
 def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:

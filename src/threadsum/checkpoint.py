@@ -3,7 +3,9 @@
 A checkpoint is two sibling files, ``<prefix>.npz`` (flat map of named float64
 arrays, shapes in the header) and ``<prefix>.json`` (version, full model
 config, config hash, optimizer schedule and step).  Saves are atomic: both
-files are written to temporaries and renamed into place.
+files are written to temporaries and renamed into place by ``atomic_write``,
+which the command line also uses for manifests, statistics, predictions and
+score reports.
 """
 
 import hashlib
@@ -15,13 +17,10 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from .autodiff import Parameter
-from .model import ModelConfig, _parameter_spec
+from .model import NO_DECAY_KINDS, ModelConfig, _parameter_spec
 from .training import OptimizerState
 
 CHECKPOINT_VERSION = 1
-
-# parameter kinds excluded from weight decay; mirrors init_parameters
-_NO_DECAY_KINDS = ("ln_g", "ln_b", "bias_d", "bias_ff")
 
 
 class CheckpointError(RuntimeError):
@@ -48,8 +47,15 @@ def _paths(prefix) -> tuple:
     return prefix + ".npz", prefix + ".json"
 
 
-def _atomic_bytes(path: str, write_fn) -> None:
+def atomic_write(path, write_fn) -> None:
+    """Write ``path`` by calling ``write_fn`` on a binary handle to a sibling
+    temporary, then renaming it into place.
+
+    The target holds either its old bytes or the complete new ones: if
+    ``write_fn`` raises, the target is untouched and the temporary is removed.
+    """
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -59,6 +65,12 @@ def _atomic_bytes(path: str, write_fn) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Atomically write ``payload`` as indented, key-sorted JSON plus a newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
@@ -74,7 +86,7 @@ def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
             arrays["opt.m." + name] = optimizer.m[name]
             arrays["opt.v." + name] = optimizer.v[name]
 
-    _atomic_bytes(npz_path, lambda fh: np.savez(fh, **arrays))
+    atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
 
     manifest = {
         "version": CHECKPOINT_VERSION,
@@ -93,8 +105,7 @@ def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
         }
     if extra:
         manifest["extra"] = extra
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _atomic_bytes(manifest_path, lambda fh: fh.write(payload.encode()))
+    write_json(manifest_path, manifest)
     return npz_path, manifest_path
 
 
@@ -133,7 +144,7 @@ def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
             if data.shape != tuple(shape):
                 raise CheckpointError(
                     f"parameter {name!r} has shape {data.shape}, config wants {tuple(shape)}")
-            params[name] = Parameter(name, data, decay=kind not in _NO_DECAY_KINDS)
+            params[name] = Parameter(name, data, decay=kind not in NO_DECAY_KINDS)
 
         optimizer = None
         if with_optimizer and "optimizer" in manifest:

@@ -7,10 +7,16 @@ a failed gradient check).
 
 Configuration is a flat JSON object with dotted keys ("model.d_hidden",
 "train.peak_lr", ...).  Resolution order is defaults <- config file <- flags,
-and every key's provenance lands in the run manifest.  A manifest is written
-atomically before and after each file-producing run; commands that only print
-to stdout write one when --manifest is given.  All randomness flows from the
-single train.seed, fanned out into named substreams.
+and every key's provenance lands in the run manifest.  A key the package does
+not define is a configuration error (exit 1); that includes ``model.*`` keys
+that older versions accepted and that have since been removed.  A manifest is
+written atomically before and after each file-producing run; commands that
+only print to stdout write one when --manifest is given.  Manifests, --stats
+files, predictions and score reports go through the one atomic writer
+(checkpoint.atomic_write), so a failed run leaves none of them half-written.
+All randomness flows from the single train.seed, fanned out into named
+substreams.  BLAS threading is not a flag: set it in the environment before
+launch (``OPENBLAS_NUM_THREADS=1 threadsum ...``).
 """
 
 import argparse
@@ -19,21 +25,19 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .autodiff import NumericsError, grad_check
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, write_json
 from .conversation import ConversationTree, TreeError, Utterance, relation_index
 from .corpus import (
     CorpusError,
     build_corpus,
-    instance_from_record,
     read_instances,
     read_post_dump,
     write_instances,
@@ -48,7 +52,7 @@ from .model import (
     paper_config,
 )
 from .objectives import instance_loss, sample_thread_pairs
-from .rouge import evaluate_pairs, write_report
+from .rouge import evaluate_pairs
 from .tokenizer import Tokenizer
 from .training import (
     OptimizerState,
@@ -160,27 +164,16 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _atomic_json(path, payload: dict) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class RunManifest:
-    """Reproducibility record, written atomically before and after a run."""
+    """Reproducibility record, written atomically before and after a run.
+
+    Used as a context manager: entering writes the "running" record, leaving
+    writes the final status ("ok", or "failed" with the error).  With no path
+    nothing is written.
+    """
 
     def __init__(self, path, command: str, config: dict, provenance: dict,
-                 seed: int, inputs: List[str], outputs: List[str],
-                 deterministic: bool = False):
+                 seed: int, inputs: List[str], outputs: List[str]):
         self.path = path
         self.payload = {
             "command": command,
@@ -191,7 +184,6 @@ class RunManifest:
             "outputs": list(outputs),
             "code_version": code_version(),
             "package_version": __version__,
-            "deterministic": deterministic,
             "started_at": _utcnow(),
             "finished_at": None,
             "status": "running",
@@ -199,37 +191,19 @@ class RunManifest:
 
     def write(self) -> None:
         if self.path is not None:
-            _atomic_json(self.path, self.payload)
+            write_json(self.path, self.payload)
 
-    def finish(self, status: str, error: Optional[str] = None) -> None:
-        self.payload["status"] = status
-        self.payload["finished_at"] = _utcnow()
-        if error is not None:
-            self.payload["error"] = error
+    def __enter__(self) -> "RunManifest":
         self.write()
+        return self
 
-
-class _ManifestRun:
-    def __init__(self, manifest: RunManifest):
-        self.manifest = manifest
-
-    def __enter__(self):
-        self.manifest.write()
-        return self.manifest
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.manifest.finish("ok")
-        else:
-            self.manifest.finish("failed", error=f"{exc_type.__name__}: {exc}")
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.payload["status"] = "ok" if exc_type is None else "failed"
+        self.payload["finished_at"] = _utcnow()
+        if exc_type is not None:
+            self.payload["error"] = f"{exc_type.__name__}: {exc}"
+        self.write()
         return False
-
-
-def _apply_deterministic(flag: bool) -> None:
-    if not flag:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
 
 
 def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
@@ -283,11 +257,8 @@ def cmd_build_corpus(args) -> int:
     tokenizer = Tokenizer.load(args.vocab) if args.vocab else None
     manifest_path = args.manifest or args.output + "-manifest.json"
     seed = config["train.seed"]
-    manifest = RunManifest(manifest_path, "build-corpus", config, provenance, seed,
-                           inputs=[args.input], outputs=[args.output],
-                           deterministic=args.deterministic)
-    _apply_deterministic(args.deterministic)
-    with _ManifestRun(manifest):
+    with RunManifest(manifest_path, "build-corpus", config, provenance, seed,
+                     inputs=[args.input], outputs=[args.output]) as manifest:
         posts = list(read_post_dump(args.input))
         shards, stats = build_corpus(posts, args.output,
                                      min_comments=config["corpus.min_comments"],
@@ -299,7 +270,7 @@ def cmd_build_corpus(args) -> int:
                            for inst in read_instances(shard)]
                 write_instances(shard, trimmed)
         if args.stats:
-            _atomic_json(args.stats, json.loads(stats.to_json()))
+            write_json(args.stats, stats.as_dict())
         manifest.payload["outputs"] = list(shards) + ([args.stats] if args.stats else [])
         print(f"kept {stats.kept} instances in {len(shards)} shard(s); "
               f"rejected {sum(stats.rejected.values())} posts")
@@ -331,10 +302,7 @@ def _train_common(args, base_model: Optional[ModelConfig] = None,
         provenance["model.lambda_thread_pred"] = "command-default"
     mconfig = model_config_from(config)
     if init_params is not None:
-        if mconfig != replace(base_model,
-                              lambda_thread_pred=mconfig.lambda_thread_pred,
-                              thread_pred_source=mconfig.thread_pred_source,
-                              thread_pred_reduction=mconfig.thread_pred_reduction):
+        if mconfig != replace(base_model, lambda_thread_pred=mconfig.lambda_thread_pred):
             raise ConfigError("cannot change the architecture of a checkpointed model")
         model = Model(mconfig, init_params)
     else:
@@ -349,12 +317,9 @@ def _train_common(args, base_model: Optional[ModelConfig] = None,
     inputs = _encode_all(mconfig, tokenizer, instances)
 
     os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest(args.manifest or os.path.join(args.out, "manifest.json"),
-                           args.command, config, provenance, run.seed,
-                           inputs=data_paths, outputs=[args.out],
-                           deterministic=args.deterministic)
-    _apply_deterministic(args.deterministic)
-    with _ManifestRun(manifest):
+    with RunManifest(args.manifest or os.path.join(args.out, "manifest.json"),
+                     args.command, config, provenance, run.seed,
+                     inputs=data_paths, outputs=[args.out]):
         records = run_training(model, inputs, state, run,
                                metrics_path=os.path.join(args.out, "metrics.jsonl"),
                                checkpoint_dir=args.out)
@@ -390,13 +355,10 @@ def cmd_generate(args) -> int:
     ck = load_checkpoint(args.ckpt)
     model = Model(ck.config, ck.params)
     tokenizer = Tokenizer.load(args.vocab)
-    manifest = RunManifest(args.manifest or args.out + ".manifest.json",
-                           "generate", config, provenance, config["train.seed"],
-                           inputs=[args.ckpt, args.input], outputs=[args.out],
-                           deterministic=args.deterministic)
-    _apply_deterministic(args.deterministic)
-    with _ManifestRun(manifest):
-        records = []
+    with RunManifest(args.manifest or args.out + ".manifest.json",
+                     "generate", config, provenance, config["train.seed"],
+                     inputs=[args.ckpt, args.input], outputs=[args.out]):
+        lines = []
         for i, inst in enumerate(read_instances(args.input)):
             trimmed = truncate_instance(inst, ck.config, tokenizer)
             text = generate_summary(
@@ -406,11 +368,11 @@ def cmd_generate(args) -> int:
                 max_len=config["decode.max_len"],
                 min_len=config["decode.min_len"],
                 block_trigrams=config["decode.block_trigrams"])
-            records.append({"id": i, "summary": text})
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        print(f"wrote {len(records)} summaries to {args.out}")
+            lines.append(json.dumps({"id": i, "summary": text},
+                                    ensure_ascii=False, sort_keys=True) + "\n")
+        payload = "".join(lines).encode("utf-8")
+        atomic_write(args.out, lambda fh: fh.write(payload))
+        print(f"wrote {len(lines)} summaries to {args.out}")
     return 0
 
 
@@ -432,12 +394,9 @@ def _read_summary_lines(path: str) -> List[str]:
 
 def cmd_evaluate(args) -> int:
     config, provenance = load_config(args.config, _flag_overrides(args, {}))
-    manifest = RunManifest(args.manifest or args.out + ".manifest.json",
-                           "evaluate", config, provenance, config["train.seed"],
-                           inputs=[args.pred, args.ref], outputs=[args.out],
-                           deterministic=args.deterministic)
-    _apply_deterministic(args.deterministic)
-    with _ManifestRun(manifest):
+    with RunManifest(args.manifest or args.out + ".manifest.json",
+                     "evaluate", config, provenance, config["train.seed"],
+                     inputs=[args.pred, args.ref], outputs=[args.out]):
         preds = _read_summary_lines(args.pred)
         refs = _read_summary_lines(args.ref)
         if len(preds) != len(refs):
@@ -446,7 +405,7 @@ def cmd_evaluate(args) -> int:
         if not preds:
             raise CorpusError("nothing to evaluate")
         report = evaluate_pairs(list(zip(preds, refs)))
-        write_report(args.out, report)
+        write_json(args.out, report)
         mean = report["mean"]
         print("  ".join(f"{name} F1 {mean[name]['f1']:.4f}"
                         for name in ("rouge_1", "rouge_2", "rouge_l", "rouge_su4")))
@@ -482,39 +441,30 @@ def cmd_grad_check(args) -> int:
     if mconfig.dropout != 0.0:
         raise ConfigError("grad-check needs model.dropout = 0")
     seed = config["train.seed"]
-    _apply_deterministic(args.deterministic)
-    model = Model.init(mconfig, seed=named_seed(seed, "init"))
-    mi, tree = _gradcheck_instance(mconfig, seed)
-    batch = sample_thread_pairs(tree, derive_rng(seed, "pairs"))
+    with RunManifest(args.manifest, "grad-check", config, provenance, seed,
+                     inputs=[], outputs=[]):
+        model = Model.init(mconfig, seed=named_seed(seed, "init"))
+        mi, tree = _gradcheck_instance(mconfig, seed)
+        batch = sample_thread_pairs(tree, derive_rng(seed, "pairs"))
 
-    def f():
-        loss, _ = instance_loss(model, mi, pair_batch=batch)
-        return loss
+        def f():
+            loss, _ = instance_loss(model, mi, pair_batch=batch)
+            return loss
 
-    report = grad_check(f, list(model.params.values()),
-                        eps=config["gradcheck.eps"], tol=config["gradcheck.tol"])
-    print(report.format())
-    if args.manifest:
-        manifest = RunManifest(args.manifest, "grad-check", config, provenance,
-                               seed, inputs=[], outputs=[],
-                               deterministic=args.deterministic)
-        manifest.write()
-        manifest.finish("ok" if report.passed else "failed")
-    if not report.passed:
-        raise NumericsError("gradient check failed")
+        report = grad_check(f, list(model.params.values()),
+                            eps=config["gradcheck.eps"], tol=config["gradcheck.tol"])
+        print(report.format())
+        if not report.passed:
+            raise NumericsError("gradient check failed")
     return 0
 
 
 def cmd_count_params(args) -> int:
     config, provenance = load_config(args.config, _flag_overrides(args, {}))
     mconfig = model_config_from(config)
-    print(count_parameters(mconfig))
-    if args.manifest:
-        manifest = RunManifest(args.manifest, "count-params", config, provenance,
-                               config["train.seed"], inputs=[], outputs=[],
-                               deterministic=args.deterministic)
-        manifest.write()
-        manifest.finish("ok")
+    with RunManifest(args.manifest, "count-params", config, provenance,
+                     config["train.seed"], inputs=[], outputs=[]):
+        print(count_parameters(mconfig))
     return 0
 
 
@@ -527,8 +477,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--manifest", help="manifest path override")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded 64-bit mode for reproducibility")
     p.add_argument("--seed", type=int, help="run seed (train.seed)")
 
 

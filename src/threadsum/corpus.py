@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .conversation import ConversationTree, TreeError, Utterance
 from .tokenizer import MASK_TOKEN, URL_TOKEN
@@ -72,6 +72,14 @@ class TrainingInstance:
 
 @dataclass
 class CorpusStats:
+    """Counts from one corpus build.
+
+    ``threads`` counts only the threads whose records formed a reply tree; a
+    thread that fails to form one is counted under ``rejected["invalid_tree"]``
+    instead.  Every thread is accounted for exactly once, so
+    ``kept + sum(rejected.values()) == threads + rejected.get("invalid_tree", 0)``.
+    """
+
     posts: int = 0
     threads: int = 0
     kept: int = 0
@@ -81,15 +89,14 @@ class CorpusStats:
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "posts": self.posts,
             "threads": self.threads,
             "instances_kept": self.kept,
             "comments_skipped": self.comments_skipped,
             "rejected": dict(sorted(self.rejected.items())),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def post_from_record(obj: dict) -> RawPost:

@@ -26,7 +26,7 @@ from scipy.stats import truncnorm
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .conversation import ConversationTree, num_relation_buckets, relation_index
+from .conversation import num_relation_buckets, relation_index
 from .corpus import TrainingInstance
 from .tokenizer import Tokenizer, tokenize_utterance
 
@@ -55,22 +55,11 @@ class ModelConfig:
     max_utterances: int = 124
     max_utterance_tokens: int = 200
     max_summary_tokens: int = 256
-    # behavior flags (see module docs)
-    decoder_memory: str = "token_residual"  # or "utterance"
-    thread_pred_source: str = "token_bos"  # or "utterance_enc"
-    thread_pred_reduction: str = "sum"  # or "mean"
-    lambda_thread_pred: float = 1.0
-    per_layer_thread_embeddings: bool = False
+    lambda_thread_pred: float = 1.0  # 0 drops the thread objective (fine-tuning)
 
     def __post_init__(self):
         if self.d_hidden % self.num_heads != 0:
             raise ValueError(f"d_hidden {self.d_hidden} not divisible by num_heads {self.num_heads}")
-        if self.decoder_memory not in ("token_residual", "utterance"):
-            raise ValueError(f"unknown decoder_memory mode {self.decoder_memory!r}")
-        if self.thread_pred_source not in ("token_bos", "utterance_enc"):
-            raise ValueError(f"unknown thread_pred_source {self.thread_pred_source!r}")
-        if self.thread_pred_reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown thread_pred_reduction {self.thread_pred_reduction!r}")
 
     @property
     def d_head(self) -> int:
@@ -178,12 +167,7 @@ def _parameter_spec(config: ModelConfig) -> List[Tuple[str, Tuple[int, ...], str
         "ff1": (d, ff), "bias_ff": (ff,), "ff2": (ff, d),
     }
     spec: List[Tuple[str, Tuple[int, ...], str]] = [("embed.tokens", (v, d), "normal")]
-    buckets = num_relation_buckets(config.clip_k)
-    if config.per_layer_thread_embeddings:
-        for layer in range(config.num_layers):
-            spec.append((f"utt.{layer}.attn.rel", (buckets, config.d_head), "normal"))
-    else:
-        spec.append(("thread.rel", (buckets, config.d_head), "normal"))
+    spec.append(("thread.rel", (num_relation_buckets(config.clip_k), config.d_head), "normal"))
     for name, kind in _stack_names("tok", config.num_layers, ("attn",)):
         spec.append((name, shapes[kind], kind))
     for name, kind in _stack_names("utt", config.num_layers, ("attn",)):
@@ -199,6 +183,10 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in _parameter_spec(config))
 
 
+# parameter kinds that start at one or zero and are excluded from weight decay
+NO_DECAY_KINDS = ("ln_g", "ln_b", "bias_d", "bias_ff")
+
+
 def init_parameters(config: ModelConfig, seed: int) -> Dict[str, Parameter]:
     """Truncated-normal (sigma 0.02, cut at 2 sigma) weights, unit/zero norms."""
     rng = np.random.default_rng(seed)
@@ -206,14 +194,11 @@ def init_parameters(config: ModelConfig, seed: int) -> Dict[str, Parameter]:
     for name, shape, kind in _parameter_spec(config):
         if kind == "ln_g":
             data = np.ones(shape)
-            decay = False
-        elif kind in ("ln_b", "bias_d", "bias_ff"):
+        elif kind in NO_DECAY_KINDS:
             data = np.zeros(shape)
-            decay = False
         else:
             data = truncnorm.rvs(-2.0, 2.0, scale=0.02, size=shape, random_state=rng)
-            decay = True
-        params[name] = Parameter(name, data, decay=decay)
+        params[name] = Parameter(name, data, decay=kind not in NO_DECAY_KINDS)
     return params
 
 
@@ -378,20 +363,17 @@ class Model:
         x = utt_repr
         for layer in range(cfg.num_layers):
             pre = f"utt.{layer}"
-            rel_name = f"{pre}.attn.rel" if cfg.per_layer_thread_embeddings else "thread.rel"
             normed = self._layer_norm(x, f"{pre}.ln1")
             a = self._attention(f"{pre}.attn", normed, normed, None,
-                                relation_buckets, self.params[rel_name], rng, training)
+                                relation_buckets, self.params["thread.rel"], rng, training)
             x = self._sublayer(x, a, rng, training)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
             x = self._sublayer(x, f, rng, training)
         return self._layer_norm(x, "utt.final_ln")
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
-                             utt_states: Tensor, utt_repr: Tensor) -> Tensor:
+                             utt_states: Tensor) -> Tensor:
         """Cross-attention memory; see module docstring for the residual."""
-        if self.config.decoder_memory == "utterance":
-            return ad.add(utt_states, utt_repr)
         n, t_max = token_states.shape[0], token_states.shape[1]
         combined = ad.add(token_states, ad.reshape(utt_states, (n, 1, self.config.d_hidden)))
         flat = ad.reshape(combined, (n * t_max, self.config.d_hidden))
@@ -430,7 +412,7 @@ class Model:
         token_states, lengths = self.token_encode(mi.token_ids, rng, training)
         utt_repr = self.utterance_representations(token_states)
         utt_states = self.utterance_encode(utt_repr, mi.relation_buckets, rng, training)
-        memory = self.build_decoder_memory(token_states, lengths, utt_states, utt_repr)
+        memory = self.build_decoder_memory(token_states, lengths, utt_states)
         token_bos = token_states[:, 0, :]
         return token_bos, utt_states, memory
 

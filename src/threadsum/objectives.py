@@ -3,8 +3,8 @@
 Thread prediction samples 20% of a conversation's utterances (at least one),
 pairs them against every other utterance in both directions, and asks a
 bilinear-sigmoid classifier whether the second utterance is a strict
-ancestor of the first.  The loss is summed over the candidate set by
-default; a mean reduction is available for LR stability at varying sizes.
+ancestor of the first.  The classifier reads the token encoder's bos outputs,
+and its binary cross-entropy is summed over the candidate set.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "ThreadPairBatch",
     "clm_loss",
     "sample_thread_pairs",
-    "pair_probability",
     "pair_probabilities",
     "thread_pred_loss",
     "total_loss",
@@ -87,15 +86,9 @@ def pair_probabilities(vectors: Tensor, w_a: Parameter, w_b: Parameter,
     return ad.sigmoid(ad.gather_pairs(scores, batch.rows, batch.cols))
 
 
-def pair_probability(vectors: Tensor, w_a: Parameter, w_b: Parameter, i: int, j: int) -> Tensor:
-    """Single-pair convenience form of pair_probabilities."""
-    one = ThreadPairBatch(sampled=np.array([i]), rows=np.array([i]),
-                          cols=np.array([j]), labels=np.zeros(1))
-    return pair_probabilities(vectors, w_a, w_b, one)
-
-
-def thread_pred_loss(probs: Tensor, batch: ThreadPairBatch, reduction: str = "sum") -> Tensor:
-    return ad.binary_cross_entropy(probs, batch.labels, reduction=reduction)
+def thread_pred_loss(probs: Tensor, batch: ThreadPairBatch) -> Tensor:
+    """Binary cross-entropy summed over the candidate pairs."""
+    return ad.binary_cross_entropy(probs, batch.labels)
 
 
 def total_loss(clm: Tensor, thread_pred: Optional[Tensor], lam: float) -> Tensor:
@@ -109,9 +102,9 @@ def instance_loss(model: Model, mi: ModelInput, rng=None, training: bool = False
                   pair_rng: Union[int, np.random.Generator, None] = None):
     """Combined loss for one conversation; returns (loss, metrics dict).
 
-    Thread-prediction inputs come from token-encoder bos outputs or the
-    utterance encoder per config.thread_pred_source.  With lambda 0 the
-    thread term is skipped entirely (fine-tuning mode).
+    Thread prediction reads the token-encoder bos outputs and adds its
+    summed loss scaled by lambda.  With lambda 0 the thread term is skipped
+    entirely (fine-tuning mode).
     """
     cfg = model.config
     result = model.forward(mi, rng=rng, training=training)
@@ -125,8 +118,8 @@ def instance_loss(model: Model, mi: ModelInput, rng=None, training: bool = False
         if pair_rng is None:
             raise ValueError("need pair_batch or pair_rng when lambda_thread_pred != 0")
         pair_batch = sample_thread_pairs(mi.ancestors, pair_rng)
-    vectors = result.token_bos if cfg.thread_pred_source == "token_bos" else result.utterance_states
-    probs = pair_probabilities(vectors, model.params["tp.wa"], model.params["tp.wb"], pair_batch)
-    loss_tp = thread_pred_loss(probs, pair_batch, reduction=cfg.thread_pred_reduction)
+    probs = pair_probabilities(result.token_bos, model.params["tp.wa"], model.params["tp.wb"],
+                               pair_batch)
+    loss_tp = thread_pred_loss(probs, pair_batch)
     loss = total_loss(loss_clm, loss_tp, lam)
     return loss, {"loss_clm": loss_clm.item(), "loss_tp": loss_tp.item()}

@@ -7,7 +7,6 @@ the pair members, combined with unigrams in one multiset; there is no
 begin-of-sentence pairing.
 """
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -117,9 +116,3 @@ def evaluate_pairs(pairs: Sequence[Tuple[str, str]]) -> dict:
             for comp in ("precision", "recall", "f1")
         }
     return {"count": len(examples), "mean": mean, "examples": examples}
-
-
-def write_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -268,10 +268,6 @@ def tokenize_utterance(tok: Tokenizer, text: str, max_tokens: int) -> List[int]:
     return [tok.bos_id] + tok.encode(text)[:max_tokens - 1]
 
 
-def truncate_ids(ids: Sequence[int], max_tokens: int) -> List[int]:
-    return list(ids[:max_tokens])
-
-
 def train_bpe(texts: Iterable[str], vocab_size: int, include_unk: bool = True) -> Tokenizer:
     """Learn a small BPE vocabulary from raw texts (for fixtures and demos).
 

@@ -54,12 +54,6 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
     return derive_rng(seed, "order", epoch).permutation(count)
 
 
-def stream_index(seed: int, position: int, count: int) -> int:
-    """Index into the corpus for the position-th item of the shuffled stream."""
-    epoch, offset = divmod(position, count)
-    return int(epoch_order(seed, epoch, count)[offset])
-
-
 # ---------------------------------------------------------------------------
 # truncation
 

@@ -118,6 +118,12 @@ class TestCountParams:
         cfg.write_text(json.dumps({"model.d_hidden": 10, "model.num_heads": 3}))
         assert dispatch(["count-params", "--config", str(cfg)]) == 1
 
+    def test_removed_model_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"model.decoder_memory": "utterance"}))
+        assert dispatch(["count-params", "--config", str(cfg)]) == 1
+        assert "model.decoder_memory" in capsys.readouterr().err
+
 
 class TestBuildCorpus:
     def test_golden_output_and_manifest(self, tmp_path, capsys):
@@ -255,7 +261,7 @@ class TestGenerateEvaluate:
             path = tmp / name
             assert dispatch(["generate", "--ckpt", trained_run["ckpt"],
                              "--input", trained_run["shard"], "--out", str(path),
-                             "--vocab", VOCAB, "--deterministic"]) == 0
+                             "--vocab", VOCAB]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
@@ -274,8 +280,13 @@ class TestGenerateEvaluate:
         b = tmp_path / "b.jsonl"
         a.write_text('{"summary": "x"}\n{"summary": "y"}\n')
         b.write_text('{"summary": "x"}\n')
+        out = tmp_path / "out" / "s.json"
         assert dispatch(["evaluate", "--pred", str(a), "--ref", str(b),
-                         "--out", str(tmp_path / "s.json")]) == 2
+                         "--out", str(out)]) == 2
+        # no report and no temporary; only the failed manifest
+        assert [p.name for p in out.parent.iterdir()] == ["s.json.manifest.json"]
+        manifest = json.loads((out.parent / "s.json.manifest.json").read_text())
+        assert manifest["status"] == "failed"
 
     def test_record_without_summary_is_data_error(self, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -126,6 +126,25 @@ class TestExtractThreads:
         trees = extract_threads(RawPost("t", 1, frozenset(), comments), stats)
         assert trees == []
         assert stats.rejected.get("invalid_tree") == 1
+        assert stats.threads == 0  # only trees that formed are counted
+
+    def test_every_thread_accounted_for(self, tmp_path):
+        def record(comments, **fields):
+            return dict(fields, title="T", score=1, comments=[
+                {"id": c.id, "parent_id": c.parent_id, "created_utc": c.timestamp,
+                 "author": c.author, "body": c.text, "score": c.score}
+                for c in comments])
+
+        child_first = (RawComment("x", None, 500, "u", "top", 1),
+                       RawComment("y", "x", 400, "u", "reply older than its parent", 1))
+        dump = [record(make_chain(10)),
+                record(make_chain(3) + child_first),
+                record(make_chain(10), over_18=True)]
+        _, stats = build_corpus(dump, str(tmp_path / "s"))
+        assert stats.rejected == {"invalid_tree": 1, "too_few_comments": 1, "nsfw": 1}
+        assert (stats.posts, stats.threads, stats.kept) == (3, 3, 1)
+        rejected = sum(stats.rejected.values())
+        assert stats.kept + rejected == stats.threads + stats.rejected["invalid_tree"]
 
 
 class TestFilters:

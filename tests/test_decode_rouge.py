@@ -5,6 +5,7 @@ import pytest
 from scipy.special import log_softmax
 
 from threadsum.autodiff import Tensor
+from threadsum.checkpoint import write_json
 from threadsum.conversation import ConversationTree, Utterance
 from threadsum.decoding import (
     BeamHypothesis,
@@ -25,7 +26,6 @@ from threadsum.rouge import (
     rouge_su4,
     rouge_tokenize,
     score_pair,
-    write_report,
 )
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ class TestEvaluatePairs:
 
     def test_report_round_trips(self, tmp_path):
         report = evaluate_pairs([("a b", "a c"), ("d", "d")])
-        write_report(tmp_path / "scores.json", report)
+        write_json(tmp_path / "scores.json", report)
         loaded = json.loads((tmp_path / "scores.json").read_text())
         assert loaded == json.loads(json.dumps(report))
 

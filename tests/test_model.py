@@ -126,7 +126,7 @@ class TestParameterCounting:
         assert b - a == 3 * 2 * delta_per_ff_block  # 3 stacks x N=2 layers
 
     def test_count_matches_initialized_sizes(self):
-        cfg = toy_config(num_layers=3, per_layer_thread_embeddings=True)
+        cfg = toy_config(num_layers=3)
         params = init_parameters(cfg, seed=0)
         assert sum(p.size for p in params.values()) == count_parameters(cfg)
 
@@ -347,7 +347,7 @@ class TestDecoder:
             states, lengths = toy_model.token_encode(toy_input.token_ids)
             reprs = toy_model.utterance_representations(states)
             utt = toy_model.utterance_encode(reprs, toy_input.relation_buckets)
-            mem = toy_model.build_decoder_memory(states, lengths, utt, reprs)
+            mem = toy_model.build_decoder_memory(states, lengths, utt)
         assert mem.shape[0] == int(lengths.sum())
         row = 0
         for i, l in enumerate(lengths):
@@ -355,17 +355,6 @@ class TestDecoder:
                 np.testing.assert_allclose(
                     mem.data[row], states.data[i, t] + utt.data[i], atol=1e-12)
                 row += 1
-
-    def test_utterance_memory_mode(self, tiny_tokenizer, toy_input):
-        cfg = toy_config(vocab_size=tiny_tokenizer.vocab_size, decoder_memory="utterance")
-        m = Model.init(cfg, seed=42)
-        with no_grad():
-            states, lengths = m.token_encode(toy_input.token_ids)
-            reprs = m.utterance_representations(states)
-            utt = m.utterance_encode(reprs, toy_input.relation_buckets)
-            mem = m.build_decoder_memory(states, lengths, utt, reprs)
-        assert mem.shape == (len(toy_input.token_ids), cfg.d_hidden)
-        np.testing.assert_allclose(mem.data, utt.data + reprs.data, atol=1e-12)
 
     def test_logit_shape_and_softmax(self, toy_model, toy_input):
         with no_grad():

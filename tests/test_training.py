@@ -7,6 +7,7 @@ from threadsum.autodiff import Parameter
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
+    atomic_write,
     load_checkpoint,
     save_checkpoint,
 )
@@ -20,10 +21,10 @@ from threadsum.training import (
     apply_adamw,
     clip_gradients,
     derive_rng,
+    epoch_order,
     global_grad_norm,
     lr_at,
     run_training,
-    stream_index,
     train_step,
     truncate_instance,
 )
@@ -197,9 +198,9 @@ class TestDeterministicStreams:
         assert not np.array_equal(a, c)
 
     def test_epoch_is_a_permutation(self):
-        idx = [stream_index(5, pos, 8) for pos in range(8)]
+        idx = epoch_order(5, 0, 8).tolist()
         assert sorted(idx) == list(range(8))
-        nxt = [stream_index(5, 8 + pos, 8) for pos in range(8)]
+        nxt = epoch_order(5, 1, 8).tolist()
         assert sorted(nxt) == list(range(8))
         assert idx != nxt  # reshuffled between epochs
 
@@ -392,3 +393,23 @@ class TestCheckpoint:
             np.testing.assert_array_equal(straight_model.params[name].data,
                                           resumed_model.params[name].data)
         assert [json.dumps(r) for r in straight[15:]] == [json.dumps(r) for r in tail]
+
+
+def _failing_write(fh):
+    fh.write(b"partial")
+    raise RuntimeError("disk full")
+
+
+class TestAtomicWrite:
+    def test_failure_keeps_old_bytes(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="disk full"):
+            atomic_write(target, _failing_write)
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failure_leaves_missing_target_missing(self, tmp_path):
+        with pytest.raises(RuntimeError, match="disk full"):
+            atomic_write(tmp_path / "out.bin", _failing_write)
+        assert list(tmp_path.iterdir()) == []
