@@ -3,20 +3,18 @@
 A checkpoint is two sibling files, ``<prefix>.npz`` (flat map of named float64
 arrays, shapes in the header) and ``<prefix>.json`` (version, full model
 config, config hash, optimizer schedule and step).  Saves are atomic: both
-files are written to temporaries and renamed into place by ``atomic_write``,
-which the command line also uses for manifests, statistics, predictions and
-score reports.
+files are written to temporaries and renamed into place by
+``fileio.atomic_write``.
 """
 
 import hashlib
 import json
-import os
-import tempfile
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from .autodiff import Parameter
+from .fileio import atomic_write, write_json
 from .model import NO_DECAY_KINDS, ModelConfig, _parameter_spec
 from .training import OptimizerState
 
@@ -45,32 +43,6 @@ def _paths(prefix) -> tuple:
     if prefix.endswith(".npz"):
         prefix = prefix[:-4]
     return prefix + ".npz", prefix + ".json"
-
-
-def atomic_write(path, write_fn) -> None:
-    """Write ``path`` by calling ``write_fn`` on a binary handle to a sibling
-    temporary, then renaming it into place.
-
-    The target holds either its old bytes or the complete new ones: if
-    ``write_fn`` raises, the target is untouched and the temporary is removed.
-    """
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write_fn(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json(path, payload) -> None:
-    """Atomically write ``payload`` as indented, key-sorted JSON plus a newline."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],

@@ -12,8 +12,8 @@ not define is a configuration error (exit 1); that includes ``model.*`` keys
 that older versions accepted and that have since been removed.  A manifest is
 written atomically before and after each file-producing run; commands that
 only print to stdout write one when --manifest is given.  Manifests, --stats
-files, predictions and score reports go through the one atomic writer
-(checkpoint.atomic_write), so a failed run leaves none of them half-written.
+files, corpus shards, predictions and score reports go through the one atomic
+writer (fileio.atomic_write), so a failed run leaves none of them half-written.
 All randomness flows from the single train.seed, fanned out into named
 substreams.  BLAS threading is not a flag: set it in the environment before
 launch (``OPENBLAS_NUM_THREADS=1 threadsum ...``).
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NumericsError, grad_check
-from .checkpoint import CheckpointError, atomic_write, load_checkpoint, write_json
+from .checkpoint import CheckpointError, load_checkpoint
 from .conversation import ConversationTree, TreeError, Utterance, relation_index
 from .corpus import (
     CorpusError,
@@ -43,6 +43,7 @@ from .corpus import (
     write_instances,
 )
 from .decoding import generate_summary
+from .fileio import atomic_write, write_json
 from .model import (
     Model,
     ModelConfig,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .conversation import ConversationTree, TreeError, Utterance
+from .fileio import atomic_write
 from .tokenizer import MASK_TOKEN, URL_TOKEN
 
 __all__ = [
@@ -273,11 +274,19 @@ def _dump_line(record: dict) -> str:
 
 
 def write_instances(path: str, instances: Iterable[TrainingInstance]) -> int:
+    """Atomically write one JSON line per instance; returns how many.
+
+    If ``instances`` raises, ``path`` keeps its old bytes.
+    """
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
+
+    def write(fh):
+        nonlocal n
         for inst in instances:
-            f.write(_dump_line(instance_to_record(inst)))
+            fh.write(_dump_line(instance_to_record(inst)).encode("utf-8"))
             n += 1
+
+    atomic_write(path, write)
     return n
 
 

@@ -6,10 +6,16 @@ a trigram already present in that hypothesis is assigned -inf before ranking,
 so no emitted sequence ever contains a duplicate trigram.  Decoding is
 model-agnostic: anything that maps a token prefix to next-token log-probs
 works, which is what the brute-force test oracles rely on.
+
+Two such maps wrap the model.  ``generate_summary`` decodes through
+``IncrementalDecoder``, which extends the decoder state cached for a prefix's
+parent by one position per call.  ``model_decode_fn`` re-runs the decoder
+over the whole prefix each call; it is the reference the incremental path is
+checked against.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import log_softmax
@@ -17,7 +23,7 @@ from scipy.special import log_softmax
 from .autodiff import no_grad
 from .conversation import ConversationTree
 from .corpus import TrainingInstance
-from .model import Model, ModelInput, encode_instance
+from .model import DecoderCache, Model, ModelInput, encode_instance
 
 DecodeFn = Callable[[Sequence[int]], np.ndarray]
 
@@ -51,6 +57,21 @@ def has_repeated_trigram(tokens: Sequence[int]) -> bool:
     return len(grams) != len(set(grams))
 
 
+def top_k(row: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries, ties to the lower index.
+
+    Equal to ``np.argsort(-row, kind="stable")[:k]`` but sorts only the
+    entries at or above the k-th largest value.
+    """
+    neg = -row
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    # not "neg <= kth": a NaN threshold must keep every entry, as argsort would
+    candidates = np.flatnonzero(~(neg > kth))
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
 def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
                 beam_size: int = 4, length_penalty: float = 1.0,
                 min_len: int = 1, block_trigrams: bool = True) -> BeamHypothesis:
@@ -82,8 +103,7 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
                 row[eos_id] = -np.inf
             # beam_size best extensions of this hypothesis suffice: the pool
             # keeps at most beam_size survivors overall
-            top = np.argsort(-row, kind="stable")[:beam_size]
-            for t in top:
+            for t in top_k(row, beam_size):
                 if row[t] == -np.inf:
                     continue
                 candidates.append(BeamHypothesis(hyp.tokens + [int(t)],
@@ -126,6 +146,40 @@ def model_decode_fn(model: Model, memory) -> DecodeFn:
     return decode_fn
 
 
+class IncrementalDecoder:
+    """A ``DecodeFn`` that decodes each prefix one position past its parent's.
+
+    The decoder cache of every prefix of the newest two lengths is held, so
+    each beam step extends the previous step's states by one token.  A prefix
+    whose parent is not held is decoded from its longest held ancestor, or
+    from scratch, so any visiting order gives the full-prefix answer.
+    Extensions fork the parent's cache and never write into its arrays,
+    which up to beam_size children share.
+    """
+
+    def __init__(self, model: Model, memory):
+        if memory.shape[0] == 0:
+            raise ValueError("decoder memory is empty")
+        self.model = model
+        self.memory = memory
+        self.root = model.decoder_cache(memory)
+        self.states: Dict[Tuple[int, ...], DecoderCache] = {}
+        self.newest = 0
+
+    def __call__(self, prefix: Sequence[int]) -> np.ndarray:
+        key = tuple(int(t) for t in prefix)
+        if len(key) > self.newest:
+            self.newest = len(key)
+            self.states = {p: c for p, c in self.states.items() if len(p) >= self.newest - 1}
+        held = next((key[:n] for n in range(len(key) - 1, 0, -1) if key[:n] in self.states), ())
+        cache = (self.states[held] if held else self.root).fork()
+        with no_grad():
+            logits = self.model.decoder_forward(np.asarray(key[len(held):]), self.memory,
+                                                cache=cache)
+        self.states[key] = cache
+        return log_softmax(logits.data[-1])
+
+
 def generate_summary(model: Model, tokenizer, tree: ConversationTree,
                      beam_size: int = 4, length_penalty: float = 1.0,
                      max_len: Optional[int] = None, min_len: int = 1,
@@ -136,7 +190,7 @@ def generate_summary(model: Model, tokenizer, tree: ConversationTree,
         _, _, memory = model.encode_conversation(mi)
     if max_len is None:
         max_len = model.config.max_summary_tokens - 1  # room for the bos slot
-    best = beam_search(model_decode_fn(model, memory),
+    best = beam_search(IncrementalDecoder(model, memory),
                        tokenizer.bos_id, tokenizer.eos_id, max_len,
                        beam_size=beam_size, length_penalty=length_penalty,
                        min_len=min_len, block_trigrams=block_trigrams)

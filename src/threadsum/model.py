@@ -12,7 +12,9 @@ Three pre-LN transformer stacks share one token embedding table:
   generation.
 
 The output projection is the transpose of the embedding table (weight
-tying).  All forwards are pure functions of (parameters, inputs, rng).
+tying).  All forwards are pure functions of (parameters, inputs, rng); the
+one exception is an incremental decoder step, which appends its positions'
+keys and values to the ``DecoderCache`` it is given.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "Model",
     "ModelInput",
     "ForwardResult",
+    "DecoderCache",
     "sinusoidal_pe",
     "count_parameters",
     "encode_instance",
@@ -224,8 +227,28 @@ class ModelInput:
 class ForwardResult:
     logits: Tensor  # [S, V]
     token_bos: Tensor  # [n, d] token-encoder output at each utterance's bos
-    utterance_states: Tensor  # [n, d] thread-aware encoder output
     memory: Tensor  # decoder cross-attention memory
+
+
+KeysValues = Tuple[np.ndarray, np.ndarray]  # (K^T [h, dz, T], V [h, T, dz])
+
+
+@dataclass
+class DecoderCache:
+    """What an incremental ``decoder_forward`` keeps per decoder layer.
+
+    ``cross`` holds the keys and values of the memory, projected once;
+    ``self_kv`` those of the ``length`` summary positions decoded so far.  A
+    forward rebinds ``self_kv`` entries to new arrays and never writes into
+    one, so forks of a cache can share every array.
+    """
+
+    cross: List[KeysValues]
+    self_kv: List[KeysValues]
+    length: int = 0
+
+    def fork(self) -> "DecoderCache":
+        return DecoderCache(self.cross, list(self.self_kv), self.length)
 
 
 def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInstance) -> ModelInput:
@@ -289,23 +312,40 @@ class Model:
 
     def _attention(self, prefix: str, x_q: Tensor, x_kv: Tensor,
                    mask_add: Optional[np.ndarray], rel_buckets: Optional[np.ndarray],
-                   rel_table: Optional[Parameter], rng, training: bool) -> Tensor:
-        """Multi-head attention; optional additive mask and thread relations."""
+                   rel_table: Optional[Parameter], rng, training: bool,
+                   kv: Optional[KeysValues] = None) -> Tensor:
+        """Multi-head attention; optional additive mask and thread relations.
+
+        ``kv`` supplies precomputed keys and values (see ``_keys_values``)
+        in place of projecting ``x_kv``.
+        """
         cfg = self.config
         lead = x_q.shape[:-2]
         q = self._split_heads(self._proj(x_q, prefix, "q"), lead)
-        k = self._split_heads(self._proj(x_kv, prefix, "k"), lead)
-        v = self._split_heads(self._proj(x_kv, prefix, "v"), lead)
+        if kv is None:
+            k = self._split_heads(self._proj(x_kv, prefix, "k"), lead)
+            v = self._split_heads(self._proj(x_kv, prefix, "v"), lead)
+        else:
+            k_t, v = Tensor(kv[0]), Tensor(kv[1])
         if rel_buckets is not None:
             scores = thread_attention_scores(q, k, rel_table, rel_buckets, cfg.d_head)
         else:
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.d_head))
+            if kv is None:
+                k_t = ad.transpose(k)
+            scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(cfg.d_head))
         if mask_add is not None:
             scores = ad.add(scores, Tensor(mask_add))
         att = ad.softmax(scores, axis=-1)
         att = ad.dropout(att, cfg.dropout, rng, training)
         ctx = self._merge_heads(ad.matmul(att, v), lead)
         return self._proj(ctx, prefix, "o")
+
+    def _keys_values(self, prefix: str, x: Tensor) -> KeysValues:
+        """Key and value heads of a [T, d] input, K transposed and contiguous
+        so attention over them copies nothing."""
+        k = self._split_heads(self._proj(x, prefix, "k"), ())
+        v = self._split_heads(self._proj(x, prefix, "v"), ())
+        return np.ascontiguousarray(np.swapaxes(k.data, -1, -2)), v.data
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
@@ -380,29 +420,62 @@ class Model:
         valid = np.concatenate([i * t_max + np.arange(l) for i, l in enumerate(lengths)])
         return ad.take_rows(flat, valid)
 
-    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor,
-                        rng=None, training: bool = False) -> Tensor:
+    def decoder_cache(self, memory: Tensor) -> DecoderCache:
+        """An empty cache for incremental decoding against ``memory``."""
         cfg = self.config
+        h, dz = cfg.num_heads, cfg.d_head
+        with ad.no_grad():
+            cross = [self._keys_values(f"dec.{layer}.cross", memory)
+                     for layer in range(cfg.num_layers)]
+        empty = (np.empty((h, dz, 0)), np.empty((h, 0, dz)))
+        return DecoderCache(cross, [empty] * cfg.num_layers)
+
+    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor,
+                        rng=None, training: bool = False,
+                        cache: Optional[DecoderCache] = None) -> Tensor:
+        """Next-token logits [s, V] for the s summary positions given.
+
+        With a ``cache`` (inference only), ``summary_input`` holds the
+        positions after the ``cache.length`` already decoded: they attend to
+        the cached keys and values as well as their own, which are appended,
+        and cross-attention reads the cache's memory keys and values.
+        """
+        cfg = self.config
+        if cache is not None and training:
+            raise ValueError("a decoder cache is for inference only")
+        start = 0 if cache is None else cache.length
         s = len(summary_input)
-        if s > cfg.max_summary_tokens:
-            raise ValueError(f"summary length {s} exceeds max {cfg.max_summary_tokens}")
+        if start + s > cfg.max_summary_tokens:
+            raise ValueError(f"summary length {start + s} exceeds max {cfg.max_summary_tokens}")
         if summary_input.max() >= cfg.vocab_size:
             raise IndexError(f"token id out of vocabulary of size {cfg.vocab_size}")
-        causal = np.triu(np.full((s, s), -1e9), k=1)
+        causal = np.triu(np.full((s, start + s), -1e9), k=1 + start)
+        pe = sinusoidal_pe(cfg.max_summary_tokens, cfg.d_hidden)[start:start + s]
 
         x = ad.take_rows(self.params["embed.tokens"], summary_input)
-        x = ad.add(x, Tensor(sinusoidal_pe(s, cfg.d_hidden)))
+        x = ad.add(x, Tensor(pe))
         x = ad.dropout(x, cfg.dropout, rng, training)
         for layer in range(cfg.num_layers):
             pre = f"dec.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.self", normed, normed, causal, None, None, rng, training)
+            self_kv = cross_kv = None
+            if cache is not None:
+                past_k, past_v = cache.self_kv[layer]
+                new_k, new_v = self._keys_values(f"{pre}.self", normed)
+                self_kv = (np.concatenate([past_k, new_k], axis=-1),
+                           np.concatenate([past_v, new_v], axis=-2))
+                cache.self_kv[layer] = self_kv
+                cross_kv = cache.cross[layer]
+            a = self._attention(f"{pre}.self", normed, normed, causal, None, None, rng, training,
+                                kv=self_kv)
             x = self._sublayer(x, a, rng, training)
             c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),
-                                memory, None, None, None, rng, training)
+                                memory, None, None, None, rng, training, kv=cross_kv)
             x = self._sublayer(x, c, rng, training)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
             x = self._sublayer(x, f, rng, training)
+        if cache is not None:
+            cache.length += s
         x = self._layer_norm(x, "dec.final_ln")
         return ad.matmul(x, ad.transpose(self.params["embed.tokens"]))
 
@@ -417,7 +490,6 @@ class Model:
         return token_bos, utt_states, memory
 
     def forward(self, mi: ModelInput, rng=None, training: bool = False) -> ForwardResult:
-        token_bos, utt_states, memory = self.encode_conversation(mi, rng, training)
+        token_bos, _, memory = self.encode_conversation(mi, rng, training)
         logits = self.decoder_forward(mi.summary_input, memory, rng, training)
-        return ForwardResult(logits=logits, token_bos=token_bos,
-                             utterance_states=utt_states, memory=memory)
+        return ForwardResult(logits=logits, token_bos=token_bos, memory=memory)

@@ -142,8 +142,14 @@ def global_grad_norm(params: Dict[str, Parameter]) -> float:
 
 
 def clip_gradients(params: Dict[str, Parameter], max_norm: Optional[float]) -> float:
-    """Global-norm clipping; returns the pre-clip norm. None disables."""
+    """Global-norm clipping; returns the pre-clip norm. None disables.
+
+    A non-finite norm raises ``NumericsError`` before any gradient is scaled
+    (clipping an inf norm would turn every gradient into 0 * inf = NaN).
+    """
     norm = global_grad_norm(params)
+    if not np.isfinite(norm):
+        raise ad.NumericsError(f"non-finite gradient norm {norm}")
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
@@ -207,7 +213,11 @@ def train_step(model: Model, state: OptimizerState,
                micro_batches: Sequence[ModelInput], seed: int,
                clip_norm: Optional[float] = 1.0,
                loss_weight: float = 1.0) -> dict:
-    """Accumulate summed gradients over the micro-batches, then apply once."""
+    """Accumulate summed gradients over the micro-batches, then apply once.
+
+    A non-finite loss or gradient norm raises ``NumericsError`` and leaves
+    the parameters and the optimizer state as they were.
+    """
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
     step = state.step
@@ -223,9 +233,13 @@ def train_step(model: Model, state: OptimizerState,
         backward(loss)
         clm_sum += parts["loss_clm"]
         tp_sum += parts["loss_tp"]
+    n = len(micro_batches)
+    # a non-finite step is rejected before it touches parameters or moments
+    if not np.isfinite([clm_sum, tp_sum]).all():
+        raise ad.NumericsError(f"non-finite loss at step {step}: "
+                               f"loss_clm {clm_sum / n}, loss_tp {tp_sum / n}")
     grad_norm = clip_gradients(model.params, clip_norm)
     lr = apply_adamw(state, model.params)
-    n = len(micro_batches)
     return {"step": state.step, "loss_clm": clm_sum / n, "loss_tp": tp_sum / n,
             "lr": lr, "grad_norm": grad_norm}
 
@@ -264,8 +278,6 @@ def run_training(model: Model, inputs: Sequence[ModelInput], state: OptimizerSta
             micro.append(inputs[int(order[offset])])
         record = train_step(model, state, micro, seed=run.seed, clip_norm=run.clip_norm)
         records.append(record)
-        if not np.isfinite(record["loss_clm"]) or not np.isfinite(record["grad_norm"]):
-            raise ad.NumericsError(f"non-finite metrics at step {state.step}: {record}")
         if metrics_path is not None and state.step % run.log_every == 0:
             append_metrics(metrics_path, record)
         if on_step is not None:

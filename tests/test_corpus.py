@@ -236,6 +236,22 @@ class TestSerialization:
         write_instances(p2, list(read_instances(p1)))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_failed_write_keeps_old_shard(self, tmp_path):
+        post = make_post(10)
+        inst = build_instance(post, extract_threads(post)[0])
+        path = tmp_path / "shard.jsonl"
+        write_instances(str(path), [inst, inst])
+        old = path.read_bytes()
+
+        def failing():
+            yield inst
+            raise RuntimeError("truncation failed")
+
+        with pytest.raises(RuntimeError, match="truncation failed"):
+            write_instances(str(path), failing())
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         post = make_post(10)

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import log_softmax
 
 from threadsum.autodiff import Tensor
-from threadsum.checkpoint import write_json
 from threadsum.conversation import ConversationTree, Utterance
 from threadsum.decoding import (
     BeamHypothesis,
@@ -16,6 +15,7 @@ from threadsum.decoding import (
     has_repeated_trigram,
     model_decode_fn,
 )
+from threadsum.fileio import write_json
 from threadsum.model import Model, toy_config
 from threadsum.rouge import (
     METRIC_NAMES,

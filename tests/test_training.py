@@ -3,16 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from threadsum.autodiff import Parameter
+from threadsum import training
+from threadsum.autodiff import NumericsError, Parameter
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
-    atomic_write,
     load_checkpoint,
     save_checkpoint,
 )
 from threadsum.conversation import ConversationTree, Utterance
 from threadsum.corpus import TrainingInstance
+from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
 from threadsum.training import (
     METRICS_FIELDS,
@@ -183,6 +184,13 @@ class TestClipping:
         clip_gradients({"a": a}, 1.0)
         assert a.grad[0] == 0.3
 
+    def test_nonfinite_norm_raises_before_scaling(self):
+        a = scalar_param(0.0, grad=np.inf)
+        b = scalar_param(0.0, grad=2.0)
+        with pytest.raises(NumericsError):
+            clip_gradients({"a": a, "b": b}, 1.0)
+        assert b.grad[0] == 2.0
+
     def test_none_disables(self):
         a = scalar_param(0.0, grad=30.0)
         assert clip_gradients({"a": a}, None) == 30.0
@@ -277,6 +285,30 @@ class TestTrainStep:
         records = run_training(model, inputs[:2], state, run)
         total = [r["loss_clm"] + r["loss_tp"] for r in records]
         assert np.mean(total[-10:]) < np.mean(total[:10])
+
+    def test_nonfinite_gradient_rejected_before_apply(self, tiny_inputs, monkeypatch):
+        cfg, inputs = tiny_inputs
+        model = Model.init(cfg, seed=9)
+        state = OptimizerState.init(model.params, peak_lr=1e-3, total_steps=10)
+        train_step(model, state, inputs[:1], seed=1)  # non-zero moments
+        params = {k: p.data.copy() for k, p in model.params.items()}
+        m = {k: a.copy() for k, a in state.m.items()}
+        v = {k: a.copy() for k, a in state.v.items()}
+
+        real_backward = training.backward
+
+        def inf_backward(loss):
+            real_backward(loss)
+            model.params["dec.0.ff.w1"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "backward", inf_backward)
+        with pytest.raises(NumericsError, match="gradient norm"):
+            train_step(model, state, inputs[:1], seed=1)
+        assert state.step == 1
+        for name, data in params.items():
+            np.testing.assert_array_equal(model.params[name].data, data)
+            np.testing.assert_array_equal(state.m[name], m[name])
+            np.testing.assert_array_equal(state.v[name], v[name])
 
     def test_empty_micro_batch_rejected(self, tiny_inputs):
         cfg, inputs = tiny_inputs
