@@ -8,6 +8,17 @@ order, and a central-finite-difference gradient checker.
 Broadcasting is deliberately narrow: two operands must have equal shapes,
 or the second must be a suffix of the first (bias adds), or both must have
 equal rank with explicit size-1 axes.  Anything fancier needs a reshape.
+
+Gradient ownership: a backward rule never writes into the gradient it is
+given, and a tensor keeps the first gradient it receives as is, because
+that array may be shared with a sibling operand (``add`` hands the same
+``g`` to both sides) or be a view (``reshape``, ``transpose``, ``permute``,
+``concat``).  A rule that computes a fresh array hands it over with
+``owned=True``; a tensor adds later gradients into a buffer it owns, or
+makes one with a single out-of-place add.  Gathers scatter-add straight
+into the parent's own buffer (``Tensor.grad_buffer``).  Every
+``Parameter`` owns one C-contiguous gradient buffer, so clipping may scale
+it in place and micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -33,8 +44,8 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "sub", "mul", "scale", "matmul", "transpose", "permute", "reshape",
-    "concat", "take_rows", "take_per_row", "gather_pairs",
+    "add", "sub", "mul", "scale", "matmul", "matmul_transposed", "transpose", "permute",
+    "reshape", "concat", "take_rows", "take_per_row", "gather_pairs",
     "softmax", "layer_norm", "linear", "gelu", "sigmoid", "log", "dropout",
     "tensor_sum", "tensor_mean", "cross_entropy", "binary_cross_entropy",
 ]
@@ -79,12 +90,13 @@ class Tensor:
     want fresh gradients zero it explicitly.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=data.dtype if isinstance(data, np.ndarray) else np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
+        self._owns_grad = False
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
@@ -112,10 +124,27 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the gradient without ever writing into ``g``.
+
+        ``owned=True`` hands over a fresh array that nothing else holds.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad, self._owns_grad = g, owned
+        elif self._owns_grad:
+            self.grad += g
+        else:
+            self.grad, self._owns_grad = self.grad + g, True
+
+    def grad_buffer(self) -> np.ndarray:
+        """The gradient as a C-contiguous buffer this tensor owns, created
+        on first use, for the in-place scatter-adds of gathers."""
+        if self.grad is None:
+            self.grad = np.zeros(self.data.shape, self.data.dtype)
+        elif not (self._owns_grad and self.grad.flags.c_contiguous):
+            self.grad = np.array(self.grad, order="C")
+        self._owns_grad = True
+        return self.grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -154,8 +183,20 @@ class Parameter(Tensor):
 
     def __init__(self, name: str, data, decay: bool = True):
         super().__init__(np.asarray(data), requires_grad=True)
+        self._owns_grad = True
         self.name = name
         self.decay = decay
+
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """As ``Tensor.accumulate_grad``, but the gradient is always a
+        C-contiguous buffer of the parameter's own: a first gradient that is
+        lent or strided is copied."""
+        if self.grad is not None:
+            self.grad += g
+        elif owned and g.flags.c_contiguous:
+            self.grad = g
+        else:
+            self.grad = np.array(g, order="C")
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -228,7 +269,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(g, b.shape))
+            b.accumulate_grad(-_unbroadcast(g, b.shape), owned=True)
 
     return _make(a.data - b.data, (a, b), bwd, "sub")
 
@@ -239,16 +280,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * bd, a.shape))
+            a.accumulate_grad(_unbroadcast(g * bd, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ad, b.shape))
+            b.accumulate_grad(_unbroadcast(g * ad, b.shape), owned=True)
 
     return _make(ad * bd, (a, b), bwd, "mul")
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(g, a=a, s=s):
-        a.accumulate_grad(g * s)
+        a.accumulate_grad(g * s, owned=True)
 
     return _make(a.data * s, (a,), bwd, "scale")
 
@@ -265,16 +306,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g, a=a, b=b):
         if a.requires_grad:
             ga = g @ np.swapaxes(bd, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             if bd.ndim == 2 and ad.ndim > 2:
                 k, n = bd.shape
                 gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = np.swapaxes(ad, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(ad @ bd, (a, b), bwd, "matmul")
+
+
+def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b^T for a 2-d ``b``, such as a tied output projection onto an
+    embedding table.
+
+    ``b``'s gradient is formed as g^T a, C-contiguous in ``b``'s own
+    layout, rather than as a transposed [k, n] product.
+    """
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[1]:
+        raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align")
+    n, k = bd.shape
+
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a.accumulate_grad(g @ bd, owned=True)
+        if b.requires_grad:
+            b.accumulate_grad(g.reshape(-1, n).T @ ad.reshape(-1, k), owned=True)
+
+    return _make(ad @ bd.T, (a, b), bwd, "matmul_transposed")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -320,9 +382,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def _basic_index(a: Tensor, key) -> Tensor:
     def bwd(g, a=a, key=key):
-        ga = np.zeros_like(a.data)
-        ga[key] += g
-        a.accumulate_grad(ga)
+        a.grad_buffer()[key] += g
 
     return _make(a.data[key], (a,), bwd, "index")
 
@@ -338,9 +398,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
         raise IndexError(f"row index out of range for table with {a.shape[0]} rows")
 
     def bwd(g, a=a, ids=ids):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, ids, g)
-        a.accumulate_grad(ga)
+        np.add.at(a.grad_buffer(), ids, g)
 
     return _make(a.data[ids], (a,), bwd, "take_rows")
 
@@ -358,7 +416,7 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
     lead = a.shape[:-2]
 
     def bwd(g, a=a, idx=idx):
-        ga = np.zeros_like(a.data)
+        ga = a.grad_buffer()
         if lead:
             batch = int(np.prod(lead))
             g3 = g.reshape(batch, rows, cols)
@@ -368,7 +426,6 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(ga3, (bi, ri, idx[None, :, :]), g3)
         else:
             np.add.at(ga, (np.arange(rows)[:, None], idx), g)
-        a.accumulate_grad(ga)
 
     idx_b = np.broadcast_to(idx, lead + idx.shape)
     return _make(np.take_along_axis(a.data, idx_b, axis=-1), (a,), bwd, "take_per_row")
@@ -380,9 +437,7 @@ def gather_pairs(a: Tensor, rows, cols) -> Tensor:
     cols = np.asarray(cols, dtype=np.int64)
 
     def bwd(g, a=a):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        a.accumulate_grad(ga)
+        np.add.at(a.grad_buffer(), (rows, cols), g)
 
     return _make(a.data[rows, cols], (a,), bwd, "gather_pairs")
 
@@ -398,7 +453,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g, a=a, y=y, axis=axis):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        a.accumulate_grad((g - inner) * y)
+        a.accumulate_grad((g - inner) * y, owned=True)
 
     return _make(y, (a,), bwd, "softmax")
 
@@ -416,14 +471,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0), owned=True)
         if x.requires_grad:
             gxhat = g * gain.data
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2), owned=True)
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd, "layer_norm")
 
@@ -440,11 +495,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g, x=x, w=w, b=b):
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T)
+            x.accumulate_grad(g @ w.data.T, owned=True)
         if w.requires_grad:
-            w.accumulate_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout))
+            w.accumulate_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout), owned=True)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, dout).sum(axis=0))
+            b.accumulate_grad(g.reshape(-1, dout).sum(axis=0), owned=True)
 
     return _make(y, parents, bwd, "linear")
 
@@ -455,7 +510,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def bwd(g, x=x, cdf=cdf):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf))
+        x.accumulate_grad(g * (cdf + x.data * pdf), owned=True)
 
     return _make(x.data * cdf, (x,), bwd, "gelu")
 
@@ -464,14 +519,14 @@ def sigmoid(x: Tensor) -> Tensor:
     y = expit(x.data)
 
     def bwd(g, x=x, y=y):
-        x.accumulate_grad(g * y * (1.0 - y))
+        x.accumulate_grad(g * y * (1.0 - y), owned=True)
 
     return _make(y, (x,), bwd, "sigmoid")
 
 
 def log(x: Tensor) -> Tensor:
     def bwd(g, x=x):
-        x.accumulate_grad(g / x.data)
+        x.accumulate_grad(g / x.data, owned=True)
 
     return _make(np.log(x.data), (x,), bwd, "log")
 
@@ -485,7 +540,7 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
     mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def bwd(g, x=x, mask=mask):
-        x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * mask, owned=True)
 
     return _make(x.data * mask, (x,), bwd, "dropout")
 
@@ -494,7 +549,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g, x=x):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
+        x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd, "sum")
 
@@ -505,7 +560,7 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g, x=x):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape) / count)
+        x.accumulate_grad(np.broadcast_to(g, x.shape) / count, owned=True)
 
     return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), bwd, "mean")
 
@@ -519,7 +574,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of vocabulary of size {v}")
     m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
+    e = logits.data - m
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     nll = lse - logits.data[np.arange(t), targets]
@@ -527,7 +583,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     def bwd(g, logits=logits, e=e, z=z):
         p = e / z
         p[np.arange(t), targets] -= 1.0
-        logits.accumulate_grad(p * (g / t))
+        p *= g / t
+        logits.accumulate_grad(p, owned=True)
 
     return _make(np.asarray(nll.mean()), (logits,), bwd, "cross_entropy")
 
@@ -554,7 +611,7 @@ def binary_cross_entropy(probs: Tensor, labels, reduction: str = "sum", clamp: f
         dp[clamped] = 0.0
         if reduction == "mean":
             dp /= n
-        probs.accumulate_grad(dp * g)
+        probs.accumulate_grad(dp * g, owned=True)
 
     value = losses.sum() if reduction == "sum" else losses.mean()
     return _make(np.asarray(value), (probs,), bwd, "binary_cross_entropy")
@@ -590,9 +647,14 @@ class ComputationTape:
         """Run every recorded backward rule once, children before parents.
 
         Intermediate gradient buffers are dropped as soon as they are
-        consumed; parameters keep accumulating across calls.
+        consumed; parameters keep accumulating across calls.  ``seed`` is
+        only read.
         """
-        self.root.grad = np.ones_like(self.root.data) if seed is None else np.asarray(seed)
+        self.root.grad = None
+        if seed is None:
+            self.root.accumulate_grad(np.ones_like(self.root.data), owned=True)
+        else:
+            self.root.accumulate_grad(np.asarray(seed))
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

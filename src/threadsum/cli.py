@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .autodiff import NumericsError, grad_check
@@ -165,6 +166,21 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# BLAS reads its thread count once, when numpy loads: these are the values it saw
+_LAUNCH_THREADS = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
+def run_environment() -> dict:
+    """Library versions, float dtype, BLAS build and thread settings of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = None
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "dtype": "float64",  # every parameter and activation
+            "blas": blas, **_LAUNCH_THREADS}
+
+
 class RunManifest:
     """Reproducibility record, written atomically before and after a run.
 
@@ -185,6 +201,7 @@ class RunManifest:
             "outputs": list(outputs),
             "code_version": code_version(),
             "package_version": __version__,
+            "environment": run_environment(),
             "started_at": _utcnow(),
             "finished_at": None,
             "status": "running",

@@ -477,7 +477,7 @@ class Model:
         if cache is not None:
             cache.length += s
         x = self._layer_norm(x, "dec.final_ln")
-        return ad.matmul(x, ad.transpose(self.params["embed.tokens"]))
+        return ad.matmul_transposed(x, self.params["embed.tokens"])
 
     # -- full passes ----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import unicodedata
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 BOS_TOKEN = "<bos>"
@@ -116,7 +117,14 @@ def _get_pairs(word: Tuple[str, ...]) -> set:
 
 
 class Tokenizer:
-    """Vocabulary + merge ranks; id space is [0, vocab_size)."""
+    """Vocabulary + merge ranks; id space is [0, vocab_size).
+
+    Merged pieces are memoized per distinct pre-tokenized piece, up to
+    ``bpe_cache_size`` entries; a miss on a full cache first drops the older
+    half of it.
+    """
+
+    bpe_cache_size = 1 << 16
 
     def __init__(self, vocab: Dict[str, int], merges: Sequence[Tuple[str, str]]):
         for tok in REQUIRED_SPECIALS:
@@ -172,7 +180,11 @@ class Tokenizer:
                     i += 1
             word = tuple(merged)
             pairs = _get_pairs(word)
-        self._bpe_cache[piece] = word
+        cache = self._bpe_cache
+        if len(cache) >= self.bpe_cache_size:
+            for stale in list(islice(cache, (len(cache) + 1) // 2)):
+                del cache[stale]
+        cache[piece] = word
         return word
 
     def _encode_plain(self, text: str) -> List[int]:

@@ -137,7 +137,7 @@ def global_grad_norm(params: Dict[str, Parameter]) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            total += float(np.vdot(p.grad, p.grad))
     return float(np.sqrt(total))
 
 
@@ -164,26 +164,43 @@ def apply_adamw(state: OptimizerState, params: Dict[str, Parameter]) -> float:
     The lr comes from the schedule at the pre-apply step count, so the first
     apply of a run uses the peak rate.  Decay skips parameters flagged
     decay=False (layer norms, biases).
+
+    The moments are updated in place.  Each parameter's new values are built
+    in one fresh array, which is also the only scratch, and ``p.data`` is
+    then bound to it, so the array it was bound to before is never written.
+    With u = m_hat / (sqrt(v_hat) + eps), the decayed update p - lr (u + wd p)
+    is formed as p - lr wd (u / wd + p) to need no second array.
     """
     state.check_shapes(params)
     lr = lr_at(state.step, state.peak_lr, state.total_steps)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, wd = state.beta1, state.beta2, state.weight_decay
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        out = np.empty_like(p.data)
         m *= b1
-        m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        update = m_hat / (np.sqrt(v_hat) + state.eps)
-        if p.decay and state.weight_decay:
-            update = update + state.weight_decay * p.data
-        p.data = p.data - lr * update
+        if p.grad is not None:
+            np.multiply(p.grad, 1.0 - b1, out=out)
+            m += out
+            np.multiply(p.grad, 1.0 - b2, out=out)
+            out *= p.grad
+            v += out
+        np.divide(v, 1.0 - b2 ** t, out=out)
+        np.sqrt(out, out=out)
+        out += state.eps
+        np.divide(m, out, out=out)
+        out /= 1.0 - b1 ** t
+        if p.decay and wd:
+            out /= wd
+            out += p.data
+            out *= -lr * wd
+        else:
+            out *= -lr
+        out += p.data
+        p.data = out
     return lr
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadsum import autodiff as ad
 from threadsum.autodiff import (
@@ -120,6 +122,17 @@ class TestMatmulAndShapes:
         check_op(ad.linear, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
                  RNG.normal(size=(5,)))
 
+    def test_matmul_transposed(self):
+        check_op(ad.matmul_transposed, RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4)))
+        check_op(ad.matmul_transposed, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(5, 4)))
+        a = Tensor(RNG.normal(size=(3, 4)))
+        b = Parameter("b", RNG.normal(size=(5, 4)))
+        np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)
+        backward(ad.tensor_sum(ad.matmul_transposed(a, b)))
+        assert b.grad.flags.c_contiguous
+        with pytest.raises(ShapeError):
+            ad.matmul_transposed(a, Tensor(np.zeros((4, 5))))
+
 
 class TestGathers:
     def test_take_rows_with_repeats(self):
@@ -148,6 +161,39 @@ class TestGathers:
         rows = np.array([0, 1, 1, 2])
         cols = np.array([1, 0, 0, 2])
         check_op(lambda a: ad.gather_pairs(a, rows, cols), RNG.normal(size=(3, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_take_rows_scatter_matches_add_at(self, data):
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 4), label="cols")
+        ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12),
+                                 label="ids"))
+        if data.draw(st.booleans(), label="2-d ids") and ids.size % 2 == 0:
+            ids = ids.reshape(2, -1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        table = Parameter("table", rng.normal(size=(rows, cols)))
+        g = rng.normal(size=ids.shape + (cols,))
+        expected = np.zeros((rows, cols))
+        if data.draw(st.booleans(), label="gradient already held"):
+            expected = rng.normal(size=(rows, cols))
+            table.grad = expected.copy()
+        np.add.at(expected, ids, g)
+        ComputationTape(ad.take_rows(table, ids)).backward(g)
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scatter_first", [False, True])
+    def test_gather_on_a_tensor_with_a_lent_gradient(self, scatter_first):
+        # ``add`` lends one gradient to both operands and the gather on ``a``
+        # scatters into a's gradient, before or after the add's backward
+        ids = np.array([2, 0, 2])
+
+        def build(p, q):
+            a, b = ad.scale(p, 1.0), ad.scale(q, 1.0)
+            parts = [ad.add(a, b), ad.take_rows(a, ids)]
+            return ad.concat(parts[::-1] if scatter_first else parts, axis=0)
+
+        check_op(build, RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)))
 
     def test_basic_indexing(self):
         check_op(lambda a: a[1:, :2], RNG.normal(size=(3, 4)))
@@ -245,6 +291,25 @@ class TestGraphMechanics:
         first = x.grad.copy()
         backward(ad.tensor_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * first)
+
+    @pytest.mark.parametrize("second_use", ["gather", "scale"])
+    def test_seed_is_only_read(self, second_use):
+        # the root lends the seed to both add operands; h then gets a second
+        # gradient, scattered by a gather or added by a scale
+        ids = np.array([0, 0, 1])
+        p = Parameter("p", RNG.normal(size=(3, 4)))
+        h = ad.scale(p, 2.0)
+        other = ad.take_rows(h, ids) if second_use == "gather" else ad.scale(h, 3.0)
+        seed = RNG.normal(size=(3, 4))
+        before = seed.copy()
+        ComputationTape(ad.add(h, other)).backward(seed)
+        np.testing.assert_array_equal(seed, before)
+        expected = before.copy()
+        if second_use == "gather":
+            np.add.at(expected, ids, before)
+        else:
+            expected += 3.0 * before
+        np.testing.assert_allclose(p.grad, 2.0 * expected, rtol=1e-14)
 
     def test_tape_topological_order(self):
         x = Parameter("x", np.array([1.0]))

@@ -1,7 +1,9 @@
 import json
 import os
 
+import numpy as np
 import pytest
+import scipy
 
 from threadsum.cli import (
     CONFIG_DEFAULTS,
@@ -142,6 +144,12 @@ class TestBuildCorpus:
         assert manifest["command"] == "build-corpus"
         assert manifest["finished_at"] is not None
         assert str(tmp_path / "shard-00000.jsonl") in manifest["outputs"]
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["dtype"] == "float64"
+        assert env["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert env[var] == os.environ.get(var)
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = dispatch(["build-corpus", "--input", str(tmp_path / "nope.jsonl"),

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from threadsum.tokenizer import (
@@ -82,6 +84,21 @@ class TestFixtureVocab:
         assert again.merges == tiny_tokenizer.merges
         t = "check the logs for errors"
         assert again.encode(t) == tiny_tokenizer.encode(t)
+
+    def test_bpe_cache_is_bounded(self, fixture_dir):
+        path = os.path.join(fixture_dir, "tinyvocab")
+        tok = Tokenizer.load(path)
+        tok.bpe_cache_size = 8
+        words = [" " + a + b for a in "abcdefgh" for b in "stuvw"]  # 40 distinct pieces
+        before = [tok.encode(w) for w in words]
+        for w in words:
+            tok.encode(w)
+            assert len(tok._bpe_cache) <= 8
+        # evicted pieces are merged afresh to the same ids
+        assert [tok.encode(w) for w in words] == before
+        unbounded = Tokenizer.load(path)
+        assert [unbounded.encode(w) for w in words] == before
+        assert len(unbounded._bpe_cache) == len(words)
 
 
 class TestTokenizeUtterance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threadsum import training
-from threadsum.autodiff import NumericsError, Parameter
+from threadsum.autodiff import NumericsError, Parameter, Tensor
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -15,6 +15,7 @@ from threadsum.conversation import ConversationTree, Utterance
 from threadsum.corpus import TrainingInstance
 from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
+from threadsum.objectives import instance_loss
 from threadsum.training import (
     METRICS_FIELDS,
     OptimizerState,
@@ -161,6 +162,35 @@ class TestAdamW:
                                     weight_decay=0.0)
         apply_adamw(state, {"w": p})
         assert p.data[0] == 1.0
+
+    def test_matches_textbook_and_rebinds(self):
+        rng = np.random.default_rng(21)
+        params = {"w": Parameter("w", rng.normal(size=(4, 5))),
+                  "b": Parameter("b", rng.normal(size=5), decay=False)}
+        state = OptimizerState.init(params, peak_lr=0.01, total_steps=10, weight_decay=0.1)
+        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
+        m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        for t in range(1, 4):
+            old = {k: p.data for k, p in params.items()}
+            before = {k: p.data.copy() for k, p in params.items()}
+            grads = {k: rng.normal(size=p.data.shape) for k, p in params.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            lr = apply_adamw(state, params)
+            for k, p in params.items():
+                g = grads[k]
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g ** 2
+                m_hat, v_hat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
+                update = m_hat / (np.sqrt(v_hat) + eps) + (wd * before[k] if p.decay else 0.0)
+                np.testing.assert_allclose(p.data, before[k] - lr * update, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(state.m[k], m[k], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(state.v[k], v[k], rtol=1e-12, atol=0)
+                # bound to a new array; the old one is never written
+                assert not np.shares_memory(p.data, old[k])
+                np.testing.assert_array_equal(old[k], before[k])
+                np.testing.assert_array_equal(p.grad, g)
 
 
 class TestClipping:
@@ -336,6 +366,62 @@ class TestTrainStep:
             TrainRunConfig(total_steps=5, accumulation=0)
         with pytest.raises(ValueError):
             TrainRunConfig(total_steps=0)
+
+
+def _zero_fill_accumulate(self, g, owned=False):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _zero_fill_buffer(self):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    return self.grad
+
+
+@pytest.mark.parametrize("shape", ["toy", "bench"])
+class TestGradientBuffers:
+    """Gradients of two accumulated micro-batches on the toy model and on a
+    model of the benchmark's shape (d 128, 4 heads, d_ff 512, dropout 0.1)."""
+
+    def _grads(self, shape, inputs, vocab_size):
+        cfg = toy_config(vocab_size=vocab_size)
+        if shape == "bench":
+            cfg = toy_config(vocab_size=vocab_size, num_heads=4, d_hidden=128, d_ff=512,
+                             clip_k=9, dropout=0.1)
+        model = Model.init(cfg, seed=13)
+        model.zero_grad()
+        for k, mi in enumerate(inputs[:2]):
+            loss, _ = instance_loss(model, mi, rng=derive_rng(5, "dropout", 0, k),
+                                    training=True, pair_rng=derive_rng(5, "pairs", 0, k))
+            training.backward(loss)
+        return model.params
+
+    def test_each_parameter_owns_a_contiguous_buffer(self, shape, tiny_inputs):
+        cfg, inputs = tiny_inputs
+        params = list(self._grads(shape, inputs, cfg.vocab_size).values())
+        for p in params:
+            assert p.grad is not None and p.grad.flags.c_contiguous, p.name
+            assert p.grad.shape == p.data.shape, p.name
+        for i, p in enumerate(params):
+            for q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+
+    def test_matches_zero_fill_accumulation(self, shape, tiny_inputs, monkeypatch):
+        cfg, inputs = tiny_inputs
+        got = {k: p.grad for k, p in self._grads(shape, inputs, cfg.vocab_size).items()}
+        # the reference zero-fills every first gradient and owns every buffer
+        monkeypatch.setattr(Tensor, "accumulate_grad", _zero_fill_accumulate)
+        monkeypatch.setattr(Parameter, "accumulate_grad", _zero_fill_accumulate)
+        monkeypatch.setattr(Tensor, "grad_buffer", _zero_fill_buffer)
+        ref = {k: p.grad for k, p in self._grads(shape, inputs, cfg.vocab_size).items()}
+        scale = {}  # largest reference gradient per stack: embed, tok, utt, dec, thread, tp
+        for name, g in ref.items():
+            stack = name.split(".")[0]
+            scale[stack] = max(scale.get(stack, 0.0), float(np.abs(g).max()))
+        for name, g in ref.items():
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale[name.split(".")[0]], name
 
 
 class TestCheckpoint:
