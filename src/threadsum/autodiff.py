@@ -490,7 +490,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     din, dout = w.shape
     y = x.data @ w.data
     if b is not None:
-        y = y + b.data
+        y += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g, x=x, w=w, b=b):

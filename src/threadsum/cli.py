@@ -7,7 +7,10 @@ a failed gradient check).
 
 Configuration is a flat JSON object with dotted keys ("model.d_hidden",
 "train.peak_lr", ...).  Resolution order is defaults <- config file <- flags,
-and every key's provenance lands in the run manifest.  A key the package does
+and every key's provenance lands in the run manifest.  Each config flag is
+shorthand for one key, which is its argparse dest (``--steps`` sets
+"train.total_steps"), and ``--set KEY=VALUE`` sets any key; ``dispatch``
+resolves the config once and hands it to the command.  A key the package does
 not define is a configuration error (exit 1); that includes ``model.*`` keys
 that older versions accepted and that have since been removed.  A manifest is
 written atomically before and after each file-producing run; commands that
@@ -123,28 +126,21 @@ def load_config(path=None, flag_values: Optional[Dict[str, object]] = None):
     return config, provenance
 
 
-def model_config_from(config: Dict[str, object]) -> ModelConfig:
-    fields = {k.split(".", 1)[1]: v for k, v in config.items() if k.startswith("model.")}
+def _section_config(cls, config: Dict[str, object], prefix: str):
+    """The ``cls`` dataclass built from the ``prefix.*`` keys; a bad value is a ConfigError."""
+    fields = {k.split(".", 1)[1]: v for k, v in config.items() if k.startswith(prefix + ".")}
     try:
-        return ModelConfig.from_dict(fields)
+        return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def model_config_from(config: Dict[str, object]) -> ModelConfig:
+    return _section_config(ModelConfig, config, "model")
 
 
 def train_config_from(config: Dict[str, object]) -> TrainRunConfig:
-    try:
-        return TrainRunConfig(
-            total_steps=config["train.total_steps"],
-            accumulation=config["train.accumulation"],
-            peak_lr=config["train.peak_lr"],
-            seed=config["train.seed"],
-            weight_decay=config["train.weight_decay"],
-            clip_norm=config["train.clip_norm"],
-            checkpoint_every=config["train.checkpoint_every"],
-            log_every=config["train.log_every"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _section_config(TrainRunConfig, config, "train")
 
 
 def named_seed(seed: int, name: str) -> int:
@@ -190,13 +186,13 @@ class RunManifest:
     """
 
     def __init__(self, path, command: str, config: dict, provenance: dict,
-                 seed: int, inputs: List[str], outputs: List[str]):
+                 inputs: List[str], outputs: List[str]):
         self.path = path
         self.payload = {
             "command": command,
             "config": config,
             "config_provenance": provenance,
-            "seed": seed,
+            "seed": config["train.seed"],
             "inputs": list(inputs),
             "outputs": list(outputs),
             "code_version": code_version(),
@@ -224,13 +220,10 @@ class RunManifest:
         return False
 
 
-def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
-    values = {}
-    for attr, key in mapping.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            values[key] = v
-    for pair in getattr(args, "set", None) or []:
+def read_flags(args: argparse.Namespace) -> Dict[str, object]:
+    """Config values given on the command line: every dotted dest set, then --set."""
+    values = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    for pair in args.set or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
@@ -254,28 +247,14 @@ def _load_instances(paths: List[str]):
     return instances, expanded
 
 
-def _encode_all(mconfig: ModelConfig, tokenizer, instances):
-    return [encode_instance(mconfig, tokenizer, truncate_instance(inst, mconfig, tokenizer))
-            for inst in instances]
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed args and the resolved config with provenance
 
 
-def cmd_build_corpus(args) -> int:
-    flags = _flag_overrides(args, {
-        "min_comments": "corpus.min_comments",
-        "shard_size": "corpus.shard_size",
-        "max_utt": "model.max_utterances",
-        "max_utt_tokens": "model.max_utterance_tokens",
-        "max_summary_tokens": "model.max_summary_tokens",
-    })
-    config, provenance = load_config(args.config, flags)
+def cmd_build_corpus(args, config, provenance) -> int:
     tokenizer = Tokenizer.load(args.vocab) if args.vocab else None
     manifest_path = args.manifest or args.output + "-manifest.json"
-    seed = config["train.seed"]
-    with RunManifest(manifest_path, "build-corpus", config, provenance, seed,
+    with RunManifest(manifest_path, "build-corpus", config, provenance,
                      inputs=[args.input], outputs=[args.output]) as manifest:
         posts = list(read_post_dump(args.input))
         shards, stats = build_corpus(posts, args.output,
@@ -295,36 +274,34 @@ def cmd_build_corpus(args) -> int:
     return 0
 
 
-def _train_common(args, base_model: Optional[ModelConfig] = None,
-                  init_params=None, force_lambda: Optional[float] = None):
-    flags = _flag_overrides(args, {
-        "steps": "train.total_steps",
-        "accumulation": "train.accumulation",
-        "peak_lr": "train.peak_lr",
-        "seed": "train.seed",
-        "checkpoint_every": "train.checkpoint_every",
-        "log_every": "train.log_every",
-    })
-    config, provenance = load_config(args.config, flags)
-    if base_model is not None:
-        # architecture defaults come from the checkpoint; file/flag values
-        # still win for keys the user set explicitly
-        for key, value in base_model.to_dict().items():
-            full = "model." + key
-            if provenance[full] == "default":
-                config[full] = value
-                provenance[full] = "checkpoint"
-    if force_lambda is not None and provenance["model.lambda_thread_pred"] in (
-            "default", "checkpoint"):
-        config["model.lambda_thread_pred"] = force_lambda
+def _from_checkpoint(config, provenance, path: str) -> Model:
+    """The fine-tuning start: the checkpoint's architecture and weights.
+
+    Architecture keys left at their defaults take the checkpoint's values;
+    the thread objective is dropped unless model.lambda_thread_pred was set
+    explicitly.  Any other architecture change is a ConfigError.
+    """
+    ck = load_checkpoint(path, with_optimizer=False)
+    for key, value in ck.config.to_dict().items():
+        if provenance["model." + key] == "default":
+            config["model." + key] = value
+            provenance["model." + key] = "checkpoint"
+    if provenance["model.lambda_thread_pred"] in ("default", "checkpoint"):
+        config["model.lambda_thread_pred"] = 0.0
         provenance["model.lambda_thread_pred"] = "command-default"
     mconfig = model_config_from(config)
-    if init_params is not None:
-        if mconfig != replace(base_model, lambda_thread_pred=mconfig.lambda_thread_pred):
-            raise ConfigError("cannot change the architecture of a checkpointed model")
-        model = Model(mconfig, init_params)
+    if mconfig != replace(ck.config, lambda_thread_pred=mconfig.lambda_thread_pred):
+        raise ConfigError("cannot change the architecture of a checkpointed model")
+    return Model(mconfig, ck.params)
+
+
+def cmd_train(args, config, provenance) -> int:
+    """pretrain from a seeded init, or finetune (--init) from a checkpoint."""
+    if args.init is None:
+        model = Model.init(model_config_from(config),
+                           seed=named_seed(config["train.seed"], "init"))
     else:
-        model = Model.init(mconfig, seed=named_seed(config["train.seed"], "init"))
+        model = _from_checkpoint(config, provenance, args.init)
     run = train_config_from(config)
     state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                 total_steps=run.total_steps,
@@ -332,49 +309,28 @@ def _train_common(args, base_model: Optional[ModelConfig] = None,
 
     tokenizer = Tokenizer.load(args.vocab)
     instances, data_paths = _load_instances(args.data)
-    inputs = _encode_all(mconfig, tokenizer, instances)
+    inputs = [encode_instance(model.config, tokenizer,
+                              truncate_instance(inst, model.config, tokenizer))
+              for inst in instances]
 
     os.makedirs(args.out, exist_ok=True)
     with RunManifest(args.manifest or os.path.join(args.out, "manifest.json"),
-                     args.command, config, provenance, run.seed,
+                     args.command, config, provenance,
                      inputs=data_paths, outputs=[args.out]):
         records = run_training(model, inputs, state, run,
                                metrics_path=os.path.join(args.out, "metrics.jsonl"),
                                checkpoint_dir=args.out)
-        last = records[-1] if records else {"loss_clm": float("nan")}
-        print(f"finished at step {state.step}: loss_clm={last['loss_clm']:.4f} "
-              f"loss_tp={last['loss_tp']:.4f}" if records else "nothing to do")
+        print(f"finished at step {state.step}: loss_clm={records[-1]['loss_clm']:.4f} "
+              f"loss_tp={records[-1]['loss_tp']:.4f}" if records else "nothing to do")
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    return _train_common(args)
-
-
-def cmd_finetune(args) -> int:
-    # fine-tuning drops the thread objective unless lambda is set explicitly
-    ck = load_checkpoint(args.init, with_optimizer=False)
-    return _train_common(args, base_model=ck.config, init_params=ck.params,
-                         force_lambda=0.0)
-
-
-def cmd_generate(args) -> int:
-    flags = _flag_overrides(args, {
-        "beam": "decode.beam_size",
-        "length_penalty": "decode.length_penalty",
-        "min_len": "decode.min_len",
-        "max_len": "decode.max_len",
-        "seed": "train.seed",
-    })
-    config, provenance = load_config(args.config, flags)
-    if args.no_trigram_blocking:
-        config["decode.block_trigrams"] = False
-        provenance["decode.block_trigrams"] = "flag"
+def cmd_generate(args, config, provenance) -> int:
     ck = load_checkpoint(args.ckpt)
     model = Model(ck.config, ck.params)
     tokenizer = Tokenizer.load(args.vocab)
     with RunManifest(args.manifest or args.out + ".manifest.json",
-                     "generate", config, provenance, config["train.seed"],
+                     "generate", config, provenance,
                      inputs=[args.ckpt, args.input], outputs=[args.out]):
         lines = []
         for i, inst in enumerate(read_instances(args.input)):
@@ -410,10 +366,9 @@ def _read_summary_lines(path: str) -> List[str]:
     return out
 
 
-def cmd_evaluate(args) -> int:
-    config, provenance = load_config(args.config, _flag_overrides(args, {}))
+def cmd_evaluate(args, config, provenance) -> int:
     with RunManifest(args.manifest or args.out + ".manifest.json",
-                     "evaluate", config, provenance, config["train.seed"],
+                     "evaluate", config, provenance,
                      inputs=[args.pred, args.ref], outputs=[args.out]):
         preds = _read_summary_lines(args.pred)
         refs = _read_summary_lines(args.ref)
@@ -451,15 +406,12 @@ def _gradcheck_instance(mconfig: ModelConfig, seed: int):
     return mi, tree
 
 
-def cmd_grad_check(args) -> int:
-    flags = _flag_overrides(args, {"seed": "train.seed", "eps": "gradcheck.eps",
-                                   "tol": "gradcheck.tol"})
-    config, provenance = load_config(args.config, flags)
+def cmd_grad_check(args, config, provenance) -> int:
     mconfig = model_config_from(config)
     if mconfig.dropout != 0.0:
         raise ConfigError("grad-check needs model.dropout = 0")
     seed = config["train.seed"]
-    with RunManifest(args.manifest, "grad-check", config, provenance, seed,
+    with RunManifest(args.manifest, "grad-check", config, provenance,
                      inputs=[], outputs=[]):
         model = Model.init(mconfig, seed=named_seed(seed, "init"))
         mi, tree = _gradcheck_instance(mconfig, seed)
@@ -477,11 +429,10 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def cmd_count_params(args) -> int:
-    config, provenance = load_config(args.config, _flag_overrides(args, {}))
+def cmd_count_params(args, config, provenance) -> int:
     mconfig = model_config_from(config)
     with RunManifest(args.manifest, "count-params", config, provenance,
-                     config["train.seed"], inputs=[], outputs=[]):
+                     inputs=[], outputs=[]):
         print(count_parameters(mconfig))
     return 0
 
@@ -490,79 +441,73 @@ def cmd_count_params(args) -> int:
 # parser and dispatch
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config with flat dotted keys")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override one config key (repeatable)")
-    p.add_argument("--manifest", help="manifest path override")
-    p.add_argument("--seed", type=int, help="run seed (train.seed)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threadsum",
-        description="Thread-aware conversation summarization toolkit")
+        description="Thread-aware conversation summarization toolkit; every "
+                    "config flag sets the dotted key shown as its metavar")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("build-corpus", help="turn a post dump into instance shards")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON config with flat dotted keys")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        p.add_argument("--manifest", help="manifest path override")
+        p.add_argument("--seed", dest="train.seed", type=int, help="run seed")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build-corpus", cmd_build_corpus, "turn a post dump into instance shards")
     p.add_argument("--input", required=True, help="posts JSONL dump")
     p.add_argument("--output", required=True, help="shard path prefix")
     p.add_argument("--vocab", help="tokenizer dir; enables token-level truncation")
     p.add_argument("--stats", help="write rejection statistics JSON here")
-    p.add_argument("--min-comments", type=int, dest="min_comments")
-    p.add_argument("--shard-size", type=int, dest="shard_size")
-    p.add_argument("--max-utt", type=int, dest="max_utt")
-    p.add_argument("--max-utt-tokens", type=int, dest="max_utt_tokens")
-    p.add_argument("--max-summary-tokens", type=int, dest="max_summary_tokens")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_corpus)
+    p.add_argument("--min-comments", dest="corpus.min_comments", type=int)
+    p.add_argument("--shard-size", dest="corpus.shard_size", type=int)
+    p.add_argument("--max-utt", dest="model.max_utterances", type=int)
+    p.add_argument("--max-utt-tokens", dest="model.max_utterance_tokens", type=int)
+    p.add_argument("--max-summary-tokens", dest="model.max_summary_tokens", type=int)
 
-    for name, fn in (("pretrain", cmd_pretrain), ("finetune", cmd_finetune)):
-        p = sub.add_parser(name, help=f"{name} a model on instance shards")
+    for name in ("pretrain", "finetune"):
+        p = command(name, cmd_train, f"{name} a model on instance shards")
         if name == "finetune":
             p.add_argument("--init", required=True, help="checkpoint prefix to start from")
+        else:
+            p.set_defaults(init=None)
         p.add_argument("--data", required=True, nargs="+",
                        help="instance shard paths or globs")
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--vocab", required=True, help="tokenizer directory")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--accumulation", type=int)
-        p.add_argument("--peak-lr", type=float, dest="peak_lr")
-        p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-        p.add_argument("--log-every", type=int, dest="log_every")
-        _add_common(p)
-        p.set_defaults(func=fn)
+        p.add_argument("--steps", dest="train.total_steps", type=int)
+        p.add_argument("--accumulation", dest="train.accumulation", type=int)
+        p.add_argument("--peak-lr", dest="train.peak_lr", type=float)
+        p.add_argument("--checkpoint-every", dest="train.checkpoint_every", type=int)
+        p.add_argument("--log-every", dest="train.log_every", type=int)
 
-    p = sub.add_parser("generate", help="beam-decode summaries for conversations")
+    p = command("generate", cmd_generate, "beam-decode summaries for conversations")
     p.add_argument("--ckpt", required=True, help="checkpoint prefix")
     p.add_argument("--input", required=True, help="conversations JSONL")
     p.add_argument("--out", required=True, help="predictions JSONL")
     p.add_argument("--vocab", required=True, help="tokenizer directory")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--length-penalty", type=float, dest="length_penalty")
-    p.add_argument("--min-len", type=int, dest="min_len")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--no-trigram-blocking", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
+    p.add_argument("--beam", dest="decode.beam_size", type=int)
+    p.add_argument("--length-penalty", dest="decode.length_penalty", type=float)
+    p.add_argument("--min-len", dest="decode.min_len", type=int)
+    p.add_argument("--max-len", dest="decode.max_len", type=int)
+    p.add_argument("--no-trigram-blocking", dest="decode.block_trigrams",
+                   action="store_false", default=None,
+                   help="set decode.block_trigrams to false")
 
-    p = sub.add_parser("evaluate", help="score predictions against references")
+    p = command("evaluate", cmd_evaluate, "score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", required=True, help="scores JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grad-check", help="finite-difference check on a toy config")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_grad_check)
+    p = command("grad-check", cmd_grad_check, "finite-difference check on a toy config")
+    p.add_argument("--eps", dest="gradcheck.eps", type=float)
+    p.add_argument("--tol", dest="gradcheck.tol", type=float)
 
-    p = sub.add_parser("count-params", help="print the model parameter count")
-    _add_common(p)
-    p.set_defaults(func=cmd_count_params)
-
+    command("count-params", cmd_count_params, "print the model parameter count")
     return parser
 
 
@@ -579,7 +524,8 @@ def dispatch(argv: List[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        config, provenance = load_config(args.config, read_flags(args))
+        return args.func(args, config, provenance)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

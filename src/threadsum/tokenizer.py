@@ -116,6 +116,20 @@ def _get_pairs(word: Tuple[str, ...]) -> set:
     return set(zip(word, word[1:]))
 
 
+def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:
+    """``word`` with each left-to-right occurrence of (first, second) fused into one symbol."""
+    merged: List[str] = []
+    i = 0
+    while i < len(word):
+        if i < len(word) - 1 and word[i] == first and word[i + 1] == second:
+            merged.append(first + second)
+            i += 2
+        else:
+            merged.append(word[i])
+            i += 1
+    return tuple(merged)
+
+
 class Tokenizer:
     """Vocabulary + merge ranks; id space is [0, vocab_size).
 
@@ -168,17 +182,7 @@ class Tokenizer:
             best = min(pairs, key=lambda p: self.ranks.get(p, float("inf")))
             if best not in self.ranks:
                 break
-            first, second = best
-            merged: List[str] = []
-            i = 0
-            while i < len(word):
-                if i < len(word) - 1 and word[i] == first and word[i + 1] == second:
-                    merged.append(first + second)
-                    i += 2
-                else:
-                    merged.append(word[i])
-                    i += 1
-            word = tuple(merged)
+            word = merge_pair(word, *best)
             pairs = _get_pairs(word)
         cache = self._bpe_cache
         if len(cache) >= self.bpe_cache_size:
@@ -312,19 +316,9 @@ def train_bpe(texts: Iterable[str], vocab_size: int, include_unk: bool = True) -
         best = min(pair_freq, key=lambda p: (-pair_freq[p], len(p[0] + p[1]), p))
         merges.append(best)
         tokens.append(best[0] + best[1])
-        first, second = best
         rebuilt: Dict[Tuple[str, ...], int] = {}
         for word, freq in words.items():
-            out: List[str] = []
-            i = 0
-            while i < len(word):
-                if i < len(word) - 1 and word[i] == first and word[i + 1] == second:
-                    out.append(first + second)
-                    i += 2
-                else:
-                    out.append(word[i])
-                    i += 1
-            key = tuple(out)
+            key = merge_pair(word, *best)
             rebuilt[key] = rebuilt.get(key, 0) + freq
         words = rebuilt
 

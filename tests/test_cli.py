@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
+from threadsum import cli
 from threadsum.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -99,6 +100,118 @@ class TestDispatchBasics:
 
     def test_missing_required_flag(self):
         assert dispatch(["build-corpus"]) == 1
+
+
+# the arguments each command requires; none is read, since the command is stubbed
+REQUIRED = {
+    "build-corpus": ["--input", "in", "--output", "out"],
+    "pretrain": ["--data", "d", "--out", "o", "--vocab", "v"],
+    "finetune": ["--init", "i", "--data", "d", "--out", "o", "--vocab", "v"],
+    "generate": ["--ckpt", "c", "--input", "in", "--out", "o", "--vocab", "v"],
+    "evaluate": ["--pred", "p", "--ref", "r", "--out", "o"],
+    "grad-check": [],
+    "count-params": [],
+}
+COMMAND_FUNCS = {"build-corpus": "cmd_build_corpus", "pretrain": "cmd_train",
+                 "finetune": "cmd_train", "generate": "cmd_generate",
+                 "evaluate": "cmd_evaluate", "grad-check": "cmd_grad_check",
+                 "count-params": "cmd_count_params"}
+TRAIN_FLAGS = [
+    (["--steps", "7"], "train.total_steps", 7),
+    (["--accumulation", "3"], "train.accumulation", 3),
+    (["--peak-lr", "0.002"], "train.peak_lr", 0.002),
+    (["--checkpoint-every", "2"], "train.checkpoint_every", 2),
+    (["--log-every", "5"], "train.log_every", 5),
+]
+CONFIG_FLAGS = {
+    "build-corpus": [
+        (["--min-comments", "3"], "corpus.min_comments", 3),
+        (["--shard-size", "7"], "corpus.shard_size", 7),
+        (["--max-utt", "5"], "model.max_utterances", 5),
+        (["--max-utt-tokens", "6"], "model.max_utterance_tokens", 6),
+        (["--max-summary-tokens", "9"], "model.max_summary_tokens", 9),
+    ],
+    "pretrain": TRAIN_FLAGS,
+    "finetune": TRAIN_FLAGS,
+    "generate": [
+        (["--beam", "2"], "decode.beam_size", 2),
+        (["--length-penalty", "0.5"], "decode.length_penalty", 0.5),
+        (["--min-len", "2"], "decode.min_len", 2),
+        (["--max-len", "9"], "decode.max_len", 9),
+        (["--no-trigram-blocking"], "decode.block_trigrams", False),
+    ],
+    "grad-check": [
+        (["--eps", "0.01"], "gradcheck.eps", 0.01),
+        (["--tol", "0.05"], "gradcheck.tol", 0.05),
+    ],
+}
+FLAG_CASES = [(cmd, argv, key, value)
+              for cmd in REQUIRED
+              for argv, key, value in CONFIG_FLAGS.get(cmd, []) + [(["--seed", "4"], "train.seed", 4)]]
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """Run dispatch with the command stubbed; returns (exit code, config, provenance)."""
+    def run(command, extra):
+        seen = {}
+
+        def stub(args, config, provenance):
+            seen.update(config=config, provenance=provenance)
+            return 0
+
+        monkeypatch.setattr(cli, COMMAND_FUNCS[command], stub)
+        rc = dispatch([command] + REQUIRED[command] + extra)
+        return rc, seen.get("config"), seen.get("provenance")
+    return run
+
+
+class TestFlagKeys:
+    @pytest.mark.parametrize("command, argv, key, value", FLAG_CASES,
+                             ids=[f"{c}{a[0]}" for c, a, _, _ in FLAG_CASES])
+    def test_flag_sets_its_key_over_the_file(self, resolved, tmp_path, command, argv, key, value):
+        file_value = (not value) if isinstance(value, bool) else value + 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: file_value}))
+        rc, config, provenance = resolved(command, ["--config", str(cfg)])
+        assert rc == 0
+        assert (config[key], provenance[key]) == (file_value, "file")
+        rc, config, provenance = resolved(command, ["--config", str(cfg)] + argv)
+        assert rc == 0
+        assert config[key] == value and type(config[key]) is type(value)
+        assert provenance[key] == "flag"
+        assert {k for k, v in provenance.items() if v != "default"} == {key}
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_no_flags_leave_every_key_at_its_default(self, resolved, command):
+        rc, config, provenance = resolved(command, [])
+        assert rc == 0
+        assert config == CONFIG_DEFAULTS
+        assert set(provenance.values()) == {"default"}
+
+    def test_set_parses_json_and_wins_over_a_flag(self, resolved):
+        rc, config, provenance = resolved("generate", [
+            "--beam", "2", "--set", "decode.beam_size=6",
+            "--set", "decode.block_trigrams=false", "--set", "decode.max_len=null"])
+        assert rc == 0
+        assert config["decode.beam_size"] == 6
+        assert config["decode.block_trigrams"] is False
+        assert config["decode.max_len"] is None
+        assert provenance["decode.beam_size"] == provenance["decode.block_trigrams"] == "flag"
+
+    def test_set_falls_back_to_the_raw_string(self, resolved):
+        rc, config, provenance = resolved("count-params", ["--set", "train.seed=abc"])
+        assert rc == 0
+        assert config["train.seed"] == "abc"
+        assert provenance["train.seed"] == "flag"
+
+    def test_set_without_equals_is_usage_error(self, resolved, capsys):
+        rc, config, _ = resolved("count-params", ["--set", "train.seed"])
+        assert rc == 1 and config is None
+        assert "key=value" in capsys.readouterr().err
+
+    def test_set_unknown_key_is_usage_error(self, resolved):
+        assert resolved("count-params", ["--set", "train.seeds=1"])[0] == 1
 
 
 class TestCountParams:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.special import erf
+from scipy.stats import truncnorm
 
 from threadsum import autodiff as ad
 from threadsum.autodiff import Tensor, no_grad
 from threadsum.conversation import ConversationTree, Utterance, relation_index
 from threadsum.corpus import TrainingInstance
 from threadsum.model import (
+    INIT_BLOCK_ROWS,
     Model,
     ModelConfig,
     count_parameters,
@@ -16,6 +18,7 @@ from threadsum.model import (
     sinusoidal_pe,
     thread_attention_scores,
     toy_config,
+    truncated_normal,
 )
 
 
@@ -155,6 +158,14 @@ class TestInit:
         assert w.size == 100_000
         assert abs(w.mean()) < 3 * 0.02 / np.sqrt(w.size)
         assert np.abs(w).max() <= 2 * 0.02 + 1e-12  # truncation bound
+
+    @pytest.mark.parametrize("shape", [(2 * INIT_BLOCK_ROWS + 17, 3), (INIT_BLOCK_ROWS + 1,)])
+    def test_blocked_draw_equals_scipy_rvs(self, shape):
+        expected = truncnorm.rvs(-2.0, 2.0, scale=0.02, size=shape,
+                                 random_state=np.random.default_rng(5))
+        drawn = truncated_normal(np.random.default_rng(5), shape)
+        assert drawn.shape == shape
+        assert drawn.tobytes() == expected.tobytes()
 
     def test_decay_flags(self):
         params = init_parameters(toy_config(), seed=0)

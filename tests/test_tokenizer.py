@@ -10,6 +10,7 @@ from threadsum.tokenizer import (
     URL_TOKEN,
     Tokenizer,
     bytes_to_unicode,
+    merge_pair,
     pre_tokenize,
     tokenize_utterance,
     train_bpe,
@@ -122,6 +123,11 @@ class TestTokenizeUtterance:
 
 
 class TestTraining:
+    def test_merge_pair_fuses_left_to_right(self):
+        assert merge_pair(("a", "a", "a", "b"), "a", "a") == ("aa", "a", "b")
+        assert merge_pair(("a", "b", "a", "b"), "a", "b") == ("ab", "ab")
+        assert merge_pair(("b",), "a", "b") == ("b",)
+
     def test_training_is_deterministic(self):
         corpus = ["aa ab aa ab ba", "ab aa ba ba bb"]
         t1 = train_bpe(corpus, vocab_size=40)
