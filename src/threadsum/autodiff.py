@@ -323,7 +323,9 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     embedding table.
 
     ``b``'s gradient is formed as g^T a, C-contiguous in ``b``'s own
-    layout, rather than as a transposed [k, n] product.
+    layout, rather than as a transposed [k, n] product.  The forward flattens
+    ``a``'s leading axes into one 2-d product, which reads ``b`` once rather
+    than once per leading index.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[1]:
@@ -336,7 +338,8 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g.reshape(-1, n).T @ ad.reshape(-1, k), owned=True)
 
-    return _make(ad @ bd.T, (a, b), bwd, "matmul_transposed")
+    out = (ad.reshape(-1, k) @ bd.T).reshape(ad.shape[:-1] + (n,))
+    return _make(out, (a, b), bwd, "matmul_transposed")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -537,7 +540,10 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    # (u >= p) / (1 - p), formed in the one array the uniforms were drawn into
+    mask = rng.random(x.shape)
+    np.greater_equal(mask, p, out=mask)
+    mask *= 1.0 / (1.0 - p)
 
     def bwd(g, x=x, mask=mask):
         x.accumulate_grad(g * mask, owned=True)

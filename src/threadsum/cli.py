@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -44,7 +45,7 @@ from .corpus import (
     build_corpus,
     read_instances,
     read_post_dump,
-    write_instances,
+    write_instances,  # noqa: F401  (perfbench's traced runs patch cli.write_instances)
 )
 from .decoding import generate_summary
 from .fileio import atomic_write, write_json
@@ -257,15 +258,14 @@ def cmd_build_corpus(args, config, provenance) -> int:
     with RunManifest(manifest_path, "build-corpus", config, provenance,
                      inputs=[args.input], outputs=[args.output]) as manifest:
         posts = list(read_post_dump(args.input))
+        prepare = None
+        if tokenizer is not None:
+            prepare = partial(truncate_instance, config=model_config_from(config),
+                              tokenizer=tokenizer)
         shards, stats = build_corpus(posts, args.output,
                                      min_comments=config["corpus.min_comments"],
-                                     shard_size=config["corpus.shard_size"])
-        if tokenizer is not None:
-            mconfig = model_config_from(config)
-            for shard in shards:
-                trimmed = [truncate_instance(inst, mconfig, tokenizer)
-                           for inst in read_instances(shard)]
-                write_instances(shard, trimmed)
+                                     shard_size=config["corpus.shard_size"],
+                                     prepare=prepare)
         if args.stats:
             write_json(args.stats, stats.as_dict())
         manifest.payload["outputs"] = list(shards) + ([args.stats] if args.stats else [])

@@ -19,8 +19,6 @@ __all__ = [
     "ConversationTree",
     "ThreadRelation",
     "clip",
-    "apply_role_template",
-    "linearize",
     "relation_index",
     "num_relation_buckets",
 ]
@@ -235,35 +233,3 @@ def relation_index(tree: ConversationTree, k: int) -> np.ndarray:
     same = anc | anc.T | np.eye(n, dtype=bool)
     delta = np.clip(depths[:, None] - depths[None, :], -k, k)
     return np.where(same, 1 + k + delta, 0).astype(np.int64)
-
-
-ROLE_TEMPLATE = "{participant} of role {role} said: {utterance}"
-
-
-def apply_role_template(u: Utterance) -> str:
-    """Render an utterance with its speaker and role, when a role is known.
-
-    Without a role the text passes through unchanged.
-    """
-    if u.role is None:
-        return u.text
-    return ROLE_TEMPLATE.format(participant=u.author or "", role=u.role, utterance=u.text)
-
-
-def linearize(utterances: Sequence[Utterance]) -> ConversationTree:
-    """Chain utterances into a single-path tree (each turn replies to the previous).
-
-    Used for meetings and two-party dialogs whose reply structure is unknown.
-    Ids are re-assigned densely; timestamps are kept when already strictly
-    increasing and replaced by 0..n-1 otherwise.
-    """
-    if not utterances:
-        raise TreeError("cannot linearize an empty utterance sequence")
-    stamps = [u.timestamp for u in utterances]
-    if any(b <= a for a, b in zip(stamps, stamps[1:])):
-        stamps = list(range(len(utterances)))
-    chained = [
-        replace(u, id=pos, parent_id=pos - 1 if pos else None, timestamp=stamps[pos])
-        for pos, u in enumerate(utterances)
-    ]
-    return ConversationTree(chained)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .conversation import ConversationTree, TreeError, Utterance
 from .fileio import atomic_write
@@ -306,11 +306,13 @@ def build_corpus(
     out_prefix: str,
     min_comments: int = MIN_COMMENTS_DEFAULT,
     shard_size: int = 100000,
+    prepare: Optional[Callable[[TrainingInstance], TrainingInstance]] = None,
 ) -> Tuple[List[str], CorpusStats]:
     """Run the full pipeline over raw post records; returns shard paths + stats.
 
-    Output order follows input order, so two runs over the same dump produce
-    byte-identical shards.
+    ``prepare``, if given, maps each kept instance to what its shard holds
+    (such as a length-truncated copy).  Output order follows input order, so
+    two runs over the same dump produce byte-identical shards.
     """
     stats = CorpusStats()
     shard_paths: List[str] = []
@@ -336,7 +338,7 @@ def build_corpus(
                 stats.reject("empty_summary")
                 continue
             stats.kept += 1
-            buf.append(inst)
+            buf.append(inst if prepare is None else prepare(inst))
             if len(buf) >= shard_size:
                 flush()
     if buf or not shard_paths:

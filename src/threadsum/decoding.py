@@ -3,19 +3,26 @@
 Hypotheses carry accumulated log-probability and are ranked by the
 length-normalized score logp / len**penalty.  An extension that would repeat
 a trigram already present in that hypothesis is assigned -inf before ranking,
-so no emitted sequence ever contains a duplicate trigram.  Decoding is
-model-agnostic: anything that maps a token prefix to next-token log-probs
-works, which is what the brute-force test oracles rely on.
+so no emitted sequence ever contains a duplicate trigram.
 
-Two such maps wrap the model.  ``generate_summary`` decodes through
-``IncrementalDecoder``, which extends the decoder state cached for a prefix's
-parent by one position per call.  ``model_decode_fn`` re-runs the decoder
-over the whole prefix each call; it is the reference the incremental path is
-checked against.
+The search is model-agnostic and makes one call per beam step to a batch
+step, ``step(prefixes, parents) -> [n, V]`` log-probs for the n unfinished
+prefixes, where prefix i extends row ``parents[i]`` of the previous call by
+one token (the first call's lone bos prefix extends row 0).
+``beam_search`` lifts a per-prefix ``DecodeFn`` (prefix -> log-prob row) by
+stacking its rows, which is what the brute-force test oracles rely on.
+
+Two maps wrap the model.  ``generate_summary`` decodes through
+``cached_step``, whose decoder cache holds one row of self-attention keys
+and values per live hypothesis: each step reorders the rows to the
+hypotheses' parents with one ``np.take`` per layer and array, then appends
+one position for every hypothesis in a single ``decoder_forward`` call.
+``model_decode_fn`` re-runs the decoder over the whole prefix each call; it
+is the reference the cached step is checked against.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.special import log_softmax
@@ -23,9 +30,10 @@ from scipy.special import log_softmax
 from .autodiff import no_grad
 from .conversation import ConversationTree
 from .corpus import TrainingInstance
-from .model import DecoderCache, Model, ModelInput, encode_instance
+from .model import Model, ModelInput, encode_instance
 
 DecodeFn = Callable[[Sequence[int]], np.ndarray]
+BatchStep = Callable[[List[List[int]], List[int]], np.ndarray]
 
 
 @dataclass
@@ -33,6 +41,7 @@ class BeamHypothesis:
     tokens: List[int]  # includes the leading bos
     log_prob: float
     finished: bool = False
+    row: int = 0  # its row in the step call that chose its last token
 
     def generated(self, bos_len: int = 1) -> List[int]:
         return self.tokens[bos_len:]
@@ -72,14 +81,15 @@ def top_k(row: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
-                beam_size: int = 4, length_penalty: float = 1.0,
-                min_len: int = 1, block_trigrams: bool = True) -> BeamHypothesis:
+def batch_beam_search(step: BatchStep, bos_id: int, eos_id: int, max_len: int,
+                      beam_size: int = 4, length_penalty: float = 1.0,
+                      min_len: int = 1, block_trigrams: bool = True) -> BeamHypothesis:
     """Length-normalized beam search; returns the best hypothesis.
 
-    decode_fn maps the full prefix (bos included) to a log-probability row
-    over the vocabulary.  max_len caps generated tokens, eos included; at the
-    cap unfinished hypotheses are force-finished.
+    ``step`` gets the unfinished prefixes (bos included) with each one's row
+    in the previous call, and returns one log-probability row over the
+    vocabulary per prefix.  max_len caps generated tokens, eos included; at
+    the cap unfinished hypotheses are force-finished.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -87,14 +97,17 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
         raise ValueError("max_len must be >= 1")
     beams = [BeamHypothesis([bos_id], 0.0)]
     for _ in range(max_len):
-        if all(h.finished for h in beams):
+        live = [h for h in beams if not h.finished]
+        if not live:
             break
+        logp = np.array(step([h.tokens for h in live], [h.row for h in live]), dtype=float)
+        rows = enumerate(logp)
         candidates = []
         for hyp in beams:
             if hyp.finished:
                 candidates.append(hyp)
                 continue
-            row = np.asarray(decode_fn(hyp.tokens), dtype=float).copy()
+            i, row = next(rows)
             gen = hyp.generated()
             if block_trigrams:
                 for t in banned_continuations(gen):
@@ -108,7 +121,7 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
                     continue
                 candidates.append(BeamHypothesis(hyp.tokens + [int(t)],
                                                  hyp.log_prob + float(row[t]),
-                                                 finished=int(t) == eos_id))
+                                                 finished=int(t) == eos_id, row=i))
         if not candidates:
             break  # everything blocked; keep previous beams
         candidates.sort(key=lambda h: (-h.score(length_penalty), len(h.tokens)))
@@ -116,6 +129,17 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
     for hyp in beams:
         hyp.finished = True
     return max(beams, key=lambda h: h.score(length_penalty))
+
+
+def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
+                beam_size: int = 4, length_penalty: float = 1.0,
+                min_len: int = 1, block_trigrams: bool = True) -> BeamHypothesis:
+    """``batch_beam_search`` over a decode_fn that maps the full prefix (bos
+    included) to a log-probability row over the vocabulary."""
+    return batch_beam_search(lambda prefixes, parents: np.stack([decode_fn(p) for p in prefixes]),
+                             bos_id, eos_id, max_len, beam_size=beam_size,
+                             length_penalty=length_penalty, min_len=min_len,
+                             block_trigrams=block_trigrams)
 
 
 def greedy_decode(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
@@ -146,38 +170,25 @@ def model_decode_fn(model: Model, memory) -> DecodeFn:
     return decode_fn
 
 
-class IncrementalDecoder:
-    """A ``DecodeFn`` that decodes each prefix one position past its parent's.
+def cached_step(model: Model, memory) -> BatchStep:
+    """The model's batch step over a beam-major ``DecoderCache``.
 
-    The decoder cache of every prefix of the newest two lengths is held, so
-    each beam step extends the previous step's states by one token.  A prefix
-    whose parent is not held is decoded from its longest held ancestor, or
-    from scratch, so any visiting order gives the full-prefix answer.
-    Extensions fork the parent's cache and never write into its arrays,
-    which up to beam_size children share.
+    Each call keeps the cache rows named by ``parents``, in their order, and
+    decodes every prefix's positions past the cache (one per beam step) in
+    one ``decoder_forward`` call.  No array the cache held is written.
     """
+    if memory.shape[0] == 0:
+        raise ValueError("decoder memory is empty")
+    cache = model.decoder_cache(memory)
 
-    def __init__(self, model: Model, memory):
-        if memory.shape[0] == 0:
-            raise ValueError("decoder memory is empty")
-        self.model = model
-        self.memory = memory
-        self.root = model.decoder_cache(memory)
-        self.states: Dict[Tuple[int, ...], DecoderCache] = {}
-        self.newest = 0
-
-    def __call__(self, prefix: Sequence[int]) -> np.ndarray:
-        key = tuple(int(t) for t in prefix)
-        if len(key) > self.newest:
-            self.newest = len(key)
-            self.states = {p: c for p, c in self.states.items() if len(p) >= self.newest - 1}
-        held = next((key[:n] for n in range(len(key) - 1, 0, -1) if key[:n] in self.states), ())
-        cache = (self.states[held] if held else self.root).fork()
+    def step(prefixes, parents):
+        cache.reorder(parents)
+        ids = np.array([p[cache.length:] for p in prefixes], dtype=np.int64)
         with no_grad():
-            logits = self.model.decoder_forward(np.asarray(key[len(held):]), self.memory,
-                                                cache=cache)
-        self.states[key] = cache
-        return log_softmax(logits.data[-1])
+            logits = model.decoder_forward(ids, memory, cache=cache)
+        return log_softmax(logits.data[:, -1], axis=-1)
+
+    return step
 
 
 def generate_summary(model: Model, tokenizer, tree: ConversationTree,
@@ -190,10 +201,10 @@ def generate_summary(model: Model, tokenizer, tree: ConversationTree,
         _, _, memory = model.encode_conversation(mi)
     if max_len is None:
         max_len = model.config.max_summary_tokens - 1  # room for the bos slot
-    best = beam_search(IncrementalDecoder(model, memory),
-                       tokenizer.bos_id, tokenizer.eos_id, max_len,
-                       beam_size=beam_size, length_penalty=length_penalty,
-                       min_len=min_len, block_trigrams=block_trigrams)
+    best = batch_beam_search(cached_step(model, memory),
+                             tokenizer.bos_id, tokenizer.eos_id, max_len,
+                             beam_size=beam_size, length_penalty=length_penalty,
+                             min_len=min_len, block_trigrams=block_trigrams)
     structural = {tokenizer.bos_id, tokenizer.eos_id, tokenizer.pad_id}
     ids = [t for t in best.generated() if t not in structural]
     return tokenizer.decode(ids).strip()

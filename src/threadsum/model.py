@@ -248,25 +248,29 @@ class ForwardResult:
     memory: Tensor  # decoder cross-attention memory
 
 
-KeysValues = Tuple[np.ndarray, np.ndarray]  # (K^T [h, dz, T], V [h, T, dz])
+KeysValues = Tuple[np.ndarray, np.ndarray]  # (K^T [..., h, dz, T], V [..., h, T, dz])
 
 
 @dataclass
 class DecoderCache:
     """What an incremental ``decoder_forward`` keeps per decoder layer.
 
-    ``cross`` holds the keys and values of the memory, projected once;
-    ``self_kv`` those of the ``length`` summary positions decoded so far.  A
-    forward rebinds ``self_kv`` entries to new arrays and never writes into
-    one, so forks of a cache can share every array.
+    ``cross`` holds the keys and values of the memory, projected once
+    (``[h, dz, M]`` and ``[h, M, dz]``) and shared by every beam; ``self_kv``
+    those of the ``length`` summary positions decoded so far, one row per
+    beam (``[b, h, dz, T]`` and ``[b, h, T, dz]``).  Neither a forward nor
+    ``reorder`` writes into a held array: both rebind ``self_kv`` entries.
     """
 
     cross: List[KeysValues]
     self_kv: List[KeysValues]
     length: int = 0
 
-    def fork(self) -> "DecoderCache":
-        return DecoderCache(self.cross, list(self.self_kv), self.length)
+    def reorder(self, rows: Sequence[int]) -> None:
+        """Make beam ``rows[i]`` the new row i; rows may repeat or be dropped."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.self_kv = [(np.take(k, rows, axis=0), np.take(v, rows, axis=0))
+                        for k, v in self.self_kv]
 
 
 def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInstance) -> ModelInput:
@@ -359,10 +363,11 @@ class Model:
         return self._proj(ctx, prefix, "o")
 
     def _keys_values(self, prefix: str, x: Tensor) -> KeysValues:
-        """Key and value heads of a [T, d] input, K transposed and contiguous
-        so attention over them copies nothing."""
-        k = self._split_heads(self._proj(x, prefix, "k"), ())
-        v = self._split_heads(self._proj(x, prefix, "v"), ())
+        """Key and value heads of a [..., T, d] input, K transposed and
+        contiguous so attention over them copies nothing."""
+        lead = x.shape[:-2]
+        k = self._split_heads(self._proj(x, prefix, "k"), lead)
+        v = self._split_heads(self._proj(x, prefix, "v"), lead)
         return np.ascontiguousarray(np.swapaxes(k.data, -1, -2)), v.data
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
@@ -439,13 +444,13 @@ class Model:
         return ad.take_rows(flat, valid)
 
     def decoder_cache(self, memory: Tensor) -> DecoderCache:
-        """An empty cache for incremental decoding against ``memory``."""
+        """An empty one-beam cache for incremental decoding against ``memory``."""
         cfg = self.config
         h, dz = cfg.num_heads, cfg.d_head
         with ad.no_grad():
             cross = [self._keys_values(f"dec.{layer}.cross", memory)
                      for layer in range(cfg.num_layers)]
-        empty = (np.empty((h, dz, 0)), np.empty((h, 0, dz)))
+        empty = (np.empty((1, h, dz, 0)), np.empty((1, h, 0, dz)))
         return DecoderCache(cross, [empty] * cfg.num_layers)
 
     def decoder_forward(self, summary_input: np.ndarray, memory: Tensor,
@@ -453,16 +458,20 @@ class Model:
                         cache: Optional[DecoderCache] = None) -> Tensor:
         """Next-token logits [s, V] for the s summary positions given.
 
-        With a ``cache`` (inference only), ``summary_input`` holds the
-        positions after the ``cache.length`` already decoded: they attend to
-        the cached keys and values as well as their own, which are appended,
-        and cross-attention reads the cache's memory keys and values.
+        With a ``cache`` (inference only), ``summary_input`` is [b, s]: for
+        each of the cache's b beams, the s positions after the
+        ``cache.length`` already decoded.  They attend to their beam's cached
+        keys and values as well as their own, which are appended, and
+        cross-attention reads the cache's memory keys and values; the
+        logits are [b, s, V].
         """
         cfg = self.config
         if cache is not None and training:
             raise ValueError("a decoder cache is for inference only")
+        if cache is not None and summary_input.ndim != 2:
+            raise ValueError("with a decoder cache, summary_input is [beams, positions]")
         start = 0 if cache is None else cache.length
-        s = len(summary_input)
+        s = summary_input.shape[-1]
         if start + s > cfg.max_summary_tokens:
             raise ValueError(f"summary length {start + s} exceeds max {cfg.max_summary_tokens}")
         if summary_input.max() >= cfg.vocab_size:
@@ -483,7 +492,9 @@ class Model:
                 self_kv = (np.concatenate([past_k, new_k], axis=-1),
                            np.concatenate([past_v, new_v], axis=-2))
                 cache.self_kv[layer] = self_kv
-                cross_kv = cache.cross[layer]
+                # every beam reads the one memory projection through a view
+                cross_kv = tuple(np.broadcast_to(a, summary_input.shape[:1] + a.shape)
+                                 for a in cache.cross[layer])
             a = self._attention(f"{pre}.self", normed, normed, causal, None, None, rng, training,
                                 kv=self_kv)
             x = self._sublayer(x, a, rng, training)

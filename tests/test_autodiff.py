@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,16 @@ class TestGraphMechanics:
         np.testing.assert_allclose(y.data[kept], 1 / 0.75)
         backward(ad.tensor_sum(y))
         np.testing.assert_array_equal(x.grad != 0, kept)
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
+    def test_dropout_mask_matches_reference_draw(self, p):
+        rng = np.random.default_rng(7)
+        clone = copy.deepcopy(rng)
+        x = Tensor(RNG.normal(size=(3, 5, 7)))
+        y = ad.dropout(x, p, rng, training=True)
+        mask = (clone.random(x.shape) >= p).astype(x.dtype) / (1 - p)
+        np.testing.assert_array_equal(y.data, x.data * mask)
+        assert rng.random() == clone.random()  # same number of draws
 
     def test_debug_finite_check(self):
         ad.set_debug_checks(True)

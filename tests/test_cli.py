@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
-from threadsum import cli
+from threadsum import cli, corpus
 from threadsum.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -16,6 +17,8 @@ from threadsum.cli import (
     named_seed,
 )
 from threadsum.model import count_parameters, paper_config, toy_config
+from threadsum.tokenizer import Tokenizer
+from threadsum.training import truncate_instance
 
 POSTS = "tests/fixtures/corpus/posts.jsonl"
 GOLDEN = "tests/fixtures/corpus/expected-00000.jsonl"
@@ -263,6 +266,30 @@ class TestBuildCorpus:
         assert env["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             assert env[var] == os.environ.get(var)
+
+    def test_vocab_truncates_before_the_only_write(self, tmp_path, monkeypatch):
+        writes = []
+        write = corpus.write_instances
+
+        def counted(path, instances):
+            writes.append(path)
+            return write(path, instances)
+
+        def no_read(path):
+            raise AssertionError(f"{path} was read back")
+
+        monkeypatch.setattr(corpus, "write_instances", counted)
+        monkeypatch.setattr(cli, "read_instances", no_read)
+        out = tmp_path / "shard"
+        assert dispatch(["build-corpus", "--input", POSTS, "--output", str(out),
+                         "--vocab", VOCAB, "--max-utt-tokens", "6"]) == 0
+        assert writes == [str(tmp_path / "shard-00000.jsonl")]
+        # what writing, reading back and rewriting truncated used to produce
+        tok, config = Tokenizer.load(VOCAB), replace(paper_config(), max_utterance_tokens=6)
+        write(str(tmp_path / "ref"), [truncate_instance(inst, config, tok)
+                                      for inst in corpus.read_instances(GOLDEN)])
+        produced = (tmp_path / "shard-00000.jsonl").read_bytes()
+        assert produced == (tmp_path / "ref").read_bytes() != open(GOLDEN, "rb").read()
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = dispatch(["build-corpus", "--input", str(tmp_path / "nope.jsonl"),

@@ -6,9 +6,7 @@ from threadsum.conversation import (
     ThreadRelation,
     TreeError,
     Utterance,
-    apply_role_template,
     clip,
-    linearize,
     num_relation_buckets,
     relation_index,
 )
@@ -154,42 +152,3 @@ class TestRelationBuckets:
             m = t.ancestor_matrix()
             assert not np.any(m & m.T)  # strict ancestry cannot hold both ways
             assert not np.any(np.diag(m))
-
-
-class TestRoleTemplate:
-    def test_template_applied_when_role_present(self):
-        x = Utterance(id=0, author="alice", text="need the logs", timestamp=0,
-                      parent_id=None, role="reporter")
-        assert apply_role_template(x) == "alice of role reporter said: need the logs"
-
-    def test_passthrough_without_role(self):
-        x = Utterance(id=0, author="alice", text="need the logs", timestamp=0, parent_id=None)
-        assert apply_role_template(x) == "need the logs"
-
-    def test_missing_author_renders_empty(self):
-        x = Utterance(id=0, author=None, text="t", timestamp=0, parent_id=None, role="x")
-        assert apply_role_template(x) == " of role x said: t"
-
-
-class TestLinearize:
-    def test_chain_shape(self):
-        t = small_tree()
-        lin = linearize(t.utterances)
-        assert len(lin.utterances) == 5
-        for i in range(5):
-            for j in range(5):
-                assert lin.relation(i, j) == ThreadRelation.same_path(lin.depth(i) - lin.depth(j))
-
-    def test_keeps_strictly_increasing_timestamps(self):
-        utts = [u(0, None, 3), u(1, 0, 7), u(2, 0, 9)]
-        lin = linearize(utts)
-        assert [x.timestamp for x in lin.utterances] == [3, 7, 9]
-
-    def test_rewrites_tied_timestamps(self):
-        utts = [u(0, None, 5), u(1, 0, 5)]
-        lin = linearize(utts)
-        assert [x.timestamp for x in lin.utterances] == [0, 1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(TreeError):
-            linearize([])

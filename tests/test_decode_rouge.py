@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import log_softmax
 
 from threadsum.autodiff import Tensor
@@ -9,6 +11,7 @@ from threadsum.conversation import ConversationTree, Utterance
 from threadsum.decoding import (
     BeamHypothesis,
     banned_continuations,
+    batch_beam_search,
     beam_search,
     generate_summary,
     greedy_decode,
@@ -263,6 +266,21 @@ def table_decode_fn(seed, vocab=V):
     return fn
 
 
+# log-probs keyed on the last two tokens, so the search is drawn to loops
+TRIGRAM_TABLES = st.lists(st.one_of(st.floats(-6.0, 2.0), st.just(-np.inf)),
+                          min_size=V ** 3, max_size=V ** 3).map(
+                              lambda t: np.array(t).reshape(V, V, V))
+
+
+def trigram_table_step(table, calls):
+    """A batch step over ``table``; records each call's prefixes and parents."""
+    def step(prefixes, parents):
+        calls.append(([list(p) for p in prefixes], list(parents)))
+        return np.stack([table[p[-2] if len(p) > 1 else BOS, p[-1]] for p in prefixes])
+
+    return step
+
+
 def manual_greedy(decode_fn, max_len):
     tokens, gen = [BOS], []
     for _ in range(max_len):
@@ -339,6 +357,29 @@ class TestBeamSearch:
         hyp = beam_search(fn, BOS, EOS, max_len=24, beam_size=4, min_len=24)
         assert len(hyp.generated()) >= 6
         assert not has_repeated_trigram(hyp.generated())
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=TRIGRAM_TABLES, beam_size=st.integers(1, 4), max_len=st.integers(1, 30),
+           min_len=st.integers(1, 30))
+    def test_blocked_batch_search_never_repeats_a_trigram(self, table, beam_size, max_len,
+                                                          min_len):
+        calls = []
+        best = batch_beam_search(trigram_table_step(table, calls), BOS, EOS, max_len,
+                                 beam_size=beam_size, min_len=min_len, block_trigrams=True)
+        seen = [p[1:] for prefixes, _ in calls for p in prefixes]
+        assert not any(has_repeated_trigram(gen) for gen in seen + [best.generated()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=TRIGRAM_TABLES, beam_size=st.integers(1, 4), block=st.booleans())
+    def test_each_prefix_extends_its_parent_row(self, table, beam_size, block):
+        calls = []
+        batch_beam_search(trigram_table_step(table, calls), BOS, EOS, 12,
+                          beam_size=beam_size, block_trigrams=block)
+        assert calls[0] == ([[BOS]], [0])
+        for (before, _), (after, parents) in zip(calls, calls[1:]):
+            assert 1 <= len(after) <= beam_size and len(parents) == len(after)
+            for prefix, parent in zip(after, parents):
+                assert prefix[:-1] == before[parent]
 
     def test_blocking_can_be_disabled(self):
         row = log_softmax(np.where(np.arange(V) == 3, 0.0, -10.0))

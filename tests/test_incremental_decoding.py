@@ -1,8 +1,10 @@
-"""Incremental decoding against its full-prefix oracle.
+"""The batched beam step against its full-prefix oracle.
 
-``IncrementalDecoder`` must return the log-probs ``model_decode_fn`` computes
-by re-running the decoder over the whole prefix, whatever order prefixes are
-visited in; ``top_k`` must equal the stable argsort it replaces.
+``cached_step`` decodes every live hypothesis in one ``decoder_forward``
+call over a beam-major cache; each row must equal the log-probs
+``model_decode_fn`` computes by re-running the decoder over the whole
+prefix, whichever rows of the previous call the prefixes extend.  ``top_k``
+must equal the stable argsort it replaces.
 """
 
 import gc
@@ -17,8 +19,9 @@ from threadsum import decoding, model as model_module
 from threadsum.autodiff import Tensor, no_grad
 from threadsum.conversation import ConversationTree, Utterance
 from threadsum.decoding import (
-    IncrementalDecoder,
+    batch_beam_search,
     beam_search,
+    cached_step,
     conversation_input,
     generate_summary,
     model_decode_fn,
@@ -36,9 +39,10 @@ MEMORY = {name: Tensor(np.random.default_rng(5).normal(size=(11, cfg.d_hidden)))
           for name, cfg in CONFIGS.items()}
 
 
-def prefixes(cfg):
-    body = st.lists(st.integers(0, cfg.vocab_size - 1), max_size=cfg.max_summary_tokens - 1)
-    return st.lists(body.map(lambda ids: [1] + ids), min_size=1, max_size=12)
+def assert_rows_match_oracle(rows, prefixes, oracle, vocab):
+    assert rows.shape == (len(prefixes), vocab)
+    for row, prefix in zip(rows, prefixes):
+        np.testing.assert_allclose(row, oracle(prefix), rtol=0, atol=1e-12)
 
 
 def _tree():
@@ -54,61 +58,79 @@ class TestIncrementalLogProbs:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_arbitrary_visiting_order_matches_full_prefix(self, name, data):
+    def test_beam_histories_match_full_prefix(self, name, data):
+        # parents repeat, some rows are dropped, and the batch grows and shrinks
         model, memory = MODELS[name], MEMORY[name]
-        fast, oracle = IncrementalDecoder(model, memory), model_decode_fn(model, memory)
-        for prefix in data.draw(prefixes(model.config)):
-            np.testing.assert_allclose(fast(prefix), oracle(prefix), rtol=0, atol=1e-12)
+        step, oracle = cached_step(model, memory), model_decode_fn(model, memory)
+        vocab = model.config.vocab_size
+        prefixes, parents = [[1]], [0]
+        for _ in range(data.draw(st.integers(1, model.config.max_summary_tokens))):
+            assert_rows_match_oracle(step(prefixes, parents), prefixes, oracle, vocab)
+            n = data.draw(st.integers(1, 4))
+            parents = data.draw(st.lists(st.integers(0, len(prefixes) - 1),
+                                         min_size=n, max_size=n))
+            tokens = data.draw(st.lists(st.integers(0, vocab - 1), min_size=n, max_size=n))
+            prefixes = [prefixes[r] + [t] for r, t in zip(parents, tokens)]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_step_by_step_with_siblings(self, name):
         model, memory = MODELS[name], MEMORY[name]
-        fast, oracle = IncrementalDecoder(model, memory), model_decode_fn(model, memory)
+        step, oracle = cached_step(model, memory), model_decode_fn(model, memory)
         rng = np.random.default_rng(0)
         vocab = model.config.vocab_size
-        beams = [[1]]
-        for _ in range(model.config.max_summary_tokens - 2):
-            beams = [b + [int(t)] for b in beams for t in rng.integers(vocab, size=2)][:4]
-            for b in beams:
-                np.testing.assert_allclose(fast(b), oracle(b), rtol=0, atol=1e-12)
+        prefixes, parents = [[1]], [0]
+        for _ in range(model.config.max_summary_tokens - 1):
+            assert_rows_match_oracle(step(prefixes, parents), prefixes, oracle, vocab)
+            children = [(r, b + [int(t)]) for r, b in enumerate(prefixes)
+                        for t in rng.integers(vocab, size=2)][:4]
+            parents, prefixes = [r for r, _ in children], [b for _, b in children]
 
     def test_parent_arrays_are_not_written(self):
         model, memory = MODELS["toy"], MEMORY["toy"]
         with no_grad():
-            parent = model.decoder_cache(memory)
-            model.decoder_forward(np.array([1, 4]), memory, cache=parent)
-            before = [(k.copy(), v.copy()) for k, v in parent.self_kv]
-            for token in (5, 6):
-                model.decoder_forward(np.array([token]), memory, cache=parent.fork())
-        assert parent.length == 2
-        for (k, v), (k0, v0) in zip(parent.self_kv, before):
+            cache = model.decoder_cache(memory)
+            cache.reorder([0, 0])
+            model.decoder_forward(np.array([[1, 4], [1, 5]]), memory, cache=cache)
+            held = list(cache.self_kv) + list(cache.cross)
+            before = [(k.copy(), v.copy()) for k, v in held]
+            cache.reorder([1, 1, 0])
+            assert not any(np.shares_memory(new, old) for pair in zip(cache.self_kv, held)
+                           for new, old in zip(*pair))
+            model.decoder_forward(np.array([[6], [7], [8]]), memory, cache=cache)
+        assert cache.length == 3
+        for (k, v), (k0, v0) in zip(held, before):
             np.testing.assert_array_equal(k, k0)
             np.testing.assert_array_equal(v, v0)
 
     def test_cache_rows_and_length_cap(self):
         model, memory = MODELS["toy"], MEMORY["toy"]
-        cap = model.config.max_summary_tokens
+        cap, vocab = model.config.max_summary_tokens, model.config.vocab_size
+        rows = np.array([[1, 2, 3], [1, 7, 7]])
         with no_grad():
             cache = model.decoder_cache(memory)
-            chunk = model.decoder_forward(np.arange(1, 4), memory, cache=cache)
-            full = model.decoder_forward(np.arange(1, 4), memory)
-            assert chunk.shape == (3, model.config.vocab_size)
-            np.testing.assert_allclose(chunk.data, full.data, rtol=0, atol=1e-12)
-            step = model.decoder_forward(np.array([7]), memory, cache=cache)
-            assert step.shape == (1, model.config.vocab_size)
+            cache.reorder([0, 0])
+            chunk = model.decoder_forward(rows, memory, cache=cache)
+            assert chunk.shape == (2, 3, vocab)
+            for b in range(2):
+                full = model.decoder_forward(rows[b], memory)
+                np.testing.assert_allclose(chunk.data[b], full.data, rtol=0, atol=1e-12)
+            step = model.decoder_forward(np.array([[7], [9]]), memory, cache=cache)
+            assert step.shape == (2, 1, vocab)
             with pytest.raises(ValueError, match="exceeds"):
-                model.decoder_forward(np.ones(cap - 3, dtype=np.int64), memory, cache=cache.fork())
+                model.decoder_forward(np.ones((2, cap - 3), dtype=np.int64), memory, cache=cache)
+            with pytest.raises(ValueError, match="beams"):
+                model.decoder_forward(np.array([7]), memory, cache=cache)
 
     def test_training_with_cache_rejected(self):
         model, memory = MODELS["toy"], MEMORY["toy"]
         with pytest.raises(ValueError, match="inference"):
-            model.decoder_forward(np.array([1]), memory, rng=np.random.default_rng(0),
+            model.decoder_forward(np.array([[1]]), memory, rng=np.random.default_rng(0),
                                   training=True, cache=model.decoder_cache(memory))
 
     def test_empty_memory_rejected(self):
         model = MODELS["toy"]
         with pytest.raises(ValueError, match="memory"):
-            IncrementalDecoder(model, Tensor(np.zeros((0, model.config.d_hidden))))
+            cached_step(model, Tensor(np.zeros((0, model.config.d_hidden))))
 
 
 class TestGenerateMatchesFullPrefix:
@@ -121,7 +143,7 @@ class TestGenerateMatchesFullPrefix:
             _, _, memory = model.encode_conversation(mi)
         args = (tiny_tokenizer.bos_id, tiny_tokenizer.eos_id, 12)
         kwargs = dict(beam_size=beam_size, block_trigrams=block_trigrams)
-        fast = beam_search(IncrementalDecoder(model, memory), *args, **kwargs)
+        fast = batch_beam_search(cached_step(model, memory), *args, **kwargs)
         full = beam_search(model_decode_fn(model, memory), *args, **kwargs)
         assert fast.tokens == full.tokens
         assert abs(fast.log_prob - full.log_prob) < 1e-9
@@ -133,27 +155,50 @@ class TestGenerateMatchesFullPrefix:
 
 
 class TestResources:
+    def test_one_decoder_call_per_beam_step(self, tiny_tokenizer, monkeypatch):
+        model = Model.init(toy_config(vocab_size=tiny_tokenizer.vocab_size), seed=21)
+        batches = []
+        forward = Model.decoder_forward
+
+        def counted(self, summary_input, *args, **kwargs):
+            batches.append(summary_input.shape)
+            return forward(self, summary_input, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "decoder_forward", counted)
+        generate_summary(model, tiny_tokenizer, _tree(), beam_size=4, max_len=12,
+                         block_trigrams=False)
+        assert 1 <= len(batches) <= 12
+        assert batches[0] == (1, 1)
+        assert all(s == 1 and 1 <= b <= 4 for b, s in batches)
+
     def test_cache_freed_by_reference_counting(self, tiny_tokenizer, monkeypatch):
         model = Model.init(toy_config(vocab_size=tiny_tokenizer.vocab_size), seed=3)
         refs = []
+        make_cache, make_step = Model.decoder_cache, decoding.cached_step
 
-        class Recording(IncrementalDecoder):
-            def __init__(self, *args):
-                super().__init__(*args)
-                refs.extend([weakref.ref(self), weakref.ref(self.root)])
+        def recording_cache(self, memory):
+            cache = make_cache(self, memory)
+            refs.append(weakref.ref(cache))
+            return cache
 
-        monkeypatch.setattr(decoding, "IncrementalDecoder", Recording)
+        def recording_step(*args):
+            step = make_step(*args)
+            refs.append(weakref.ref(step))
+            return step
+
+        monkeypatch.setattr(Model, "decoder_cache", recording_cache)
+        monkeypatch.setattr(decoding, "cached_step", recording_step)
         gc.disable()
         try:
             generate_summary(model, tiny_tokenizer, _tree(), beam_size=2, max_len=6)
-            assert refs and all(ref() is None for ref in refs)
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
         finally:
             gc.enable()
 
     def test_decoding_builds_one_position_table(self, monkeypatch):
         model, memory = MODELS["d128"], MEMORY["d128"]
         monkeypatch.setattr(model_module, "_PE_CACHE", {})
-        beam_search(IncrementalDecoder(model, memory), 1, 2, max_len=20, beam_size=3)
+        batch_beam_search(cached_step(model, memory), 1, 2, max_len=20, beam_size=3)
         assert list(model_module._PE_CACHE) == [(24, 128)]
 
 
