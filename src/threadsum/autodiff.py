@@ -3,7 +3,8 @@
 Just enough tensor machinery for the summarization model: a ``Tensor``
 wrapping an ndarray, fused forward ops with hand-written backward rules, a
 ``ComputationTape`` that replays the recorded graph in reverse topological
-order, and a central-finite-difference gradient checker.
+order, and a central-finite-difference gradient checker.  Ops are plain
+functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
 Broadcasting is deliberately narrow: two operands must have equal shapes,
 or the second must be a suffix of the first (bias adds), or both must have
@@ -12,8 +13,8 @@ equal rank with explicit size-1 axes.  Anything fancier needs a reshape.
 Gradient ownership: a backward rule never writes into the gradient it is
 given, and a tensor keeps the first gradient it receives as is, because
 that array may be shared with a sibling operand (``add`` hands the same
-``g`` to both sides) or be a view (``reshape``, ``transpose``, ``permute``,
-``concat``).  A rule that computes a fresh array hands it over with
+``g`` to both sides) or be a view (``reshape``, ``transpose``,
+``permute``).  A rule that computes a fresh array hands it over with
 ``owned=True``; a tensor adds later gradients into a buffer it owns, or
 makes one with a single out-of-place add.  Gathers scatter-add straight
 into the parent's own buffer (``Tensor.grad_buffer``).  Every
@@ -39,19 +40,17 @@ __all__ = [
     "ShapeError",
     "NumericsError",
     "no_grad",
-    "set_debug_checks",
     "backward",
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "sub", "mul", "scale", "matmul", "matmul_transposed", "transpose", "permute",
-    "reshape", "concat", "take_rows", "take_per_row", "gather_pairs",
-    "softmax", "layer_norm", "linear", "gelu", "sigmoid", "log", "dropout",
-    "tensor_sum", "tensor_mean", "cross_entropy", "binary_cross_entropy",
+    "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "permute",
+    "reshape", "take_rows", "take_per_row", "gather_pairs",
+    "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
+    "tensor_sum", "cross_entropy", "binary_cross_entropy",
 ]
 
 _GRAD_ENABLED = True
-_DEBUG_CHECK_FINITE = False
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -62,7 +61,7 @@ class ShapeError(ValueError):
 
 
 class NumericsError(FloatingPointError):
-    """A forward op produced NaN/Inf while debug checks were enabled."""
+    """A numeric failure: a non-finite loss or gradient norm, or a failed gradient check."""
 
 
 @contextmanager
@@ -75,12 +74,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf assertion run after every forward op."""
-    global _DEBUG_CHECK_FINITE
-    _DEBUG_CHECK_FINITE = enabled
 
 
 class Tensor:
@@ -121,9 +114,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` to the gradient without ever writing into ``g``.
 
@@ -148,29 +138,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _basic_index(self, key)
@@ -205,16 +172,8 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable, op: str) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     """Build a graph node; records only parents that require gradients."""
-    if _DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite values produced by op '{op}'")
     tracked = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(tracked) and _GRAD_ENABLED)
     if out.requires_grad:
@@ -259,19 +218,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), bwd, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(g, b.shape), owned=True)
-
-    return _make(a.data - b.data, (a, b), bwd, "sub")
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -284,14 +231,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * ad, b.shape), owned=True)
 
-    return _make(ad * bd, (a, b), bwd, "mul")
+    return _make(ad * bd, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(g, a=a, s=s):
         a.accumulate_grad(g * s, owned=True)
 
-    return _make(a.data * s, (a,), bwd, "scale")
+    return _make(a.data * s, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -315,7 +262,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.swapaxes(ad, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
-    return _make(ad @ bd, (a, b), bwd, "matmul")
+    return _make(ad @ bd, (a, b), bwd)
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
@@ -339,7 +286,7 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.reshape(-1, n).T @ ad.reshape(-1, k), owned=True)
 
     out = (ad.reshape(-1, k) @ bd.T).reshape(ad.shape[:-1] + (n,))
-    return _make(out, (a, b), bwd, "matmul_transposed")
+    return _make(out, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -348,7 +295,7 @@ def transpose(a: Tensor) -> Tensor:
     def bwd(g, a=a):
         a.accumulate_grad(np.swapaxes(g, -1, -2))
 
-    return _make(np.swapaxes(a.data, -1, -2), (a,), bwd, "transpose")
+    return _make(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -357,7 +304,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     def bwd(g, a=a):
         a.accumulate_grad(np.transpose(g, inv))
 
-    return _make(np.transpose(a.data, axes), (a,), bwd, "permute")
+    return _make(np.transpose(a.data, axes), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -366,28 +313,14 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def bwd(g, a=a):
         a.accumulate_grad(g.reshape(orig))
 
-    return _make(a.data.reshape(shape), (a,), bwd, "reshape")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, tensors=tuple(tensors)):
-        for t, lo, hi in zip(tensors, offsets, offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd, "concat")
+    return _make(a.data.reshape(shape), (a,), bwd)
 
 
 def _basic_index(a: Tensor, key) -> Tensor:
     def bwd(g, a=a, key=key):
         a.grad_buffer()[key] += g
 
-    return _make(a.data[key], (a,), bwd, "index")
+    return _make(a.data[key], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +336,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
     def bwd(g, a=a, ids=ids):
         np.add.at(a.grad_buffer(), ids, g)
 
-    return _make(a.data[ids], (a,), bwd, "take_rows")
+    return _make(a.data[ids], (a,), bwd)
 
 
 def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -431,7 +364,7 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(ga, (np.arange(rows)[:, None], idx), g)
 
     idx_b = np.broadcast_to(idx, lead + idx.shape)
-    return _make(np.take_along_axis(a.data, idx_b, axis=-1), (a,), bwd, "take_per_row")
+    return _make(np.take_along_axis(a.data, idx_b, axis=-1), (a,), bwd)
 
 
 def gather_pairs(a: Tensor, rows, cols) -> Tensor:
@@ -442,7 +375,7 @@ def gather_pairs(a: Tensor, rows, cols) -> Tensor:
     def bwd(g, a=a):
         np.add.at(a.grad_buffer(), (rows, cols), g)
 
-    return _make(a.data[rows, cols], (a,), bwd, "gather_pairs")
+    return _make(a.data[rows, cols], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +391,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * y).sum(axis=axis, keepdims=True)
         a.accumulate_grad((g - inner) * y, owned=True)
 
-    return _make(y, (a,), bwd, "softmax")
+    return _make(y, (a,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -483,7 +416,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
             x.accumulate_grad(inv * (gxhat - m1 - xhat * m2), owned=True)
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd, "layer_norm")
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -504,7 +437,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.reshape(-1, dout).sum(axis=0), owned=True)
 
-    return _make(y, parents, bwd, "linear")
+    return _make(y, parents, bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -515,7 +448,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         x.accumulate_grad(g * (cdf + x.data * pdf), owned=True)
 
-    return _make(x.data * cdf, (x,), bwd, "gelu")
+    return _make(x.data * cdf, (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -524,22 +457,14 @@ def sigmoid(x: Tensor) -> Tensor:
     def bwd(g, x=x, y=y):
         x.accumulate_grad(g * y * (1.0 - y), owned=True)
 
-    return _make(y, (x,), bwd, "sigmoid")
+    return _make(y, (x,), bwd)
 
 
-def log(x: Tensor) -> Tensor:
-    def bwd(g, x=x):
-        x.accumulate_grad(g / x.data, owned=True)
-
-    return _make(np.log(x.data), (x,), bwd, "log")
-
-
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
-    """Inverted dropout: active units are rescaled by 1/(1-p) at train time."""
-    if not training or p <= 0.0:
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout, active units rescaled by 1/(1-p); the identity, with
+    nothing drawn, when there is no ``rng`` (inference) or ``p`` is 0."""
+    if rng is None or p <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
     # (u >= p) / (1 - p), formed in the one array the uniforms were drawn into
     mask = rng.random(x.shape)
     np.greater_equal(mask, p, out=mask)
@@ -548,7 +473,7 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
     def bwd(g, x=x, mask=mask):
         x.accumulate_grad(g * mask, owned=True)
 
-    return _make(x.data * mask, (x,), bwd, "dropout")
+    return _make(x.data * mask, (x,), bwd)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -557,18 +482,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd, "sum")
-
-
-def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
-
-    def bwd(g, x=x):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape) / count, owned=True)
-
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), bwd, "mean")
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -592,17 +506,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         p *= g / t
         logits.accumulate_grad(p, owned=True)
 
-    return _make(np.asarray(nll.mean()), (logits,), bwd, "cross_entropy")
+    return _make(np.asarray(nll.mean()), (logits,), bwd)
 
 
-def binary_cross_entropy(probs: Tensor, labels, reduction: str = "sum", clamp: float = 1e-7) -> Tensor:
-    """Bernoulli cross-entropy over a vector of probabilities.
+def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
+    """Bernoulli cross-entropy summed over a vector of probabilities.
 
     Probabilities outside (clamp, 1-clamp) are clamped and flagged with a
     warning; the clamped entries get zero gradient.
     """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     labels = np.asarray(labels, dtype=probs.dtype)
     p = probs.data
     clamped = (p < clamp) | (p > 1.0 - clamp)
@@ -610,17 +522,13 @@ def binary_cross_entropy(probs: Tensor, labels, reduction: str = "sum", clamp: f
         warnings.warn(f"binary_cross_entropy clamped {int(clamped.sum())} saturated probabilities", RuntimeWarning)
     pc = np.clip(p, clamp, 1.0 - clamp)
     losses = -(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc))
-    n = max(losses.size, 1)
 
     def bwd(g, probs=probs, pc=pc, clamped=clamped):
         dp = -(labels / pc - (1.0 - labels) / (1.0 - pc))
         dp[clamped] = 0.0
-        if reduction == "mean":
-            dp /= n
         probs.accumulate_grad(dp * g, owned=True)
 
-    value = losses.sum() if reduction == "sum" else losses.mean()
-    return _make(np.asarray(value), (probs,), bwd, "binary_cross_entropy")
+    return _make(np.asarray(losses.sum()), (probs,), bwd)
 
 
 # ---------------------------------------------------------------------------

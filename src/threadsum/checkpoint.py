@@ -46,8 +46,7 @@ def _paths(prefix) -> tuple:
 
 
 def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
-                    optimizer: Optional[OptimizerState] = None,
-                    extra: Optional[dict] = None) -> tuple:
+                    optimizer: Optional[OptimizerState] = None) -> tuple:
     """Write <prefix>.npz and <prefix>.json; returns the two paths."""
     npz_path, manifest_path = _paths(prefix)
     arrays = {}
@@ -70,13 +69,8 @@ def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
         manifest["optimizer"] = {
             "peak_lr": optimizer.peak_lr,
             "total_steps": optimizer.total_steps,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
             "weight_decay": optimizer.weight_decay,
         }
-    if extra:
-        manifest["extra"] = extra
     write_json(manifest_path, manifest)
     return npz_path, manifest_path
 
@@ -123,8 +117,7 @@ def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
             opt_meta = manifest["optimizer"]
             optimizer = OptimizerState(
                 peak_lr=opt_meta["peak_lr"], total_steps=opt_meta["total_steps"],
-                step=manifest["step"], beta1=opt_meta["beta1"], beta2=opt_meta["beta2"],
-                eps=opt_meta["eps"], weight_decay=opt_meta["weight_decay"])
+                step=manifest["step"], weight_decay=opt_meta["weight_decay"])
             for name in params:
                 for slot, store in (("opt.m.", optimizer.m), ("opt.v.", optimizer.v)):
                     key = slot + name

@@ -100,15 +100,36 @@ class CorpusStats:
         }
 
 
+def _field(record: dict, names: Tuple[str, ...], kind, default, where: str):
+    """The first of ``names`` that ``record`` holds, as a ``kind`` (an int is
+    converted), else ``default``; any other value is a CorpusError naming
+    the field."""
+    for name in names:
+        if name not in record:
+            continue
+        value = record[name]
+        if kind is int:
+            try:
+                return int(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        elif isinstance(value, kind):
+            return value
+        raise CorpusError(f"{where}: field {name!r} has a bad value {value!r}")
+    return default
+
+
 def post_from_record(obj: dict) -> RawPost:
     """Adapt one Pushshift-style submission record (with embedded comments).
 
     Recognized flag sources: an explicit "flags" list, plus the usual field
     conventions over_18 -> nsfw, quarantine, is_video -> video, and
     post_hint == "image" -> picture.  Comment parent ids may carry t1_/t3_
-    prefixes; t3_ (the post itself) means top-level.
+    prefixes; t3_ (the post itself) means top-level.  A missing comment id
+    or a field of the wrong type is a CorpusError naming the field.
     """
-    flags = set(obj.get("flags", ()))
+    post = f"post {obj.get('id', '?')}"
+    flags = {str(f) for f in _field(obj, ("flags",), list, (), post)}
     if obj.get("over_18"):
         flags.add("nsfw")
     if obj.get("quarantine"):
@@ -119,8 +140,13 @@ def post_from_record(obj: dict) -> RawPost:
         flags.add("picture")
 
     comments = []
-    for c in obj.get("comments", ()):
-        parent = c.get("parent_id")
+    for i, c in enumerate(_field(obj, ("comments",), list, (), post)):
+        where = f"{post} comment {i}"
+        if not isinstance(c, dict):
+            raise CorpusError(f"{where} is not a JSON object")
+        if "id" not in c:
+            raise CorpusError(f"{where}: missing field 'id'")
+        parent = _field(c, ("parent_id",), (str, type(None)), None, where)
         if parent is not None:
             if parent.startswith("t3_"):
                 parent = None
@@ -129,16 +155,16 @@ def post_from_record(obj: dict) -> RawPost:
         comments.append(RawComment(
             id=str(c["id"]),
             parent_id=parent,
-            timestamp=int(c.get("created_utc", c.get("timestamp", 0))),
+            timestamp=_field(c, ("created_utc", "timestamp"), int, 0, where),
             author=c.get("author"),
-            text=c.get("body", c.get("text", "")),
-            score=int(c.get("score", 0)),
+            text=_field(c, ("body", "text"), str, "", where),
+            score=_field(c, ("score",), int, 0, where),
         ))
 
     meta = {k: obj[k] for k in ("id", "subreddit") if k in obj}
     return RawPost(
-        title=obj.get("title", ""),
-        title_score=int(obj.get("score", obj.get("title_score", 0))),
+        title=_field(obj, ("title",), str, "", post),
+        title_score=_field(obj, ("score", "title_score"), int, 0, post),
         flags=frozenset(flags),
         comments=tuple(comments),
         meta=meta,
@@ -352,6 +378,9 @@ def read_post_dump(path: str) -> Iterator[dict]:
             if not line.strip():
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}:{lineno}: malformed post record ({e})") from e
+            if not isinstance(record, dict):
+                raise CorpusError(f"{path}:{lineno}: post record is not a JSON object")
+            yield record

@@ -43,8 +43,8 @@ class BeamHypothesis:
     finished: bool = False
     row: int = 0  # its row in the step call that chose its last token
 
-    def generated(self, bos_len: int = 1) -> List[int]:
-        return self.tokens[bos_len:]
+    def generated(self) -> List[int]:
+        return self.tokens[1:]
 
     def score(self, length_penalty: float) -> float:
         n = max(1, len(self.tokens) - 1)

@@ -12,15 +12,17 @@ Three pre-LN transformer stacks share one token embedding table:
   generation.
 
 The output projection is the transpose of the embedding table (weight
-tying).  All forwards are pure functions of (parameters, inputs, rng); the
-one exception is an incremental decoder step, which appends its positions'
+tying).  All forwards are pure functions of (parameters, inputs, rng), and
+the rng is also the train/eval switch: a forward given a dropout generator
+is a training forward, one given none is an inference forward.  The one
+impure forward is an incremental decoder step, which appends its positions'
 keys and values to the ``DecoderCache`` it is given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -234,7 +236,6 @@ class ModelInput:
     ancestors: np.ndarray  # [n, n] bool; [i, j] = j is a strict ancestor of i
     summary_input: np.ndarray  # decoder input ids, starts with bos
     summary_target: np.ndarray  # next-token targets, ends with eos
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_utterances(self) -> int:
@@ -245,7 +246,6 @@ class ModelInput:
 class ForwardResult:
     logits: Tensor  # [S, V]
     token_bos: Tensor  # [n, d] token-encoder output at each utterance's bos
-    memory: Tensor  # decoder cross-attention memory
 
 
 KeysValues = Tuple[np.ndarray, np.ndarray]  # (K^T [..., h, dz, T], V [..., h, T, dz])
@@ -285,7 +285,6 @@ def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInsta
         ancestors=tree.ancestor_matrix(),
         summary_input=np.asarray(full[:-1], dtype=np.int64),
         summary_target=np.asarray(full[1:], dtype=np.int64),
-        meta=dict(instance.source_meta),
     )
 
 
@@ -334,9 +333,9 @@ class Model:
 
     def _attention(self, prefix: str, x_q: Tensor, x_kv: Tensor,
                    mask_add: Optional[np.ndarray], rel_buckets: Optional[np.ndarray],
-                   rel_table: Optional[Parameter], rng, training: bool,
-                   kv: Optional[KeysValues] = None) -> Tensor:
-        """Multi-head attention; optional additive mask and thread relations.
+                   rng, kv: Optional[KeysValues] = None) -> Tensor:
+        """Multi-head attention; optional additive mask and, for
+        ``rel_buckets``, the ``thread.rel`` terms of ``thread_attention_scores``.
 
         ``kv`` supplies precomputed keys and values (see ``_keys_values``)
         in place of projecting ``x_kv``.
@@ -350,7 +349,7 @@ class Model:
         else:
             k_t, v = Tensor(kv[0]), Tensor(kv[1])
         if rel_buckets is not None:
-            scores = thread_attention_scores(q, k, rel_table, rel_buckets, cfg.d_head)
+            scores = thread_attention_scores(q, k, self.params["thread.rel"], rel_buckets, cfg.d_head)
         else:
             if kv is None:
                 k_t = ad.transpose(k)
@@ -358,7 +357,7 @@ class Model:
         if mask_add is not None:
             scores = ad.add(scores, Tensor(mask_add))
         att = ad.softmax(scores, axis=-1)
-        att = ad.dropout(att, cfg.dropout, rng, training)
+        att = ad.dropout(att, cfg.dropout, rng)
         ctx = self._merge_heads(ad.matmul(att, v), lead)
         return self._proj(ctx, prefix, "o")
 
@@ -378,12 +377,12 @@ class Model:
         hidden = ad.gelu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return ad.linear(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _sublayer(self, x: Tensor, out: Tensor, rng, training: bool) -> Tensor:
-        return ad.add(x, ad.dropout(out, self.config.dropout, rng, training))
+    def _sublayer(self, x: Tensor, out: Tensor, rng) -> Tensor:
+        return ad.add(x, ad.dropout(out, self.config.dropout, rng))
 
     # -- encoder stacks -----------------------------------------------------
 
-    def token_encode(self, token_ids: List[List[int]], rng=None, training: bool = False) -> Tuple[Tensor, np.ndarray]:
+    def token_encode(self, token_ids: List[List[int]], rng=None) -> Tuple[Tensor, np.ndarray]:
         """Run the token encoder over all utterances as one padded batch.
 
         Returns ([n, T_max, d] states, lengths).  Padded positions produce
@@ -404,14 +403,14 @@ class Model:
 
         x = ad.take_rows(self.params["embed.tokens"], ids)
         x = ad.add(x, Tensor(sinusoidal_pe(t_max, cfg.d_hidden)))
-        x = ad.dropout(x, cfg.dropout, rng, training)
+        x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):
             pre = f"tok.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, normed, mask_add, None, None, rng, training)
-            x = self._sublayer(x, a, rng, training)
+            a = self._attention(f"{pre}.attn", normed, normed, mask_add, None, rng)
+            x = self._sublayer(x, a, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
-            x = self._sublayer(x, f, rng, training)
+            x = self._sublayer(x, f, rng)
         return self._layer_norm(x, "tok.final_ln"), lengths
 
     def utterance_representations(self, token_states: Tensor) -> Tensor:
@@ -420,18 +419,16 @@ class Model:
         bos = token_states[:, 0, :]
         return ad.add(bos, Tensor(sinusoidal_pe(n, self.config.d_hidden)))
 
-    def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray,
-                         rng=None, training: bool = False) -> Tensor:
+    def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray, rng=None) -> Tensor:
         cfg = self.config
         x = utt_repr
         for layer in range(cfg.num_layers):
             pre = f"utt.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, normed, None,
-                                relation_buckets, self.params["thread.rel"], rng, training)
-            x = self._sublayer(x, a, rng, training)
+            a = self._attention(f"{pre}.attn", normed, normed, None, relation_buckets, rng)
+            x = self._sublayer(x, a, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
-            x = self._sublayer(x, f, rng, training)
+            x = self._sublayer(x, f, rng)
         return self._layer_norm(x, "utt.final_ln")
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
@@ -453,8 +450,7 @@ class Model:
         empty = (np.empty((1, h, dz, 0)), np.empty((1, h, 0, dz)))
         return DecoderCache(cross, [empty] * cfg.num_layers)
 
-    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor,
-                        rng=None, training: bool = False,
+    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor, rng=None,
                         cache: Optional[DecoderCache] = None) -> Tensor:
         """Next-token logits [s, V] for the s summary positions given.
 
@@ -466,8 +462,8 @@ class Model:
         logits are [b, s, V].
         """
         cfg = self.config
-        if cache is not None and training:
-            raise ValueError("a decoder cache is for inference only")
+        if cache is not None and rng is not None:
+            raise ValueError("a decoder cache is for inference only; it takes no dropout rng")
         if cache is not None and summary_input.ndim != 2:
             raise ValueError("with a decoder cache, summary_input is [beams, positions]")
         start = 0 if cache is None else cache.length
@@ -481,7 +477,7 @@ class Model:
 
         x = ad.take_rows(self.params["embed.tokens"], summary_input)
         x = ad.add(x, Tensor(pe))
-        x = ad.dropout(x, cfg.dropout, rng, training)
+        x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):
             pre = f"dec.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
@@ -495,14 +491,13 @@ class Model:
                 # every beam reads the one memory projection through a view
                 cross_kv = tuple(np.broadcast_to(a, summary_input.shape[:1] + a.shape)
                                  for a in cache.cross[layer])
-            a = self._attention(f"{pre}.self", normed, normed, causal, None, None, rng, training,
-                                kv=self_kv)
-            x = self._sublayer(x, a, rng, training)
+            a = self._attention(f"{pre}.self", normed, normed, causal, None, rng, kv=self_kv)
+            x = self._sublayer(x, a, rng)
             c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),
-                                memory, None, None, None, rng, training, kv=cross_kv)
-            x = self._sublayer(x, c, rng, training)
+                                memory, None, None, rng, kv=cross_kv)
+            x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
-            x = self._sublayer(x, f, rng, training)
+            x = self._sublayer(x, f, rng)
         if cache is not None:
             cache.length += s
         x = self._layer_norm(x, "dec.final_ln")
@@ -510,15 +505,16 @@ class Model:
 
     # -- full passes ----------------------------------------------------------
 
-    def encode_conversation(self, mi: ModelInput, rng=None, training: bool = False):
-        token_states, lengths = self.token_encode(mi.token_ids, rng, training)
+    def encode_conversation(self, mi: ModelInput, rng=None):
+        token_states, lengths = self.token_encode(mi.token_ids, rng)
         utt_repr = self.utterance_representations(token_states)
-        utt_states = self.utterance_encode(utt_repr, mi.relation_buckets, rng, training)
+        utt_states = self.utterance_encode(utt_repr, mi.relation_buckets, rng)
         memory = self.build_decoder_memory(token_states, lengths, utt_states)
         token_bos = token_states[:, 0, :]
         return token_bos, utt_states, memory
 
-    def forward(self, mi: ModelInput, rng=None, training: bool = False) -> ForwardResult:
-        token_bos, _, memory = self.encode_conversation(mi, rng, training)
-        logits = self.decoder_forward(mi.summary_input, memory, rng, training)
-        return ForwardResult(logits=logits, token_bos=token_bos, memory=memory)
+    def forward(self, mi: ModelInput, rng=None) -> ForwardResult:
+        """Summary logits; ``rng`` given means a training forward with dropout."""
+        token_bos, _, memory = self.encode_conversation(mi, rng)
+        logits = self.decoder_forward(mi.summary_input, memory, rng)
+        return ForwardResult(logits=logits, token_bos=token_bos)

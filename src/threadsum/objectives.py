@@ -97,17 +97,18 @@ def total_loss(clm: Tensor, thread_pred: Optional[Tensor], lam: float) -> Tensor
     return ad.add(clm, ad.scale(thread_pred, lam))
 
 
-def instance_loss(model: Model, mi: ModelInput, rng=None, training: bool = False,
+def instance_loss(model: Model, mi: ModelInput, rng=None,
                   pair_batch: Optional[ThreadPairBatch] = None,
                   pair_rng: Union[int, np.random.Generator, None] = None):
     """Combined loss for one conversation; returns (loss, metrics dict).
 
-    Thread prediction reads the token-encoder bos outputs and adds its
-    summed loss scaled by lambda.  With lambda 0 the thread term is skipped
-    entirely (fine-tuning mode).
+    ``rng`` is the dropout generator of a training forward (see
+    ``Model.forward``).  Thread prediction reads the token-encoder bos
+    outputs and adds its summed loss scaled by lambda.  With lambda 0 the
+    thread term is skipped entirely (fine-tuning mode).
     """
     cfg = model.config
-    result = model.forward(mi, rng=rng, training=training)
+    result = model.forward(mi, rng=rng)
     loss_clm = clm_loss(result.logits, mi.summary_target)
 
     lam = cfg.lambda_thread_pred

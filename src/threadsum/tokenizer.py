@@ -284,7 +284,7 @@ def tokenize_utterance(tok: Tokenizer, text: str, max_tokens: int) -> List[int]:
     return [tok.bos_id] + tok.encode(text)[:max_tokens - 1]
 
 
-def train_bpe(texts: Iterable[str], vocab_size: int, include_unk: bool = True) -> Tokenizer:
+def train_bpe(texts: Iterable[str], vocab_size: int) -> Tokenizer:
     """Learn a small BPE vocabulary from raw texts (for fixtures and demos).
 
     Specials come first, then every byte symbol observed in the corpus, then
@@ -298,7 +298,7 @@ def train_bpe(texts: Iterable[str], vocab_size: int, include_unk: bool = True) -
             alphabet.update(mapped)
             word_freq[mapped] = word_freq.get(mapped, 0) + 1
 
-    specials = list(REQUIRED_SPECIALS) + ([UNK_TOKEN] if include_unk else [])
+    specials = list(REQUIRED_SPECIALS) + [UNK_TOKEN]
     tokens: List[str] = specials + sorted(alphabet)
     if len(tokens) > vocab_size:
         raise ValueError(f"vocab_size {vocab_size} cannot hold {len(tokens)} base symbols")

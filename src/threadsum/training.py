@@ -28,6 +28,11 @@ from .objectives import instance_loss
 
 METRICS_FIELDS = ("step", "loss_clm", "loss_tp", "lr", "grad_norm")
 
+# Adam's moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def lr_at(step: int, peak: float, total: int) -> float:
     """Linear decay from peak at step 0 to zero at step == total; no warmup."""
@@ -109,19 +114,14 @@ class OptimizerState:
     peak_lr: float
     total_steps: int
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def init(cls, params: Dict[str, Parameter], peak_lr: float = 5e-5,
-             total_steps: int = 1, weight_decay: float = 0.01,
-             beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        state = cls(peak_lr=peak_lr, total_steps=total_steps,
-                    weight_decay=weight_decay, beta1=beta1, beta2=beta2, eps=eps)
+             total_steps: int = 1, weight_decay: float = 0.01):
+        state = cls(peak_lr=peak_lr, total_steps=total_steps, weight_decay=weight_decay)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -175,7 +175,7 @@ def apply_adamw(state: OptimizerState, params: Dict[str, Parameter]) -> float:
     lr = lr_at(state.step, state.peak_lr, state.total_steps)
     state.step += 1
     t = state.step
-    b1, b2, wd = state.beta1, state.beta2, state.weight_decay
+    b1, b2, wd = ADAM_BETA1, ADAM_BETA2, state.weight_decay
     for name, p in params.items():
         m = state.m[name]
         v = state.v[name]
@@ -190,7 +190,7 @@ def apply_adamw(state: OptimizerState, params: Dict[str, Parameter]) -> float:
             v += out
         np.divide(v, 1.0 - b2 ** t, out=out)
         np.sqrt(out, out=out)
-        out += state.eps
+        out += ADAM_EPS
         np.divide(m, out, out=out)
         out /= 1.0 - b1 ** t
         if p.decay and wd:
@@ -242,8 +242,7 @@ def train_step(model: Model, state: OptimizerState,
     clm_sum = 0.0
     tp_sum = 0.0
     for k, mi in enumerate(micro_batches):
-        drop_rng = derive_rng(seed, "dropout", step, k) if model.config.dropout > 0 else None
-        loss, parts = instance_loss(model, mi, rng=drop_rng, training=True,
+        loss, parts = instance_loss(model, mi, rng=derive_rng(seed, "dropout", step, k),
                                     pair_rng=derive_rng(seed, "pairs", step, k))
         if loss_weight != 1.0:
             loss = ad.scale(loss, loss_weight)

@@ -67,7 +67,8 @@ class TestElementwiseOps:
             ad.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4,))))
 
     def test_sub_and_mul(self):
-        check_op(ad.sub, RNG.normal(size=(5,)), RNG.normal(size=(5,)))
+        # a difference is an add of a negated operand
+        check_op(lambda a, b: ad.add(a, ad.scale(b, -1.0)), RNG.normal(size=(5,)), RNG.normal(size=(5,)))
         check_op(ad.mul, RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3)))
 
     def test_scale(self):
@@ -81,8 +82,10 @@ class TestElementwiseOps:
         check_op(ad.gelu, RNG.normal(size=(7,)))
 
     def test_sigmoid_log(self):
+        # the log-likelihood of a sigmoid, as the thread-prediction head forms it
+        labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
         check_op(ad.sigmoid, RNG.normal(size=(6,)))
-        check_op(ad.log, RNG.uniform(0.5, 2.0, size=(6,)))
+        check_op(lambda a: ad.binary_cross_entropy(ad.sigmoid(a), labels), RNG.normal(size=(6,)))
 
     def test_sigmoid_extreme_inputs_stable(self):
         y = ad.sigmoid(Tensor(np.array([-1e4, 1e4])))
@@ -115,10 +118,6 @@ class TestMatmulAndShapes:
         check_op(lambda a: ad.transpose(a), RNG.normal(size=(3, 4)))
         check_op(lambda a: ad.permute(a, (2, 0, 1)), RNG.normal(size=(2, 3, 4)))
         check_op(lambda a: ad.reshape(a, (6, 2)), RNG.normal(size=(3, 4)))
-
-    def test_concat(self):
-        check_op(lambda a, b: ad.concat([a, b], axis=1),
-                 RNG.normal(size=(2, 3)), RNG.normal(size=(2, 2)))
 
     def test_linear_with_bias(self):
         check_op(ad.linear, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
@@ -187,13 +186,16 @@ class TestGathers:
     @pytest.mark.parametrize("scatter_first", [False, True])
     def test_gather_on_a_tensor_with_a_lent_gradient(self, scatter_first):
         # ``add`` lends one gradient to both operands and the gather on ``a``
-        # scatters into a's gradient, before or after the add's backward
+        # scatters into a's gradient, before or after the add's backward.
+        # ``a`` reads ``b``, so b's backward runs after the scatter and reads
+        # the lent array again.
         ids = np.array([2, 0, 2])
 
         def build(p, q):
-            a, b = ad.scale(p, 1.0), ad.scale(q, 1.0)
+            b = ad.scale(q, 1.0)
+            a = ad.add(ad.scale(p, 1.0), b)
             parts = [ad.add(a, b), ad.take_rows(a, ids)]
-            return ad.concat(parts[::-1] if scatter_first else parts, axis=0)
+            return ad.add(*(parts[::-1] if scatter_first else parts))
 
         check_op(build, RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)))
 
@@ -205,8 +207,8 @@ class TestReductionsAndLosses:
     def test_sum_mean_axes(self):
         check_op(lambda a: ad.tensor_sum(a), RNG.normal(size=(3, 4)))
         check_op(lambda a: ad.tensor_sum(a, axis=1), RNG.normal(size=(3, 4)))
-        check_op(lambda a: ad.tensor_mean(a, axis=0), RNG.normal(size=(3, 4)))
-        check_op(lambda a: ad.tensor_mean(a), RNG.normal(size=(5,)))
+        # a mean is a scaled sum
+        check_op(lambda a: ad.scale(ad.tensor_sum(a, axis=0), 1.0 / 3), RNG.normal(size=(3, 4)))
 
     def test_softmax_rows_sum_to_one(self):
         x = RNG.normal(size=(4, 7)) * 30
@@ -252,14 +254,15 @@ class TestReductionsAndLosses:
 
     def test_bce_sum_value(self):
         p = Tensor(np.full(6, 0.5))
-        loss = ad.binary_cross_entropy(p, np.array([1, 0, 1, 0, 0, 1]), reduction="sum")
+        loss = ad.binary_cross_entropy(p, np.array([1, 0, 1, 0, 0, 1]))
         assert abs(loss.item() - 6 * np.log(2)) < 1e-12
 
     def test_bce_grad_both_reductions(self):
+        # the loss is a sum; a mean is that sum scaled
         labels = np.array([1.0, 0.0, 1.0, 1.0])
-        check_op(lambda a: ad.binary_cross_entropy(a, labels, reduction="sum"),
+        check_op(lambda a: ad.binary_cross_entropy(a, labels),
                  RNG.uniform(0.1, 0.9, size=(4,)))
-        check_op(lambda a: ad.binary_cross_entropy(a, labels, reduction="mean"),
+        check_op(lambda a: ad.scale(ad.binary_cross_entropy(a, labels), 1.0 / len(labels)),
                  RNG.uniform(0.1, 0.9, size=(4,)))
 
     def test_bce_clamps_and_warns(self):
@@ -347,12 +350,16 @@ class TestGraphMechanics:
 
     def test_dropout_eval_is_identity(self):
         x = Parameter("x", RNG.normal(size=(4,)))
-        assert ad.dropout(x, 0.5, None, training=False) is x
+        assert ad.dropout(x, 0.5, None) is x
+        rng = np.random.default_rng(0)
+        clone = copy.deepcopy(rng)
+        assert ad.dropout(x, 0.0, rng) is x
+        assert rng.random() == clone.random()  # p = 0 draws nothing
 
     def test_dropout_train_masks_and_rescales(self):
         rng = np.random.default_rng(0)
         x = Parameter("x", np.ones(10000))
-        y = ad.dropout(x, 0.25, rng, training=True)
+        y = ad.dropout(x, 0.25, rng)
         kept = y.data != 0
         assert abs(kept.mean() - 0.75) < 0.02
         np.testing.assert_allclose(y.data[kept], 1 / 0.75)
@@ -364,18 +371,10 @@ class TestGraphMechanics:
         rng = np.random.default_rng(7)
         clone = copy.deepcopy(rng)
         x = Tensor(RNG.normal(size=(3, 5, 7)))
-        y = ad.dropout(x, p, rng, training=True)
+        y = ad.dropout(x, p, rng)
         mask = (clone.random(x.shape) >= p).astype(x.dtype) / (1 - p)
         np.testing.assert_array_equal(y.data, x.data * mask)
         assert rng.random() == clone.random()  # same number of draws
-
-    def test_debug_finite_check(self):
-        ad.set_debug_checks(True)
-        try:
-            with np.errstate(invalid="ignore"), pytest.raises(ad.NumericsError):
-                ad.log(Tensor(np.array([-1.0])))
-        finally:
-            ad.set_debug_checks(False)
 
 
 class TestGradChecker:
@@ -404,7 +403,7 @@ class TestGradChecker:
         def bad_square(t):
             def bwd(g, t=t):
                 t.accumulate_grad(g * t.data)  # wrong: missing factor 2
-            return ad._make(t.data * t.data, (t,), bwd, "bad_square")
+            return ad._make(t.data * t.data, (t,), bwd)
 
         def f():
             return ad.tensor_sum(bad_square(ad.matmul(x, w)))

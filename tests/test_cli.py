@@ -306,6 +306,23 @@ class TestBuildCorpus:
         assert manifest["status"] == "failed"
         assert "error" in manifest
 
+    @pytest.mark.parametrize("line,named", [
+        ('{"title":"t","comments":[{"id":"a","created_utc":null,"body":"x"}]}', "'created_utc'"),
+        ("[1, 2]", "bad.jsonl:1: post record is not a JSON object"),
+        ('{"title":"t","comments":[{"created_utc":1,"body":"x"}]}', "missing field 'id'"),
+    ], ids=["null-timestamp", "not-an-object", "missing-id"])
+    def test_malformed_post_record_is_data_error(self, tmp_path, capsys, line, named):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        rc = dispatch(["build-corpus", "--input", str(bad), "--output", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err
+        manifest = json.loads((tmp_path / "s-manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        # no shard, stats file or temporary is left beside the failed manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "s-manifest.json"]
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):

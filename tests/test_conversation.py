@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadsum.conversation import (
     ConversationTree,
@@ -152,3 +154,89 @@ class TestRelationBuckets:
             m = t.ancestor_matrix()
             assert not np.any(m & m.T)  # strict ancestry cannot hold both ways
             assert not np.any(np.diag(m))
+
+
+@st.composite
+def forests(draw):
+    """Reply records of a random forest: string ids, shuffled, each reply
+    strictly later than its parent.  Returns (records, parent of each id, roots)."""
+    n = draw(st.integers(1, 12))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    for extra_root in draw(st.sets(st.integers(1, n - 1), max_size=2) if n > 1 else st.just(set())):
+        parents[extra_root] = None
+    stamps = []
+    for i, parent in enumerate(parents):
+        if parent is None:
+            stamps.append(draw(st.integers(0, 20)))
+        else:
+            stamps.append(stamps[parent] + draw(st.integers(1, 3)))
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    records = [{"id": ids[i], "parent_id": None if parents[i] is None else ids[parents[i]],
+                "timestamp": stamps[i], "author": f"a{i}", "text": f"text {i}"}
+               for i in draw(st.permutations(range(n)))]
+    parent_of = {ids[i]: None if p is None else ids[p] for i, p in enumerate(parents)}
+    return records, parent_of, sum(p is None for p in parents)
+
+
+def _source_ancestors(parent_of, source_id):
+    out = []
+    node = parent_of[source_id]
+    while node is not None:
+        out.append(node)
+        node = parent_of[node]
+    return out
+
+
+class TestFromRecordsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(forest=forests())
+    def test_random_forests(self, forest):
+        records, parent_of, roots = forest
+        if roots > 1:
+            with pytest.raises(TreeError, match="no parent"):
+                ConversationTree.from_records(records)
+            return
+        tree = ConversationTree.from_records(records)
+        by_id = {r["id"]: r for r in records}
+        sources = [t.meta["source_id"] for t in tree]
+        assert sources == sorted(by_id, key=lambda s: (by_id[s]["timestamp"], s))
+        for pos, t in enumerate(tree):
+            src = by_id[sources[pos]]
+            assert (t.id, t.text, t.timestamp, t.author) == (pos, src["text"], src["timestamp"], src["author"])
+            parent = None if t.parent_id is None else sources[t.parent_id]
+            assert parent == src["parent_id"]
+            ancestors = _source_ancestors(parent_of, sources[pos])
+            assert tree.depth(pos) == len(ancestors)
+            assert {sources[j] for j in np.flatnonzero(tree.ancestor_matrix()[pos])} == set(ancestors)
+
+    @settings(max_examples=50, deadline=None)
+    @given(forest=forests(), data=st.data())
+    def test_unknown_parent_rejected(self, forest, data):
+        records, _, _ = forest
+        victim = dict(data.draw(st.sampled_from(records)))
+        victim["parent_id"] = "\x00missing"
+        rest = [r for r in records if r["id"] != victim["id"]]
+        with pytest.raises(TreeError, match="unknown id"):
+            ConversationTree.from_records(rest + [victim])
+
+
+@st.composite
+def trees(draw):
+    n = draw(st.integers(1, 14))
+    return ConversationTree([u(0, None, 0)] + [u(i, draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+
+
+class TestRelationIndexProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(tree=trees(), k=st.integers(1, 5))
+    def test_matches_thread_relation_oracle(self, tree, k):
+        idx = relation_index(tree, k)
+        n = len(tree)
+        assert idx.shape == (n, n) and idx.dtype == np.int64
+        for i in range(n):
+            for j in range(n):
+                rel = tree.relation(i, j)
+                assert tree.relation(j, i) == rel.flipped()
+                want = 1 + k + clip(rel.delta, k) if rel.on_same_path else 0
+                assert idx[i, j] == want, (i, j, rel)
+        assert 0 <= idx.min() and idx.max() < num_relation_buckets(k)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ class TestAdapter:
     def test_explicit_flags_list(self):
         post = post_from_record({"title": "t", "score": 1, "flags": ["quarantine"]})
         assert post.flags == {"quarantine"}
+
+    @pytest.mark.parametrize("record,message", [
+        ({"comments": [{"body": "x"}]}, "comment 0: missing field 'id'"),
+        ({"comments": [{"id": "a", "created_utc": None}]}, "comment 0: field 'created_utc'"),
+        ({"comments": [{"id": "a", "timestamp": "noon"}]}, "comment 0: field 'timestamp'"),
+        ({"comments": [{"id": "a"}, {"id": "b", "parent_id": 7}]}, "comment 1: field 'parent_id'"),
+        ({"comments": [{"id": "a", "body": ["x"]}]}, "comment 0: field 'body'"),
+        ({"comments": [{"id": "a", "score": {}}]}, "comment 0: field 'score'"),
+        ({"comments": [{"id": "a", "score": float("inf")}]}, "comment 0: field 'score'"),
+        ({"comments": ["a"]}, "comment 0 is not a JSON object"),
+        ({"comments": {"id": "a"}}, "post ?: field 'comments'"),
+        ({"id": "p7", "title": 3}, "post p7: field 'title'"),
+        ({"score": None}, "post ?: field 'score'"),
+        ({"flags": "nsfw"}, "post ?: field 'flags'"),
+        ({"id": "p7", "comments": [{"id": "a"}, {"id": "b", "body": None}]}, "post p7 comment 1: field 'body'"),
+    ])
+    def test_bad_field_is_named(self, record, message):
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            post_from_record(record)
 
 
 class TestExtractThreads:

@@ -125,7 +125,7 @@ class TestIncrementalLogProbs:
         model, memory = MODELS["toy"], MEMORY["toy"]
         with pytest.raises(ValueError, match="inference"):
             model.decoder_forward(np.array([[1]]), memory, rng=np.random.default_rng(0),
-                                  training=True, cache=model.decoder_cache(memory))
+                                  cache=model.decoder_cache(memory))
 
     def test_empty_memory_rejected(self):
         model = MODELS["toy"]

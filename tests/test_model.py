@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -406,6 +409,28 @@ class TestDecoder:
         # saw the bumped input embedding) and the input path at positions > 1
         assert np.abs(bumped[0, tid] - base[0, tid]).max() > 0
         assert np.abs(bumped[2:] - base[2:]).max() > 1e-6
+
+
+class TestDropoutSwitch:
+    """A given dropout generator is what makes a forward a training forward."""
+
+    def test_rng_at_dropout_zero_is_bit_identical(self, toy_model, toy_input):
+        assert toy_model.config.dropout == 0.0
+        rng = np.random.default_rng(3)
+        clone = copy.deepcopy(rng)
+        with_rng = toy_model.forward(toy_input, rng=rng)
+        without = toy_model.forward(toy_input)
+        np.testing.assert_array_equal(with_rng.logits.data, without.logits.data)
+        np.testing.assert_array_equal(with_rng.token_bos.data, without.token_bos.data)
+        assert rng.random() == clone.random()  # nothing was drawn
+
+    def test_rng_switches_dropout_on(self, toy_model, toy_input):
+        model = Model(replace(toy_model.config, dropout=0.1), toy_model.params)
+        with no_grad():
+            base = toy_model.forward(toy_input).logits.data
+            np.testing.assert_array_equal(model.forward(toy_input).logits.data, base)
+            dropped = model.forward(toy_input, rng=np.random.default_rng(3)).logits.data
+        assert np.abs(dropped - base).max() > 1e-6
 
 
 class TestEncodeInstance:

@@ -1,12 +1,15 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadsum.tokenizer import (
     BOS_TOKEN,
     EOS_TOKEN,
     MASK_TOKEN,
     PAD_TOKEN,
+    UNK_TOKEN,
     URL_TOKEN,
     Tokenizer,
     bytes_to_unicode,
@@ -100,6 +103,34 @@ class TestFixtureVocab:
         unbounded = Tokenizer.load(path)
         assert [unbounded.encode(w) for w in words] == before
         assert len(unbounded._bpe_cache) == len(words)
+
+
+def byte_complete_tokenizer() -> Tokenizer:
+    """The fixture vocabulary and merges plus every byte symbol, so no text needs <unk>."""
+    base = Tokenizer.load(os.path.join(os.path.dirname(__file__), "fixtures", "tinyvocab"))
+    vocab = dict(base.vocab)
+    for symbol in bytes_to_unicode().values():
+        vocab.setdefault(symbol, len(vocab))
+    return Tokenizer(vocab, base.merges)
+
+
+BYTE_COMPLETE = byte_complete_tokenizer()
+
+# arbitrary Unicode (every plane, no surrogates) with special surfaces mixed in
+TEXTS = st.lists(st.one_of(st.text(), st.sampled_from(
+    [BOS_TOKEN, EOS_TOKEN, MASK_TOKEN, PAD_TOKEN, URL_TOKEN, "<bo", "[UR", " ", "'s"])),
+    max_size=6).map("".join)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=TEXTS)
+    def test_any_text_round_trips(self, text):
+        ids = BYTE_COMPLETE.encode(text)
+        assert all(0 <= i < BYTE_COMPLETE.vocab_size for i in ids)
+        if UNK_TOKEN not in text:
+            assert BYTE_COMPLETE.unk_id is None or BYTE_COMPLETE.unk_id not in ids
+        assert BYTE_COMPLETE.decode(ids) == text
 
 
 class TestTokenizeUtterance:

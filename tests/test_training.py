@@ -168,7 +168,7 @@ class TestAdamW:
         params = {"w": Parameter("w", rng.normal(size=(4, 5))),
                   "b": Parameter("b", rng.normal(size=5), decay=False)}
         state = OptimizerState.init(params, peak_lr=0.01, total_steps=10, weight_decay=0.1)
-        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, state.weight_decay
         m = {k: np.zeros_like(p.data) for k, p in params.items()}
         v = {k: np.zeros_like(p.data) for k, p in params.items()}
         for t in range(1, 4):
@@ -394,7 +394,7 @@ class TestGradientBuffers:
         model.zero_grad()
         for k, mi in enumerate(inputs[:2]):
             loss, _ = instance_loss(model, mi, rng=derive_rng(5, "dropout", 0, k),
-                                    training=True, pair_rng=derive_rng(5, "pairs", 0, k))
+                                    pair_rng=derive_rng(5, "pairs", 0, k))
             training.backward(loss)
         return model.params
 
@@ -460,6 +460,19 @@ class TestCheckpoint:
         for name in model.params:
             np.testing.assert_array_equal(opt.m[name], state.m[name])
             np.testing.assert_array_equal(opt.v[name], state.v[name])
+
+    def test_manifest_with_adam_constants_loads(self, tiny_inputs, tmp_path):
+        # older manifests also recorded Adam's betas and eps; they still load
+        cfg, inputs = tiny_inputs
+        model = Model.init(cfg, seed=11)
+        state = OptimizerState.init(model.params, peak_lr=1e-3, total_steps=20)
+        save_checkpoint(tmp_path / "ck", cfg, model.params, state)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        assert set(manifest["optimizer"]) == {"peak_lr", "total_steps", "weight_decay"}
+        manifest["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        opt = load_checkpoint(tmp_path / "ck").optimizer
+        assert (opt.peak_lr, opt.total_steps, opt.weight_decay) == (1e-3, 20, state.weight_decay)
 
     def test_missing_parameter_detected(self, tiny_inputs, tmp_path):
         cfg, inputs = tiny_inputs
