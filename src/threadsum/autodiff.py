@@ -16,8 +16,8 @@ that array may be shared with a sibling operand (``add`` hands the same
 ``g`` to both sides) or be a view (``reshape``, ``transpose``,
 ``permute``).  A rule that computes a fresh array hands it over with
 ``owned=True``; a tensor adds later gradients into a buffer it owns, or
-makes one with a single out-of-place add.  Gathers scatter-add straight
-into the parent's own buffer (``Tensor.grad_buffer``).  Every
+makes one with a single out-of-place add.  Indexing scatter-adds into the
+parent's own buffer (``Tensor.grad_buffer``).  Every
 ``Parameter`` owns one C-contiguous gradient buffer, so clipping may scale
 it in place and micro-batches accumulate into it.
 """
@@ -45,8 +45,7 @@ __all__ = [
     "GradCheckReport",
     # ops
     "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "permute",
-    "reshape", "take_rows", "take_per_row", "gather_pairs",
-    "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
+    "reshape", "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
     "tensor_sum", "cross_entropy", "binary_cross_entropy",
 ]
 
@@ -98,10 +97,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -128,7 +123,7 @@ class Tensor:
 
     def grad_buffer(self) -> np.ndarray:
         """The gradient as a C-contiguous buffer this tensor owns, created
-        on first use, for the in-place scatter-adds of gathers."""
+        on first use, for the in-place scatter-add of indexing."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, self.data.dtype)
         elif not (self._owns_grad and self.grad.flags.c_contiguous):
@@ -140,7 +135,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def __getitem__(self, key):
-        return _basic_index(self, key)
+        """``data[key]`` for any numpy key: slices, integer arrays, index
+        tuples.  The backward scatter-adds, so repeated entries accumulate."""
+
+        def bwd(g, a=self, key=key):
+            np.add.at(a.grad_buffer(), key, g)
+
+        return _make(self.data[key], (self,), bwd)
 
 
 class Parameter(Tensor):
@@ -316,68 +317,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bwd)
 
 
-def _basic_index(a: Tensor, key) -> Tensor:
-    def bwd(g, a=a, key=key):
-        a.grad_buffer()[key] += g
-
-    return _make(a.data[key], (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gathers
-
-
-def take_rows(a: Tensor, ids) -> Tensor:
-    """Gather rows along axis 0; ``ids`` may repeat (backward scatter-adds)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[0]):
-        raise IndexError(f"row index out of range for table with {a.shape[0]} rows")
-
-    def bwd(g, a=a, ids=ids):
-        np.add.at(a.grad_buffer(), ids, g)
-
-    return _make(a.data[ids], (a,), bwd)
-
-
-def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[..., r, c] = a[..., r, idx[r, c]] for an integer matrix ``idx``.
-
-    The index matrix is shared across leading batch axes; duplicated column
-    indices accumulate in the backward pass.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2 or a.ndim < 2 or a.shape[-2] != idx.shape[0]:
-        raise ShapeError(f"take_per_row needs a [..., R, E] tensor and [R, C] indices; got {a.shape} and {idx.shape}")
-    rows, cols = idx.shape
-    lead = a.shape[:-2]
-
-    def bwd(g, a=a, idx=idx):
-        ga = a.grad_buffer()
-        if lead:
-            batch = int(np.prod(lead))
-            g3 = g.reshape(batch, rows, cols)
-            ga3 = ga.reshape(batch, rows, a.shape[-1])
-            bi = np.arange(batch)[:, None, None]
-            ri = np.arange(rows)[None, :, None]
-            np.add.at(ga3, (bi, ri, idx[None, :, :]), g3)
-        else:
-            np.add.at(ga, (np.arange(rows)[:, None], idx), g)
-
-    idx_b = np.broadcast_to(idx, lead + idx.shape)
-    return _make(np.take_along_axis(a.data, idx_b, axis=-1), (a,), bwd)
-
-
-def gather_pairs(a: Tensor, rows, cols) -> Tensor:
-    """out[m] = a[rows[m], cols[m]] for a 2-d tensor."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    def bwd(g, a=a):
-        np.add.at(a.grad_buffer(), (rows, cols), g)
-
-    return _make(a.data[rows, cols], (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # neural-net ops
 
@@ -419,25 +358,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: x @ w (+ b)."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map over the last axis: x @ w + b."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear shapes {x.shape} and {w.shape} do not align")
     din, dout = w.shape
     y = x.data @ w.data
-    if b is not None:
-        y += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    y += b.data
 
     def bwd(g, x=x, w=w, b=b):
         if x.requires_grad:
             x.accumulate_grad(g @ w.data.T, owned=True)
         if w.requires_grad:
             w.accumulate_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout), owned=True)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.reshape(-1, dout).sum(axis=0), owned=True)
 
-    return _make(y, parents, bwd)
+    return _make(y, (x, w, b), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -106,8 +106,9 @@ def thread_attention_scores(q: Tensor, k: Tensor, rel_table, rel_buckets: np.nda
     scores = ad.matmul(q, ad.transpose(k))
     proj_q = ad.matmul(q, ad.transpose(rel_table))  # [..., n, buckets]
     proj_k = ad.matmul(k, ad.transpose(rel_table))
-    term_q = ad.take_per_row(proj_q, rel_buckets)
-    term_k = ad.transpose(ad.take_per_row(proj_k, rel_buckets.T))
+    rows = np.arange(rel_buckets.shape[0])[:, None]
+    term_q = proj_q[..., rows, rel_buckets]
+    term_k = ad.transpose(proj_k[..., rows, rel_buckets.T])
     return ad.scale(ad.add(ad.add(scores, term_q), term_k), 1.0 / math.sqrt(d_head))
 
 
@@ -288,6 +289,12 @@ def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInsta
     )
 
 
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    # a negative id would silently index from the end of the table
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IndexError(f"token id out of vocabulary of size {vocab_size}")
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -395,13 +402,12 @@ class Model:
         n, t_max = len(token_ids), int(lengths.max())
         ids = np.zeros((n, t_max), dtype=np.int64)
         for i, seq in enumerate(token_ids):
-            if max(seq) >= cfg.vocab_size:
-                raise IndexError(f"token id out of vocabulary of size {cfg.vocab_size}")
             ids[i, : len(seq)] = seq
+        _check_ids(ids, cfg.vocab_size)
         pad = np.arange(t_max)[None, :] >= lengths[:, None]
         mask_add = np.where(pad, -1e9, 0.0)[:, None, None, :]  # [n,1,1,T]
 
-        x = ad.take_rows(self.params["embed.tokens"], ids)
+        x = self.params["embed.tokens"][ids]
         x = ad.add(x, Tensor(sinusoidal_pe(t_max, cfg.d_hidden)))
         x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):
@@ -436,9 +442,7 @@ class Model:
         """Cross-attention memory; see module docstring for the residual."""
         n, t_max = token_states.shape[0], token_states.shape[1]
         combined = ad.add(token_states, ad.reshape(utt_states, (n, 1, self.config.d_hidden)))
-        flat = ad.reshape(combined, (n * t_max, self.config.d_hidden))
-        valid = np.concatenate([i * t_max + np.arange(l) for i, l in enumerate(lengths)])
-        return ad.take_rows(flat, valid)
+        return combined[np.nonzero(np.arange(t_max) < lengths[:, None])]
 
     def decoder_cache(self, memory: Tensor) -> DecoderCache:
         """An empty one-beam cache for incremental decoding against ``memory``."""
@@ -470,12 +474,11 @@ class Model:
         s = summary_input.shape[-1]
         if start + s > cfg.max_summary_tokens:
             raise ValueError(f"summary length {start + s} exceeds max {cfg.max_summary_tokens}")
-        if summary_input.max() >= cfg.vocab_size:
-            raise IndexError(f"token id out of vocabulary of size {cfg.vocab_size}")
+        _check_ids(summary_input, cfg.vocab_size)
         causal = np.triu(np.full((s, start + s), -1e9), k=1 + start)
         pe = sinusoidal_pe(cfg.max_summary_tokens, cfg.d_hidden)[start:start + s]
 
-        x = ad.take_rows(self.params["embed.tokens"], summary_input)
+        x = self.params["embed.tokens"][summary_input]
         x = ad.add(x, Tensor(pe))
         x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):

@@ -83,7 +83,7 @@ def pair_probabilities(vectors: Tensor, w_a: Parameter, w_b: Parameter,
     va = ad.matmul(vectors, w_a)
     vb = ad.matmul(vectors, w_b)
     scores = ad.matmul(va, ad.transpose(vb))
-    return ad.sigmoid(ad.gather_pairs(scores, batch.rows, batch.cols))
+    return ad.sigmoid(scores[batch.rows, batch.cols])
 
 
 def thread_pred_loss(probs: Tensor, batch: ThreadPairBatch) -> Tensor:

@@ -136,36 +136,45 @@ class TestMatmulAndShapes:
 
 
 class TestGathers:
-    def test_take_rows_with_repeats(self):
+    """Indexing is the one gather: ``a.data[key]`` forward, scatter-add backward."""
+
+    def test_row_ids_with_repeats(self):
         ids = np.array([0, 2, 2, 1])
-        check_op(lambda a: ad.take_rows(a, ids), RNG.normal(size=(3, 4)))
+        check_op(lambda a: a[ids], RNG.normal(size=(3, 4)))
+        check_op(lambda a: a[ids.reshape(2, 2)], RNG.normal(size=(3, 4)))
 
-    def test_take_rows_range_check(self):
+    def test_out_of_range_row_id(self):
         with pytest.raises(IndexError):
-            ad.take_rows(Tensor(np.zeros((3, 4))), np.array([3]))
+            Tensor(np.zeros((3, 4)))[np.array([3])]
 
-    def test_take_per_row_2d(self):
+    def test_per_row_index_2d(self):
         idx = np.array([[0, 1, 1], [2, 0, 2]])
-        check_op(lambda a: ad.take_per_row(a, idx), RNG.normal(size=(2, 3)))
+        check_op(lambda a: a[..., np.arange(2)[:, None], idx], RNG.normal(size=(2, 3)))
 
-    def test_take_per_row_batched(self):
-        idx = RNG.integers(0, 5, size=(3, 4))
-        check_op(lambda a: ad.take_per_row(a, idx), RNG.normal(size=(2, 3, 5)))
+    def test_per_row_index_under_leading_axes(self):
+        idx = np.array([[4, 0, 4, 1], [2, 2, 2, 3], [0, 1, 2, 3]])
+        check_op(lambda a: a[..., np.arange(3)[:, None], idx], RNG.normal(size=(2, 3, 5)))
 
-    def test_take_per_row_forward_oracle(self):
-        a = np.arange(12.0).reshape(3, 4)
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_per_row_index_oracle(self, lead):
+        # out[..., r, c] = a[..., r, idx[r, c]], and each a[..., r, e] gets
+        # the gradient once per time e appears in idx[r]
+        a = Parameter("a", np.broadcast_to(np.arange(12.0).reshape(3, 4), lead + (3, 4)).copy())
         idx = np.array([[3, 0], [1, 1], [2, 3]])
-        out = ad.take_per_row(Tensor(a), idx)
-        np.testing.assert_array_equal(out.data, [[3, 0], [5, 5], [10, 11]])
+        out = a[..., np.arange(3)[:, None], idx]
+        np.testing.assert_array_equal(out.data, np.broadcast_to([[3, 0], [5, 5], [10, 11]], lead + (3, 2)))
+        backward(ad.tensor_sum(out))
+        counts = [np.bincount(row, minlength=4) for row in idx]
+        np.testing.assert_array_equal(a.grad, np.broadcast_to(counts, lead + (3, 4)))
 
-    def test_gather_pairs(self):
+    def test_index_pairs_with_repeats(self):
         rows = np.array([0, 1, 1, 2])
         cols = np.array([1, 0, 0, 2])
-        check_op(lambda a: ad.gather_pairs(a, rows, cols), RNG.normal(size=(3, 3)))
+        check_op(lambda a: a[rows, cols], RNG.normal(size=(3, 3)))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_take_rows_scatter_matches_add_at(self, data):
+    def test_row_scatter_matches_add_at(self, data):
         rows = data.draw(st.integers(1, 6), label="rows")
         cols = data.draw(st.integers(1, 4), label="cols")
         ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12),
@@ -179,8 +188,9 @@ class TestGathers:
         if data.draw(st.booleans(), label="gradient already held"):
             expected = rng.normal(size=(rows, cols))
             table.grad = expected.copy()
-        np.add.at(expected, ids, g)
-        ComputationTape(ad.take_rows(table, ids)).backward(g)
+        for i, row in zip(ids.reshape(-1), g.reshape(-1, cols)):
+            expected[i] += row
+        ComputationTape(table[ids]).backward(g)
         np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("scatter_first", [False, True])
@@ -194,7 +204,7 @@ class TestGathers:
         def build(p, q):
             b = ad.scale(q, 1.0)
             a = ad.add(ad.scale(p, 1.0), b)
-            parts = [ad.add(a, b), ad.take_rows(a, ids)]
+            parts = [ad.add(a, b), a[ids]]
             return ad.add(*(parts[::-1] if scatter_first else parts))
 
         check_op(build, RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)))
@@ -304,7 +314,7 @@ class TestGraphMechanics:
         ids = np.array([0, 0, 1])
         p = Parameter("p", RNG.normal(size=(3, 4)))
         h = ad.scale(p, 2.0)
-        other = ad.take_rows(h, ids) if second_use == "gather" else ad.scale(h, 3.0)
+        other = h[ids] if second_use == "gather" else ad.scale(h, 3.0)
         seed = RNG.normal(size=(3, 4))
         before = seed.copy()
         ComputationTape(ad.add(h, other)).backward(seed)

@@ -210,6 +210,16 @@ class TestTokenEncoder:
         with pytest.raises(IndexError):
             toy_model.token_encode([[0, toy_model.config.vocab_size]])
 
+    def test_rejects_negative_ids(self, toy_model, toy_input):
+        # indexing would read a negative id from the end of the table
+        with pytest.raises(IndexError):
+            toy_model.token_encode([[0, 1], [0, -1]])
+        memory = toy_model.encode_conversation(toy_input)[2]
+        with pytest.raises(IndexError):
+            toy_model.decoder_forward(np.array([0, -2]), memory)
+        with pytest.raises(IndexError):
+            toy_model.decoder_forward(np.array([[0], [-1]]), memory, cache=toy_model.decoder_cache(memory))
+
     def test_utterance_repr_pe_component(self, toy_model, toy_input):
         states, _ = toy_model.token_encode(toy_input.token_ids)
         reprs = toy_model.utterance_representations(states)
