@@ -296,7 +296,11 @@ def _from_checkpoint(config, provenance, path: str) -> Model:
 
 
 def cmd_train(args, config, provenance) -> int:
-    """pretrain from a seeded init, or finetune (--init) from a checkpoint."""
+    """pretrain from a seeded init, or finetune (--init) from a checkpoint.
+
+    The data is read before the model is built, so bad data fails fast."""
+    tokenizer = Tokenizer.load(args.vocab)
+    instances, data_paths = _load_instances(args.data)
     if args.init is None:
         model = Model.init(model_config_from(config),
                            seed=named_seed(config["train.seed"], "init"))
@@ -306,9 +310,6 @@ def cmd_train(args, config, provenance) -> int:
     state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                 total_steps=run.total_steps,
                                 weight_decay=run.weight_decay)
-
-    tokenizer = Tokenizer.load(args.vocab)
-    instances, data_paths = _load_instances(args.data)
     inputs = [encode_instance(model.config, tokenizer,
                               truncate_instance(inst, model.config, tokenizer))
               for inst in instances]
@@ -326,7 +327,7 @@ def cmd_train(args, config, provenance) -> int:
 
 
 def cmd_generate(args, config, provenance) -> int:
-    ck = load_checkpoint(args.ckpt)
+    ck = load_checkpoint(args.ckpt, with_optimizer=False)
     model = Model(ck.config, ck.params)
     tokenizer = Tokenizer.load(args.vocab)
     with RunManifest(args.manifest or args.out + ".manifest.json",

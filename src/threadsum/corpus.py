@@ -100,10 +100,14 @@ class CorpusStats:
         }
 
 
+_REQUIRED = object()  # a ``_field`` default: the field must be present
+_OPT_INT, _OPT_STR = (int, type(None)), (str, type(None))
+
+
 def _field(record: dict, names: Tuple[str, ...], kind, default, where: str):
     """The first of ``names`` that ``record`` holds, as a ``kind`` (an int is
-    converted), else ``default``; any other value is a CorpusError naming
-    the field."""
+    converted), else ``default``; any other value, or a missing required
+    field, is a CorpusError naming the field."""
     for name in names:
         if name not in record:
             continue
@@ -116,6 +120,8 @@ def _field(record: dict, names: Tuple[str, ...], kind, default, where: str):
         elif isinstance(value, kind):
             return value
         raise CorpusError(f"{where}: field {name!r} has a bad value {value!r}")
+    if default is _REQUIRED:
+        raise CorpusError(f"{where}: missing field {names[0]!r}")
     return default
 
 
@@ -144,16 +150,14 @@ def post_from_record(obj: dict) -> RawPost:
         where = f"{post} comment {i}"
         if not isinstance(c, dict):
             raise CorpusError(f"{where} is not a JSON object")
-        if "id" not in c:
-            raise CorpusError(f"{where}: missing field 'id'")
-        parent = _field(c, ("parent_id",), (str, type(None)), None, where)
+        parent = _field(c, ("parent_id",), _OPT_STR, None, where)
         if parent is not None:
             if parent.startswith("t3_"):
                 parent = None
             elif parent.startswith("t1_"):
                 parent = parent[3:]
         comments.append(RawComment(
-            id=str(c["id"]),
+            id=str(_field(c, ("id",), object, _REQUIRED, where)),
             parent_id=parent,
             timestamp=_field(c, ("created_utc", "timestamp"), int, 0, where),
             author=c.get("author"),
@@ -271,11 +275,18 @@ def _utt_to_obj(u: Utterance) -> dict:
     return obj
 
 
-def _utt_from_obj(o: dict) -> Utterance:
+def _utt_from_obj(o: dict, where: str) -> Utterance:
+    if not isinstance(o, dict):
+        raise CorpusError(f"{where} is not a JSON object")
     return Utterance(
-        id=o["id"], parent_id=o.get("parent"), timestamp=o["ts"],
-        author=o.get("author"), role=o.get("role"), score=o.get("score"),
-        text=o["text"], meta=dict(o.get("meta", {})),
+        id=_field(o, ("id",), int, _REQUIRED, where),
+        parent_id=_field(o, ("parent",), _OPT_INT, None, where),
+        timestamp=_field(o, ("ts",), int, _REQUIRED, where),
+        author=_field(o, ("author",), _OPT_STR, None, where),
+        role=_field(o, ("role",), _OPT_STR, None, where),
+        score=_field(o, ("score",), _OPT_INT, None, where),
+        text=_field(o, ("text",), str, _REQUIRED, where),
+        meta=dict(_field(o, ("meta",), dict, {}, where)),
     )
 
 
@@ -290,9 +301,13 @@ def instance_to_record(inst: TrainingInstance) -> dict:
 
 
 def instance_from_record(obj: dict) -> TrainingInstance:
-    tree = ConversationTree([_utt_from_obj(o) for o in obj["utterances"]])
-    return TrainingInstance(tree=tree, pseudo_summary=obj["summary"],
-                            source_meta=dict(obj.get("meta", {})))
+    """The instance a shard record holds; a missing or mistyped field is a
+    CorpusError naming it."""
+    utts = _field(obj, ("utterances",), list, _REQUIRED, "instance")
+    return TrainingInstance(
+        tree=ConversationTree([_utt_from_obj(o, f"utterance {i}") for i, o in enumerate(utts)]),
+        pseudo_summary=_field(obj, ("summary",), str, _REQUIRED, "instance"),
+        source_meta=dict(_field(obj, ("meta",), dict, {}, "instance")))
 
 
 def _dump_line(record: dict) -> str:
@@ -322,8 +337,11 @@ def read_instances(path: str) -> Iterator[TrainingInstance]:
             if not line.strip():
                 continue
             try:
-                yield instance_from_record(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TreeError) as e:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise CorpusError("not a JSON object")
+                yield instance_from_record(record)
+            except (json.JSONDecodeError, CorpusError, TreeError) as e:
                 raise CorpusError(f"{path}:{lineno}: malformed instance record ({e})") from e
 
 
@@ -338,18 +356,12 @@ def build_corpus(
 
     ``prepare``, if given, maps each kept instance to what its shard holds
     (such as a length-truncated copy).  Output order follows input order, so
-    two runs over the same dump produce byte-identical shards.
+    two runs over the same dump produce byte-identical shards.  No shard is
+    written until every record has been read and every kept instance
+    prepared, so a build that fails leaves none behind.
     """
     stats = CorpusStats()
-    shard_paths: List[str] = []
-    buf: List[TrainingInstance] = []
-
-    def flush():
-        path = f"{out_prefix}-{len(shard_paths):05d}.jsonl"
-        write_instances(path, buf)
-        shard_paths.append(path)
-        buf.clear()
-
+    kept: List[TrainingInstance] = []
     for obj in posts:
         stats.posts += 1
         post = post_from_record(obj)
@@ -364,11 +376,11 @@ def build_corpus(
                 stats.reject("empty_summary")
                 continue
             stats.kept += 1
-            buf.append(inst if prepare is None else prepare(inst))
-            if len(buf) >= shard_size:
-                flush()
-    if buf or not shard_paths:
-        flush()
+            kept.append(inst if prepare is None else prepare(inst))
+    shards = [kept[i:i + shard_size] for i in range(0, len(kept), shard_size)] or [[]]
+    shard_paths = [f"{out_prefix}-{k:05d}.jsonl" for k in range(len(shards))]
+    for path, shard in zip(shard_paths, shards):
+        write_instances(path, shard)
     return shard_paths, stats
 
 

@@ -251,6 +251,11 @@ class Tokenizer:
         flush()
         return "".join(out)
 
+    def continues_character(self, token_id: int) -> bool:
+        """Whether the token starts with a UTF-8 continuation byte, so that a
+        cut just before it would split a character."""
+        return _BYTE_DECODER[self.id_to_token[token_id][0]] & 0xC0 == 0x80
+
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory: str) -> None:

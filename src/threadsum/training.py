@@ -63,6 +63,13 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
 # truncation
 
 
+def _cut_text(tokenizer, ids: List[int], cap: int) -> str:
+    """The text of at most ``cap`` leading ids, cut on a character boundary."""
+    while cap > 0 and tokenizer.continues_character(ids[cap]):
+        cap -= 1
+    return tokenizer.decode(ids[:cap])
+
+
 def truncate_instance(instance: TrainingInstance, config: ModelConfig,
                       tokenizer=None) -> TrainingInstance:
     """Apply the length limits: utterance count, tokens per utterance, summary.
@@ -86,14 +93,14 @@ def truncate_instance(instance: TrainingInstance, config: ModelConfig,
         for u in utterances:
             ids = tokenizer.encode(u.text)
             if len(ids) > per_utt:
-                trimmed.append(replace(u, text=tokenizer.decode(ids[:per_utt])))
+                trimmed.append(replace(u, text=_cut_text(tokenizer, ids, per_utt)))
                 changed = True
             else:
                 trimmed.append(u)
         utterances = trimmed
         ids = tokenizer.encode(summary)
         if len(ids) > config.max_summary_tokens - 2:
-            summary = tokenizer.decode(ids[: config.max_summary_tokens - 2])
+            summary = _cut_text(tokenizer, ids, config.max_summary_tokens - 2)
             changed = True
 
     if not changed:

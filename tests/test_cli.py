@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -323,6 +324,52 @@ class TestBuildCorpus:
         # no shard, stats file or temporary is left beside the failed manifest
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "s-manifest.json"]
 
+    def test_failed_build_leaves_no_earlier_shard(self, tmp_path):
+        # the fixture's kept instance would fill a first shard of size 1
+        # before the last record fails
+        dump = tmp_path / "posts.jsonl"
+        with open(POSTS, encoding="utf-8") as fh:
+            dump.write_text(fh.read() + '{"title":"t","comments":[{"body":"x"}]}\n')
+        rc = dispatch(["build-corpus", "--input", str(dump), "--output", str(tmp_path / "s"),
+                       "--shard-size", "1"])
+        assert rc == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["posts.jsonl", "s-manifest.json"]
+
+
+def write_malformed_shard(path, fields) -> str:
+    """A one-line shard: ``[1]`` for no fields, else the golden shard's first
+    record with these fields of its second utterance replaced."""
+    line = "[1]"
+    if fields is not None:
+        with open(GOLDEN, encoding="utf-8") as fh:
+            record = json.loads(fh.readline())
+        record["utterances"][1].update(fields)
+        line = json.dumps(record)
+    path.write_text(line + "\n")
+    return str(path)
+
+
+MALFORMED_SHARDS = pytest.mark.parametrize("fields,named", [
+    (None, ":1: malformed instance record (not a JSON object)"),
+    ({"text": 5}, "utterance 1: field 'text' has a bad value 5"),
+    ({"ts": None}, "utterance 1: field 'ts' has a bad value None"),
+], ids=["not-an-object", "text-not-a-string", "null-timestamp"])
+
+
+@MALFORMED_SHARDS
+def test_malformed_shard_line_is_data_error_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch, fields, named):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the data was read")
+
+    monkeypatch.setattr(cli.Model, "init", no_model)
+    shard = write_malformed_shard(tmp_path / "shard.jsonl", fields)
+    rc = dispatch(["pretrain", "--data", shard, "--vocab", VOCAB,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {shard}") and named in err
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
@@ -418,6 +465,26 @@ class TestGenerateEvaluate:
         report = json.loads(scores.read_text())
         assert report["count"] == 1
         assert set(report["mean"]) == {"rouge_1", "rouge_2", "rouge_l", "rouge_su4"}
+
+    def test_generate_reads_no_optimizer_moments(self, trained_run, tmp_path):
+        with np.load(trained_run["ckpt"] + ".npz") as archive:
+            params = {k: archive[k] for k in archive.files if not k.startswith("opt.")}
+            assert len(params) < len(archive.files)
+        np.savez(tmp_path / "ck.npz", **params)
+        shutil.copy(trained_run["ckpt"] + ".json", tmp_path / "ck.json")
+        rc = dispatch(["generate", "--ckpt", str(tmp_path / "ck"), "--input", trained_run["shard"],
+                       "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB])
+        assert rc == 0
+
+    @MALFORMED_SHARDS
+    def test_generate_on_a_malformed_shard_line_is_data_error(self, trained_run, tmp_path, capsys,
+                                                              fields, named):
+        shard = write_malformed_shard(tmp_path / "shard.jsonl", fields)
+        rc = dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", shard,
+                       "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_generate_deterministic(self, trained_run):
         tmp = trained_run["tmp"]

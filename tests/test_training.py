@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadsum import training
 from threadsum.autodiff import NumericsError, Parameter, Tensor
@@ -16,6 +18,7 @@ from threadsum.corpus import TrainingInstance
 from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
 from threadsum.objectives import instance_loss
+from threadsum.tokenizer import train_bpe
 from threadsum.training import (
     METRICS_FIELDS,
     OptimizerState,
@@ -105,6 +108,32 @@ class TestTruncation:
         cfg = toy_config(vocab_size=tiny_tokenizer.vocab_size)
         inst = chain_instance(3)
         assert truncate_instance(inst, cfg, tiny_tokenizer) is inst
+
+    def test_cut_inside_a_character_backs_off(self):
+        # no merges, so "é" is two byte tokens and a 2-token cap falls inside it
+        tok = train_bpe(["xé"], vocab_size=9)
+        cfg = toy_config(vocab_size=9, max_utterance_tokens=3, max_summary_tokens=4)
+        inst = TrainingInstance(ConversationTree([Utterance(0, "a", "xé", 0, None)]), "xé")
+        out = truncate_instance(inst, cfg, tok)
+        assert out.tree.utterances[0].text == "x"
+        assert out.pseudo_summary == "x"
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.text(max_size=12), min_size=2, max_size=5), merges=st.integers(0, 8),
+           utt_cap=st.integers(2, 6), summary_cap=st.integers(3, 8))
+    def test_truncated_texts_are_prefixes(self, texts, merges, utt_cap, summary_cap):
+        # every byte of the texts is in the vocabulary (six specials, then
+        # the bytes), so only the cut can put a replacement character into
+        # the text; few merges leave most characters as several tokens
+        alphabet = {b for t in texts for b in t.encode("utf-8")}
+        tok = train_bpe(texts, vocab_size=6 + len(alphabet) + merges)
+        cfg = toy_config(vocab_size=tok.vocab_size, max_utterance_tokens=utt_cap,
+                         max_summary_tokens=summary_cap)
+        utts = [Utterance(i, "a", t, i, i - 1 if i else None) for i, t in enumerate(texts[1:])]
+        out = truncate_instance(TrainingInstance(ConversationTree(utts), texts[0]), cfg, tok)
+        for before, after in zip(utts, out.tree.utterances):
+            assert before.text.startswith(after.text)
+        assert texts[0].startswith(out.pseudo_summary)
 
 
 def scalar_param(value, grad=None, decay=True):
