@@ -8,13 +8,13 @@ functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
 Broadcasting is deliberately narrow: two operands must have equal shapes,
 or the second must be a suffix of the first (bias adds), or both must have
-equal rank with explicit size-1 axes.  Anything fancier needs a reshape.
+equal rank with explicit size-1 axes.
 
 Gradient ownership: a backward rule never writes into the gradient it is
 given, and a tensor keeps the first gradient it receives as is, because
 that array may be shared with a sibling operand (``add`` hands the same
-``g`` to both sides) or be a view (``reshape``, ``transpose``,
-``permute``).  A rule that computes a fresh array hands it over with
+``g`` to both sides) or be a view (``transpose``, ``split_heads``,
+``merge_heads``).  A rule that computes a fresh array hands it over with
 ``owned=True``; a tensor adds later gradients into a buffer it owns, or
 makes one with a single out-of-place add.  Indexing scatter-adds into the
 parent's own buffer (``Tensor.grad_buffer``).  Every
@@ -44,8 +44,8 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "permute",
-    "reshape", "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
+    "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "split_heads",
+    "merge_heads", "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
     "tensor_sum", "cross_entropy", "binary_cross_entropy",
 ]
 
@@ -299,22 +299,51 @@ def transpose(a: Tensor) -> Tensor:
     return _make(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    inv = np.argsort(axes)
+def split_heads(x: Tensor, heads: int, valid: Optional[np.ndarray] = None) -> Tensor:
+    """Rows [..., T, heads * dz] as heads [..., heads, T, dz], a view.
 
-    def bwd(g, a=a):
-        a.accumulate_grad(np.transpose(g, inv))
+    With ``valid`` [n, T], ``x`` is packed rows [N, heads * dz] and the heads
+    are zero-padded [n, heads, T, dz]: the r-th row goes to the r-th marked
+    slot in row-major order.  The scatter into the padded layout and the
+    head split are one op, and the backward is the gather of the marked
+    slots.
+    """
+    xd = x.data
+    dz = xd.shape[-1] // heads
+    if valid is None:
+        def bwd(g, x=x):
+            x.accumulate_grad(np.swapaxes(g, -2, -3).reshape(xd.shape))
 
-    return _make(np.transpose(a.data, axes), (a,), bwd)
+        return _make(np.swapaxes(xd.reshape(xd.shape[:-1] + (heads, dz)), -2, -3), (x,), bwd)
+    out = np.zeros((valid.shape[0], heads, valid.shape[1], dz), xd.dtype)
+    np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, dz)
+
+    def bwd(g, x=x):
+        x.accumulate_grad(np.swapaxes(g, 1, 2)[valid].reshape(xd.shape), owned=True)
+
+    return _make(out, (x,), bwd)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    orig = a.data.shape
+def merge_heads(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
+    """The inverse of ``split_heads``: heads [..., h, T, dz] as rows
+    [..., T, h * dz]; with ``valid``, the marked slots of [n, h, T, dz] heads
+    as packed rows [N, h * dz], the unmarked ones dropped with a zero
+    gradient."""
+    xd = x.data
+    rows = np.swapaxes(xd, -2, -3)  # [..., T, h, dz]
+    h, dz = rows.shape[-2:]
+    if valid is None:
+        def bwd(g, x=x):
+            x.accumulate_grad(np.swapaxes(g.reshape(rows.shape), -2, -3))
 
-    def bwd(g, a=a):
-        a.accumulate_grad(g.reshape(orig))
+        return _make(rows.reshape(rows.shape[:-2] + (h * dz,)), (x,), bwd)
 
-    return _make(a.data.reshape(shape), (a,), bwd)
+    def bwd(g, x=x):
+        gx = np.zeros(xd.shape, g.dtype)
+        np.swapaxes(gx, 1, 2)[valid] = g.reshape(-1, h, dz)
+        x.accumulate_grad(gx, owned=True)
+
+    return _make(rows[valid].reshape(-1, h * dz), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +388,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis: x @ w + b."""
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear shapes {x.shape} and {w.shape} do not align")
-    din, dout = w.shape
-    y = x.data @ w.data
+    """Affine map over the last axis: x @ w + b.
+
+    ``x``'s leading axes are flattened into one 2-d product, which reads
+    ``w`` once rather than once per leading index.
+    """
+    xd, wd = x.data, w.data
+    if xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} do not align")
+    din, dout = wd.shape
+    y = xd.reshape(-1, din) @ wd
     y += b.data
 
     def bwd(g, x=x, w=w, b=b):
+        g = g.reshape(-1, dout)
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T, owned=True)
+            x.accumulate_grad((g @ wd.T).reshape(xd.shape), owned=True)
         if w.requires_grad:
-            w.accumulate_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout), owned=True)
+            w.accumulate_grad(xd.reshape(-1, din).T @ g, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, dout).sum(axis=0), owned=True)
+            b.accumulate_grad(g.sum(axis=0), owned=True)
 
-    return _make(y, (x, w, b), bwd)
+    return _make(y.reshape(xd.shape[:-1] + (dout,)), (x, w, b), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:

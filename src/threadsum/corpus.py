@@ -101,23 +101,27 @@ class CorpusStats:
 
 
 _REQUIRED = object()  # a ``_field`` default: the field must be present
-_OPT_INT, _OPT_STR = (int, type(None)), (str, type(None))
+_TO_INT = object()  # a ``_field`` kind: any value ``int()`` converts (post dumps)
+_INT, _OPT_INT, _OPT_STR = (int,), (int, type(None)), (str, type(None))
 
 
 def _field(record: dict, names: Tuple[str, ...], kind, default, where: str):
-    """The first of ``names`` that ``record`` holds, as a ``kind`` (an int is
-    converted), else ``default``; any other value, or a missing required
-    field, is a CorpusError naming the field."""
+    """The first of ``names`` that ``record`` holds, else ``default``.
+
+    The value must be an instance of ``kind``, and a bool is one only of
+    ``object``; the kind ``_TO_INT`` converts instead.  Any other value, or a
+    missing required field, is a CorpusError naming the field.
+    """
     for name in names:
         if name not in record:
             continue
         value = record[name]
-        if kind is int:
+        if kind is _TO_INT:
             try:
                 return int(value)
             except (TypeError, ValueError, OverflowError):
                 pass
-        elif isinstance(value, kind):
+        elif isinstance(value, kind) and (kind is object or not isinstance(value, bool)):
             return value
         raise CorpusError(f"{where}: field {name!r} has a bad value {value!r}")
     if default is _REQUIRED:
@@ -159,16 +163,16 @@ def post_from_record(obj: dict) -> RawPost:
         comments.append(RawComment(
             id=str(_field(c, ("id",), object, _REQUIRED, where)),
             parent_id=parent,
-            timestamp=_field(c, ("created_utc", "timestamp"), int, 0, where),
+            timestamp=_field(c, ("created_utc", "timestamp"), _TO_INT, 0, where),
             author=c.get("author"),
             text=_field(c, ("body", "text"), str, "", where),
-            score=_field(c, ("score",), int, 0, where),
+            score=_field(c, ("score",), _TO_INT, 0, where),
         ))
 
     meta = {k: obj[k] for k in ("id", "subreddit") if k in obj}
     return RawPost(
         title=_field(obj, ("title",), str, "", post),
-        title_score=_field(obj, ("score", "title_score"), int, 0, post),
+        title_score=_field(obj, ("score", "title_score"), _TO_INT, 0, post),
         flags=frozenset(flags),
         comments=tuple(comments),
         meta=meta,
@@ -279,9 +283,9 @@ def _utt_from_obj(o: dict, where: str) -> Utterance:
     if not isinstance(o, dict):
         raise CorpusError(f"{where} is not a JSON object")
     return Utterance(
-        id=_field(o, ("id",), int, _REQUIRED, where),
+        id=_field(o, ("id",), _INT, _REQUIRED, where),
         parent_id=_field(o, ("parent",), _OPT_INT, None, where),
-        timestamp=_field(o, ("ts",), int, _REQUIRED, where),
+        timestamp=_field(o, ("ts",), _INT, _REQUIRED, where),
         author=_field(o, ("author",), _OPT_STR, None, where),
         role=_field(o, ("role",), _OPT_STR, None, where),
         score=_field(o, ("score",), _OPT_INT, None, where),

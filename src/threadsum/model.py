@@ -2,7 +2,8 @@
 
 Three pre-LN transformer stacks share one token embedding table:
 
-* a token encoder run over every utterance (padded into one batch),
+* a token encoder run over every utterance's tokens packed into one
+  [N, d] batch of rows, with no padding except inside the attention core,
 * an utterance encoder whose self-attention scores carry learned
   thread-relation embeddings (same-path depth deltas or an off-path
   bucket), and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
@@ -194,20 +195,30 @@ NO_DECAY_KINDS = ("ln_g", "ln_b", "bias_d", "bias_ff")
 
 
 INIT_BLOCK_ROWS = 4096
+# the two constants of truncnorm's ppf on [-2, 2]: log Phi(-2) and the log
+# of the mass inside the cut, as scipy forms them
+_LOG_PHI_A = log_ndtr(-2.0)
+_LOG_MASS = log1p(-ndtr(-2.0) - ndtr(-2.0))
 
 
 def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """``truncnorm.rvs(-2, 2, scale=0.02, size=shape, random_state=rng)``, bit for bit.
 
     scipy draws one uniform array and maps all of it through the ppf at once,
-    whose temporaries peak at several times the table; the same uniforms are
-    mapped here INIT_BLOCK_ROWS rows at a time, in place.
+    whose temporaries peak at several times the table, and re-derives the
+    ppf's two constants for every entry; here they are derived once and the
+    same uniforms are mapped INIT_BLOCK_ROWS rows at a time, in place, by the
+    same formula: Phi^-1(exp(logsumexp(log Phi(a), log u + log mass))).
     """
     u = rng.uniform(size=shape)
     rows = u.reshape(len(u), -1)
     for start in range(0, len(rows), INIT_BLOCK_ROWS):
         block = rows[start:start + INIT_BLOCK_ROWS]
-        block[...] = truncnorm.ppf(block, -2.0, 2.0, scale=0.02)
+        np.log(block, out=block)
+        block += _LOG_MASS
+        log_cdf = logsumexp([np.full_like(block, _LOG_PHI_A), block], axis=0)
+        block[...] = ndtri_exp(log_cdf)
+        block *= 0.02
     return u
 
 
@@ -322,37 +333,27 @@ class Model:
 
     # -- shared blocks ------------------------------------------------------
 
-    def _split_heads(self, x: Tensor, lead: Tuple[int, ...]) -> Tensor:
-        h, dz = self.config.num_heads, self.config.d_head
-        x = ad.reshape(x, lead + (-1, h, dz))
-        axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-        return ad.permute(x, axes)  # [..., h, T, dz]
-
-    def _merge_heads(self, x: Tensor, lead: Tuple[int, ...]) -> Tensor:
-        n = len(lead)
-        axes = tuple(range(n)) + (n + 1, n, n + 2)
-        x = ad.permute(x, axes)  # [..., T, h, dz]
-        return ad.reshape(x, lead + (x.shape[-3], self.config.d_hidden))
-
     def _proj(self, x: Tensor, prefix: str, which: str) -> Tensor:
         p = self.params
         return ad.linear(x, p[f"{prefix}.w{which}"], p[f"{prefix}.b{which}"])
 
     def _attention(self, prefix: str, x_q: Tensor, x_kv: Tensor,
                    mask_add: Optional[np.ndarray], rel_buckets: Optional[np.ndarray],
-                   rng, kv: Optional[KeysValues] = None) -> Tensor:
+                   rng, kv: Optional[KeysValues] = None,
+                   valid: Optional[np.ndarray] = None) -> Tensor:
         """Multi-head attention; optional additive mask and, for
         ``rel_buckets``, the ``thread.rel`` terms of ``thread_attention_scores``.
 
         ``kv`` supplies precomputed keys and values (see ``_keys_values``)
-        in place of projecting ``x_kv``.
+        in place of projecting ``x_kv``.  With ``valid``, the inputs are
+        packed rows and only the attention core is padded (``ad.split_heads``).
         """
         cfg = self.config
-        lead = x_q.shape[:-2]
-        q = self._split_heads(self._proj(x_q, prefix, "q"), lead)
+        h = cfg.num_heads
+        q = ad.split_heads(self._proj(x_q, prefix, "q"), h, valid)
         if kv is None:
-            k = self._split_heads(self._proj(x_kv, prefix, "k"), lead)
-            v = self._split_heads(self._proj(x_kv, prefix, "v"), lead)
+            k = ad.split_heads(self._proj(x_kv, prefix, "k"), h, valid)
+            v = ad.split_heads(self._proj(x_kv, prefix, "v"), h, valid)
         else:
             k_t, v = Tensor(kv[0]), Tensor(kv[1])
         if rel_buckets is not None:
@@ -365,15 +366,15 @@ class Model:
             scores = ad.add(scores, Tensor(mask_add))
         att = ad.softmax(scores, axis=-1)
         att = ad.dropout(att, cfg.dropout, rng)
-        ctx = self._merge_heads(ad.matmul(att, v), lead)
+        ctx = ad.merge_heads(ad.matmul(att, v), valid)
         return self._proj(ctx, prefix, "o")
 
     def _keys_values(self, prefix: str, x: Tensor) -> KeysValues:
         """Key and value heads of a [..., T, d] input, K transposed and
         contiguous so attention over them copies nothing."""
-        lead = x.shape[:-2]
-        k = self._split_heads(self._proj(x, prefix, "k"), lead)
-        v = self._split_heads(self._proj(x, prefix, "v"), lead)
+        h = self.config.num_heads
+        k = ad.split_heads(self._proj(x, prefix, "k"), h)
+        v = ad.split_heads(self._proj(x, prefix, "v"), h)
         return np.ascontiguousarray(np.swapaxes(k.data, -1, -2)), v.data
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
@@ -390,40 +391,38 @@ class Model:
     # -- encoder stacks -----------------------------------------------------
 
     def token_encode(self, token_ids: List[List[int]], rng=None) -> Tuple[Tensor, np.ndarray]:
-        """Run the token encoder over all utterances as one padded batch.
+        """Run the token encoder over all utterances' tokens, packed.
 
-        Returns ([n, T_max, d] states, lengths).  Padded positions produce
-        values but are masked out of attention and never read downstream.
+        Returns ([N, d] states, one row per token with the utterances in
+        order, and the [n] lengths).  Every row-wise layer runs on the N
+        rows; only the attention core pads them, into [n, h, T_max, dz]
+        heads whose padded keys are masked out.
         """
         cfg = self.config
         lengths = np.array([len(ids) for ids in token_ids], dtype=np.int64)
         if lengths.min() < 1 or lengths.max() > cfg.max_utterance_tokens:
             raise ValueError("utterance token sequences must have 1..max_utterance_tokens ids")
-        n, t_max = len(token_ids), int(lengths.max())
-        ids = np.zeros((n, t_max), dtype=np.int64)
-        for i, seq in enumerate(token_ids):
-            ids[i, : len(seq)] = seq
+        ids = np.concatenate(token_ids).astype(np.int64)
         _check_ids(ids, cfg.vocab_size)
-        pad = np.arange(t_max)[None, :] >= lengths[:, None]
-        mask_add = np.where(pad, -1e9, 0.0)[:, None, None, :]  # [n,1,1,T]
+        valid = np.arange(lengths.max()) < lengths[:, None]  # [n, T_max]
+        mask_add = np.where(valid, 0.0, -1e9)[:, None, None, :]  # [n,1,1,T]
+        positions = np.nonzero(valid)[1]  # each row's position in its utterance
 
         x = self.params["embed.tokens"][ids]
-        x = ad.add(x, Tensor(sinusoidal_pe(t_max, cfg.d_hidden)))
+        x = ad.add(x, Tensor(sinusoidal_pe(valid.shape[1], cfg.d_hidden)[positions]))
         x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):
             pre = f"tok.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, normed, mask_add, None, rng)
+            a = self._attention(f"{pre}.attn", normed, normed, mask_add, None, rng, valid=valid)
             x = self._sublayer(x, a, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)
         return self._layer_norm(x, "tok.final_ln"), lengths
 
-    def utterance_representations(self, token_states: Tensor) -> Tensor:
+    def utterance_representations(self, token_bos: Tensor) -> Tensor:
         """Per-utterance vectors: bos output + position-in-conversation PE."""
-        n = token_states.shape[0]
-        bos = token_states[:, 0, :]
-        return ad.add(bos, Tensor(sinusoidal_pe(n, self.config.d_hidden)))
+        return ad.add(token_bos, Tensor(sinusoidal_pe(token_bos.shape[0], self.config.d_hidden)))
 
     def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray, rng=None) -> Tensor:
         cfg = self.config
@@ -439,10 +438,9 @@ class Model:
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
                              utt_states: Tensor) -> Tensor:
-        """Cross-attention memory; see module docstring for the residual."""
-        n, t_max = token_states.shape[0], token_states.shape[1]
-        combined = ad.add(token_states, ad.reshape(utt_states, (n, 1, self.config.d_hidden)))
-        return combined[np.nonzero(np.arange(t_max) < lengths[:, None])]
+        """Cross-attention memory, one row per token in ``token_encode``'s
+        order; see module docstring for the residual."""
+        return ad.add(token_states, utt_states[np.repeat(np.arange(len(lengths)), lengths)])
 
     def decoder_cache(self, memory: Tensor) -> DecoderCache:
         """An empty one-beam cache for incremental decoding against ``memory``."""
@@ -510,10 +508,10 @@ class Model:
 
     def encode_conversation(self, mi: ModelInput, rng=None):
         token_states, lengths = self.token_encode(mi.token_ids, rng)
-        utt_repr = self.utterance_representations(token_states)
+        token_bos = token_states[np.cumsum(lengths) - lengths]
+        utt_repr = self.utterance_representations(token_bos)
         utt_states = self.utterance_encode(utt_repr, mi.relation_buckets, rng)
         memory = self.build_decoder_memory(token_states, lengths, utt_states)
-        token_bos = token_states[:, 0, :]
         return token_bos, utt_states, memory
 
     def forward(self, mi: ModelInput, rng=None) -> ForwardResult:

@@ -114,14 +114,38 @@ class TestMatmulAndShapes:
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
 
-    def test_transpose_permute_reshape(self):
+    def test_transpose(self):
         check_op(lambda a: ad.transpose(a), RNG.normal(size=(3, 4)))
-        check_op(lambda a: ad.permute(a, (2, 0, 1)), RNG.normal(size=(2, 3, 4)))
-        check_op(lambda a: ad.reshape(a, (6, 2)), RNG.normal(size=(3, 4)))
 
     def test_linear_with_bias(self):
         check_op(ad.linear, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
                  RNG.normal(size=(5,)))
+        # a strided input is flattened into the one 2-d product as well
+        check_op(lambda x, w, b: ad.linear(ad.transpose(x), w, b),
+                 RNG.normal(size=(2, 4, 3)), RNG.normal(size=(4, 5)), RNG.normal(size=(5,)))
+
+    # lengths 2 and 3 in a batch padded to 3 slots
+    VALID = np.array([[True, True, False], [True, True, True]])
+
+    def test_split_heads_layouts_and_inverse(self):
+        x = RNG.normal(size=(2, 3, 4))
+        heads = ad.split_heads(Tensor(x), 2).data
+        np.testing.assert_array_equal(heads, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
+        np.testing.assert_array_equal(ad.merge_heads(Tensor(heads)).data, x)
+        packed = x[self.VALID]
+        padded = ad.split_heads(Tensor(packed), 2, self.VALID).data
+        want = np.where(self.VALID[:, :, None], x, 0.0)
+        np.testing.assert_array_equal(padded, want.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
+        np.testing.assert_array_equal(ad.merge_heads(Tensor(padded), self.VALID).data, packed)
+
+    @pytest.mark.parametrize("valid", [None, VALID], ids=["dense", "packed"])
+    def test_split_and_merge_heads_gradients(self, valid):
+        # weighted sums, so that a misplaced slot shows in the gradient
+        rows = (2, 3) if valid is None else (5,)
+        w = Tensor(RNG.normal(size=(2, 2, 3, 2)))
+        check_op(lambda a: ad.mul(ad.split_heads(a, 2, valid), w), RNG.normal(size=rows + (4,)))
+        v = Tensor(RNG.normal(size=rows + (4,)))
+        check_op(lambda a: ad.mul(ad.merge_heads(a, valid), v), RNG.normal(size=(2, 2, 3, 2)))
 
     def test_matmul_transposed(self):
         check_op(ad.matmul_transposed, RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4)))

@@ -353,7 +353,11 @@ MALFORMED_SHARDS = pytest.mark.parametrize("fields,named", [
     (None, ":1: malformed instance record (not a JSON object)"),
     ({"text": 5}, "utterance 1: field 'text' has a bad value 5"),
     ({"ts": None}, "utterance 1: field 'ts' has a bad value None"),
-], ids=["not-an-object", "text-not-a-string", "null-timestamp"])
+    ({"ts": True}, ":1: malformed instance record (utterance 1: field 'ts' has a bad value True"),
+    ({"parent": 110.9}, ":1: malformed instance record (utterance 1: field 'parent' has a bad value 110.9"),
+    ({"id": "3"}, ":1: malformed instance record (utterance 1: field 'id' has a bad value '3'"),
+], ids=["not-an-object", "text-not-a-string", "null-timestamp", "bool-timestamp",
+        "float-parent", "string-id"])
 
 
 @MALFORMED_SHARDS

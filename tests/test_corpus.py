@@ -282,6 +282,19 @@ class TestSerialization:
         with pytest.raises(CorpusError, match=":2:"):
             list(read_instances(path))
 
+    @pytest.mark.parametrize("value", [True, 110.9, "3"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field", ["id", "parent", "ts", "score"])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, field, value):
+        post = make_post(10)
+        record = instance_to_record(build_instance(post, extract_threads(post)[0]))
+        record["utterances"][1][field] = value
+        path = str(tmp_path / "shard.jsonl")
+        with open(path, "w") as f:
+            f.write(json.dumps(record) + "\n")
+        named = f"{path}:1: malformed instance record (utterance 1: field {field!r} has a bad value"
+        with pytest.raises(CorpusError, match=re.escape(named)):
+            list(read_instances(path))
+
 
 class TestGoldenPipeline:
     def test_fixture_matches_golden_bytes(self, fixture_dir, tmp_path):

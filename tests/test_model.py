@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import truncnorm
 
@@ -170,6 +172,13 @@ class TestInit:
         assert drawn.shape == shape
         assert drawn.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("seed", [5, 1234])
+    def test_blocked_draw_equals_scipy_rvs_beyond_two_blocks(self, seed):
+        shape = (2 * INIT_BLOCK_ROWS + 300, 16)
+        expected = truncnorm.rvs(-2.0, 2.0, scale=0.02, size=shape,
+                                 random_state=np.random.default_rng(seed))
+        assert truncated_normal(np.random.default_rng(seed), shape).tobytes() == expected.tobytes()
+
     def test_decay_flags(self):
         params = init_parameters(toy_config(), seed=0)
         assert params["embed.tokens"].decay
@@ -186,17 +195,58 @@ class TestInit:
             Model(cfg, params)
 
 
+def _layer_norm(t, g, b, eps=1e-5):
+    mu = t.mean(-1, keepdims=True)
+    var = ((t - mu) ** 2).mean(-1, keepdims=True)
+    return (t - mu) / np.sqrt(var + eps) * g + b
+
+
+def _softmax_rows(e):
+    e = e - e.max(-1, keepdims=True)
+    w = np.exp(e)
+    return w / w.sum(-1, keepdims=True)
+
+
+def _feed_forward(params, p, h):
+    y = _layer_norm(h, params[p + "ln2.g"].data, params[p + "ln2.b"].data)
+    mid = y @ params[p + "ff.w1"].data + params[p + "ff.b1"].data
+    mid = mid * 0.5 * (1 + erf(mid / np.sqrt(2)))
+    return h + mid @ params[p + "ff.w2"].data + params[p + "ff.b2"].data
+
+
+def reference_token_encoder(params, ids, num_layers, num_heads):
+    """One utterance through the token encoder on its own, in plain numpy:
+    [L, d] rows, with no batch and no padding anywhere."""
+    d = params["embed.tokens"].data.shape[1]
+    dz = d // num_heads
+    h = params["embed.tokens"].data[ids] + sinusoidal_pe(len(ids), d)
+    for layer in range(num_layers):
+        p = f"tok.{layer}."
+        y = _layer_norm(h, params[p + "ln1.g"].data, params[p + "ln1.b"].data)
+        q, k, v = (y @ params[p + f"attn.w{c}"].data + params[p + f"attn.b{c}"].data
+                   for c in "qkv")
+        heads = [_softmax_rows(q[:, s] @ k[:, s].T / np.sqrt(dz)) @ v[:, s]
+                 for s in (slice(i * dz, (i + 1) * dz) for i in range(num_heads))]
+        h = h + np.concatenate(heads, axis=-1) @ params[p + "attn.wo"].data + params[p + "attn.bo"].data
+        h = _feed_forward(params, p, h)
+    return _layer_norm(h, params["tok.final_ln.g"].data, params["tok.final_ln.b"].data)
+
+
+def row_starts(lengths):
+    return np.cumsum(lengths) - lengths
+
+
 class TestTokenEncoder:
     def test_output_shape(self, toy_model, toy_input):
         states, lengths = toy_model.token_encode(toy_input.token_ids)
-        n = len(toy_input.token_ids)
-        assert states.shape == (n, max(lengths), toy_model.config.d_hidden)
+        np.testing.assert_array_equal(lengths, [len(ids) for ids in toy_input.token_ids])
+        assert states.shape == (int(lengths.sum()), toy_model.config.d_hidden)
 
     def test_identical_utterances_identical_outputs(self, toy_model, tiny_tokenizer):
         from threadsum.tokenizer import tokenize_utterance
         ids = tokenize_utterance(tiny_tokenizer, "check the logs", 16)
         states, _ = toy_model.token_encode([ids, ids])
-        np.testing.assert_array_equal(states.data[0], states.data[1])
+        np.testing.assert_array_equal(states.data[: len(ids)], states.data[len(ids):])
 
     def test_padding_does_not_leak(self, toy_model, tiny_tokenizer):
         from threadsum.tokenizer import tokenize_utterance
@@ -204,7 +254,32 @@ class TestTokenEncoder:
         long = tokenize_utterance(tiny_tokenizer, "the quick brown fox jumps over it", 16)
         batched, lengths = toy_model.token_encode([short, long])
         alone, _ = toy_model.token_encode([short])
-        np.testing.assert_allclose(batched.data[0, : lengths[0]], alone.data[0], atol=1e-12)
+        np.testing.assert_allclose(batched.data[: lengths[0]], alone.data, atol=1e-12)
+
+    def test_matches_unpadded_per_utterance_reference(self, toy_model, toy_input):
+        cfg = toy_model.config
+        refs = [reference_token_encoder(toy_model.params, ids, cfg.num_layers, cfg.num_heads)
+                for ids in toy_input.token_ids]
+        with no_grad():
+            token_bos, utt_states, memory = toy_model.encode_conversation(toy_input)
+        np.testing.assert_allclose(token_bos.data, [r[0] for r in refs], atol=1e-12, rtol=0)
+        want = np.concatenate([r + utt_states.data[i] for i, r in enumerate(refs)])
+        np.testing.assert_allclose(memory.data, want, atol=1e-12, rtol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_batch_mates(self, toy_model, data):
+        cfg = toy_model.config
+        lengths = data.draw(st.lists(st.integers(1, cfg.max_utterance_tokens), min_size=1,
+                                     max_size=6), label="lengths")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        token_ids = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in lengths]
+        with no_grad():
+            batched, _ = toy_model.token_encode(token_ids)
+            for start, ids in zip(row_starts(np.array(lengths)), token_ids):
+                alone, _ = toy_model.token_encode([ids])
+                np.testing.assert_allclose(batched.data[start:start + len(ids)], alone.data,
+                                           atol=1e-12, rtol=0)
 
     def test_rejects_out_of_vocab(self, toy_model):
         with pytest.raises(IndexError):
@@ -221,10 +296,12 @@ class TestTokenEncoder:
             toy_model.decoder_forward(np.array([[0], [-1]]), memory, cache=toy_model.decoder_cache(memory))
 
     def test_utterance_repr_pe_component(self, toy_model, toy_input):
-        states, _ = toy_model.token_encode(toy_input.token_ids)
-        reprs = toy_model.utterance_representations(states)
+        states, lengths = toy_model.token_encode(toy_input.token_ids)
+        token_bos = toy_model.encode_conversation(toy_input)[0]
+        np.testing.assert_array_equal(token_bos.data, states.data[row_starts(lengths)])
+        reprs = toy_model.utterance_representations(token_bos)
         pe = sinusoidal_pe(len(toy_input.token_ids), toy_model.config.d_hidden)
-        np.testing.assert_allclose(reprs.data - states.data[:, 0, :], pe, atol=1e-12)
+        np.testing.assert_allclose(reprs.data - token_bos.data, pe, atol=1e-12)
 
 
 class TestThreadAttentionScores:
@@ -291,20 +368,10 @@ def reference_chain_utterance_encoder(params, x, k, num_layers, num_heads):
     dz = d // num_heads
     table = params["thread.rel"].data
 
-    def ln(t, g, b, eps=1e-5):
-        mu = t.mean(-1, keepdims=True)
-        var = ((t - mu) ** 2).mean(-1, keepdims=True)
-        return (t - mu) / np.sqrt(var + eps) * g + b
-
-    def softmax_rows(e):
-        e = e - e.max(-1, keepdims=True)
-        w = np.exp(e)
-        return w / w.sum(-1, keepdims=True)
-
     h = x.copy()
     for layer in range(num_layers):
         p = f"utt.{layer}."
-        y = ln(h, params[p + "ln1.g"].data, params[p + "ln1.b"].data)
+        y = _layer_norm(h, params[p + "ln1.g"].data, params[p + "ln1.b"].data)
         q = y @ params[p + "attn.wq"].data + params[p + "attn.bq"].data
         kk = y @ params[p + "attn.wk"].data + params[p + "attn.bk"].data
         vv = y @ params[p + "attn.wv"].data + params[p + "attn.bv"].data
@@ -318,21 +385,17 @@ def reference_chain_utterance_encoder(params, x, k, num_layers, num_heads):
                     offset = int(np.clip(i - j, -k, k))
                     r = table[1 + k + offset]
                     e[i, j] = ((qh[i] + r) @ (kh[j] + r) - r @ r) / np.sqrt(dz)
-            head_outs.append(softmax_rows(e) @ vh)
+            head_outs.append(_softmax_rows(e) @ vh)
         attn = np.concatenate(head_outs, axis=-1) @ params[p + "attn.wo"].data + params[p + "attn.bo"].data
-        h = h + attn
-        y = ln(h, params[p + "ln2.g"].data, params[p + "ln2.b"].data)
-        mid = y @ params[p + "ff.w1"].data + params[p + "ff.b1"].data
-        mid = mid * 0.5 * (1 + erf(mid / np.sqrt(2)))
-        h = h + mid @ params[p + "ff.w2"].data + params[p + "ff.b2"].data
-    return ln(h, params["utt.final_ln.g"].data, params["utt.final_ln.b"].data)
+        h = _feed_forward(params, p, h + attn)
+    return _layer_norm(h, params["utt.final_ln.g"].data, params["utt.final_ln.b"].data)
 
 
 class TestUtteranceEncoder:
     def test_shape_preserved(self, toy_model, toy_input):
         with no_grad():
-            states, _ = toy_model.token_encode(toy_input.token_ids)
-            reprs = toy_model.utterance_representations(states)
+            token_bos = toy_model.encode_conversation(toy_input)[0]
+            reprs = toy_model.utterance_representations(token_bos)
             out = toy_model.utterance_encode(reprs, toy_input.relation_buckets)
         assert out.shape == reprs.shape
 
@@ -369,15 +432,14 @@ class TestDecoder:
     def test_memory_is_token_states_plus_utterance_vector(self, toy_model, toy_input):
         with no_grad():
             states, lengths = toy_model.token_encode(toy_input.token_ids)
-            reprs = toy_model.utterance_representations(states)
+            reprs = toy_model.utterance_representations(states[row_starts(lengths)])
             utt = toy_model.utterance_encode(reprs, toy_input.relation_buckets)
             mem = toy_model.build_decoder_memory(states, lengths, utt)
-        assert mem.shape[0] == int(lengths.sum())
+        assert mem.shape == states.shape == (int(lengths.sum()), toy_model.config.d_hidden)
         row = 0
         for i, l in enumerate(lengths):
-            for t in range(l):
-                np.testing.assert_allclose(
-                    mem.data[row], states.data[i, t] + utt.data[i], atol=1e-12)
+            for _ in range(l):
+                np.testing.assert_allclose(mem.data[row], states.data[row] + utt.data[i], atol=1e-12)
                 row += 1
 
     def test_logit_shape_and_softmax(self, toy_model, toy_input):
