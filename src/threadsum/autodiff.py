@@ -243,13 +243,23 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``.  ``a`` may have leading axes beyond ``b``'s batch axes
+    ([B, h, s, k] @ [h, k, n]); they are folded into the rows of one product
+    per batch index of ``b`` instead of broadcasting ``b``."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not align")
-    if ad.ndim != bd.ndim and min(ad.ndim, bd.ndim) != 2:
-        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} must match (or one side be 2-d)")
-    if ad.ndim == bd.ndim and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} must match")
+    lead = ad.ndim - bd.ndim
+    if min(ad.ndim, bd.ndim) > 2 and (lead < 0 or ad.shape[lead:-2] != bd.shape[:-2]):
+        raise ShapeError(f"matmul batch dims of {ad.shape} must end with those of {bd.shape} "
+                         f"(or one side be 2-d)")
+    if lead > 0 and bd.ndim > 2:
+        folded = range(-lead - 2, -2)
+        rows = np.moveaxis(ad, range(lead), folded)  # [h, B, s, k]
+        out = rows.reshape(bd.shape[:-2] + (-1, ad.shape[-1])) @ bd
+        out = np.moveaxis(out.reshape(rows.shape[:-1] + bd.shape[-1:]), folded, range(lead))
+    else:
+        out = ad @ bd
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
@@ -263,7 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.swapaxes(ad, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
-    return _make(ad @ bd, (a, b), bwd)
+    return _make(out, (a, b), bwd)
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:

@@ -361,8 +361,10 @@ def _read_summary_lines(path: str) -> List[str]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "summary" not in obj:
-                raise CorpusError(f"{path}:{lineno}: record has no 'summary' field")
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{path}:{lineno}: record is not a JSON object")
+            if not isinstance(obj.get("summary"), str):
+                raise CorpusError(f"{path}:{lineno}: record has no 'summary' string")
             out.append(obj["summary"])
     return out
 

@@ -489,9 +489,9 @@ class Model:
                 self_kv = (np.concatenate([past_k, new_k], axis=-1),
                            np.concatenate([past_v, new_v], axis=-2))
                 cache.self_kv[layer] = self_kv
-                # every beam reads the one memory projection through a view
-                cross_kv = tuple(np.broadcast_to(a, summary_input.shape[:1] + a.shape)
-                                 for a in cache.cross[layer])
+                # every beam's queries meet the one memory projection in one
+                # product per head (``ad.matmul`` folds the beam axis)
+                cross_kv = cache.cross[layer]
             a = self._attention(f"{pre}.self", normed, normed, causal, None, rng, kv=self_kv)
             x = self._sublayer(x, a, rng)
             c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),

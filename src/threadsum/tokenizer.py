@@ -2,19 +2,26 @@
 
 The pre-tokenizer reproduces the usual byte-level BPE splitting rules --
 contractions, space-prefixed letter/digit/punctuation runs, whitespace runs
-that leave their last space attached to the next word -- with a hand-rolled
-scanner over Unicode categories, so there is no dependency beyond stdlib.
+that leave their last space attached to the next word -- with the standard
+library alone.  ``str.translate`` rewrites the text as one class character
+per character.  ASCII letters, the space and the apostrophe stay themselves
+(so contractions still match); other letters become ``L``, digits ``0``,
+other whitespace a tab and everything else ``!``.  One compiled pattern
+splits that class string, and each piece is the same span of the text.
 
-Special tokens are plain vocabulary entries with reserved surface forms;
-``encode`` treats those surfaces atomically instead of byte-splitting them.
+``encode`` memoizes the ids of each distinct piece, so a repeated word costs
+one dictionary lookup.  Special tokens are plain vocabulary entries with
+reserved surface forms; ``encode`` treats those surfaces atomically instead
+of byte-splitting them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import unicodedata
-from itertools import islice
+from itertools import islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 BOS_TOKEN = "<bos>"
@@ -25,8 +32,6 @@ EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 
 REQUIRED_SPECIALS = (BOS_TOKEN, MASK_TOKEN, URL_TOKEN, PAD_TOKEN, EOS_TOKEN)
-
-_CONTRACTIONS = ("'s", "'t", "'re", "'ve", "'m", "'ll", "'d")
 
 
 def bytes_to_unicode() -> Dict[int, str]:
@@ -44,96 +49,69 @@ def bytes_to_unicode() -> Dict[int, str]:
     return dict(zip(bs, map(chr, cs)))
 
 
-_BYTE_ENCODER = bytes_to_unicode()
-_BYTE_DECODER = {c: b for b, c in _BYTE_ENCODER.items()}
+# the two directions of the byte map as str.translate tables: a byte is the
+# code point of its latin-1 character
+_BYTE_SYMBOLS = bytes_to_unicode()
+_SYMBOL_BYTES = {ord(c): b for b, c in _BYTE_SYMBOLS.items()}
 
 
-def _is_letter(c: str) -> bool:
-    return unicodedata.category(c).startswith("L")
+def _symbols(piece: str) -> str:
+    """The byte symbols of a piece's UTF-8 encoding."""
+    return piece.encode("utf-8").decode("latin-1").translate(_BYTE_SYMBOLS)
 
 
-def _is_digit(c: str) -> bool:
-    return unicodedata.category(c).startswith("N")
+class _CharClasses(dict):
+    """Code point -> class character (see the module docstring), a
+    ``str.translate`` table that classifies each code point on first sight."""
+
+    def __missing__(self, cp: int) -> str:
+        c = chr(cp)
+        category = unicodedata.category(c)[0]
+        if c.isspace():
+            cls = " " if c == " " else "\t"
+        elif category == "L":
+            cls = c if c.isascii() else "L"
+        elif category == "N":
+            cls = "0"
+        else:
+            cls = "'" if c == "'" else "!"
+        self[cp] = cls
+        return cls
 
 
-def _is_other(c: str) -> bool:
-    return not (c.isspace() or _is_letter(c) or _is_digit(c))
-
-
-def _run(text: str, i: int, pred) -> int:
-    n = len(text)
-    while i < n and pred(text[i]):
-        i += 1
-    return i
+_CLASSES = _CharClasses()
+_PIECE = re.compile(r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?0+| ?[!']+|[ \t]+(?![^ \t])|[ \t]+")
 
 
 def pre_tokenize(text: str) -> List[str]:
     """Split text into BPE work pieces; ``''.join(result) == text``."""
-    pieces: List[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "'":
-            for suf in _CONTRACTIONS:
-                if text.startswith(suf, i):
-                    pieces.append(suf)
-                    i += len(suf)
-                    break
-            else:
-                j = _run(text, i, _is_other)
-                pieces.append(text[i:j])
-                i = j
-            continue
-        if c == " " and i + 1 < n and not text[i + 1].isspace():
-            c2 = text[i + 1]
-            pred = _is_letter if _is_letter(c2) else _is_digit if _is_digit(c2) else _is_other
-            j = _run(text, i + 1, pred)
-            pieces.append(text[i:j])
-            i = j
-            continue
-        if _is_letter(c) or _is_digit(c):
-            j = _run(text, i, _is_letter if _is_letter(c) else _is_digit)
-            pieces.append(text[i:j])
-            i = j
-            continue
-        if not c.isspace():
-            j = _run(text, i, _is_other)
-            pieces.append(text[i:j])
-            i = j
-            continue
-        j = _run(text, i, str.isspace)
-        if j < n and j - i > 1:
-            # whitespace run before a word keeps its last char for the word
-            pieces.append(text[i:j - 1])
-            i = j - 1
-        else:
-            pieces.append(text[i:j])
-            i = j
-    return pieces
-
-
-def _get_pairs(word: Tuple[str, ...]) -> set:
-    return set(zip(word, word[1:]))
+    return [text[m.start():m.end()] for m in _PIECE.finditer(text.translate(_CLASSES))]
 
 
 def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:
     """``word`` with each left-to-right occurrence of (first, second) fused into one symbol."""
     merged: List[str] = []
-    i = 0
-    while i < len(word):
-        if i < len(word) - 1 and word[i] == first and word[i + 1] == second:
+    i, last = 0, len(word) - 1
+    while i <= last:
+        try:
+            j = word.index(first, i)
+        except ValueError:
+            break
+        merged += word[i:j]
+        if j < last and word[j + 1] == second:
             merged.append(first + second)
-            i += 2
+            i = j + 2
         else:
-            merged.append(word[i])
-            i += 1
+            merged.append(first)
+            i = j + 1
+    merged += word[i:]
     return tuple(merged)
 
 
 class Tokenizer:
     """Vocabulary + merge ranks; id space is [0, vocab_size).
 
-    Merged pieces are memoized per distinct pre-tokenized piece, up to
+    The ids of each distinct pre-tokenized piece are memoized, up to
     ``bpe_cache_size`` entries; a miss on a full cache first drops the older
     half of it.
     """
@@ -161,7 +139,7 @@ class Tokenizer:
         self._special_ids = {vocab[t] for t in self._specials}
         # longest first so overlapping surfaces resolve deterministically
         self._special_order = sorted(self._specials, key=len, reverse=True)
-        self._bpe_cache: Dict[str, Tuple[str, ...]] = {}
+        self._bpe_cache: Dict[str, Tuple[int, ...]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -172,36 +150,37 @@ class Tokenizer:
 
     # -- core BPE ----------------------------------------------------------
 
-    def _bpe(self, piece: str) -> Tuple[str, ...]:
-        cached = self._bpe_cache.get(piece)
-        if cached is not None:
-            return cached
-        word = tuple(piece)
-        pairs = _get_pairs(word)
-        while pairs:
-            best = min(pairs, key=lambda p: self.ranks.get(p, float("inf")))
-            if best not in self.ranks:
+    def _bpe(self, symbols: str) -> Tuple[str, ...]:
+        """Apply the merges to a piece's byte symbols, lowest rank first."""
+        ranks, merges = self.ranks, self.merges
+        unranked = len(merges)
+        word = tuple(symbols)
+        while len(word) > 1:
+            best = min(map(ranks.get, zip(word, word[1:]), repeat(unranked)))
+            if best == unranked:
                 break
-            word = merge_pair(word, *best)
-            pairs = _get_pairs(word)
+            word = merge_pair(word, *merges[best])
+        return word
+
+    def _piece_ids(self, piece: str) -> Tuple[int, ...]:
+        """A cache miss: merge the piece, look its tokens up and memoize them."""
+        word = self._bpe(_symbols(piece))
+        ids = tuple(map(self.vocab.get, word, repeat(self.unk_id)))
+        if None in ids:
+            raise ValueError(f"token {word[ids.index(None)]!r} not in vocabulary "
+                             f"and no {UNK_TOKEN} defined")
         cache = self._bpe_cache
         if len(cache) >= self.bpe_cache_size:
             for stale in list(islice(cache, (len(cache) + 1) // 2)):
                 del cache[stale]
-        cache[piece] = word
-        return word
+        cache[piece] = ids
+        return ids
 
     def _encode_plain(self, text: str) -> List[int]:
+        get = self._bpe_cache.get
         ids: List[int] = []
         for piece in pre_tokenize(text):
-            mapped = "".join(_BYTE_ENCODER[b] for b in piece.encode("utf-8"))
-            for sub in self._bpe(mapped):
-                tid = self.vocab.get(sub)
-                if tid is None:
-                    if self.unk_id is None:
-                        raise ValueError(f"token {sub!r} not in vocabulary and no {UNK_TOKEN} defined")
-                    tid = self.unk_id
-                ids.append(tid)
+            ids += get(piece) or self._piece_ids(piece)
         return ids
 
     def _split_specials(self, text: str) -> List[Tuple[bool, str]]:
@@ -238,7 +217,7 @@ class Tokenizer:
 
         def flush():
             if buf:
-                raw = bytes(_BYTE_DECODER[c] for c in "".join(buf))
+                raw = "".join(buf).translate(_SYMBOL_BYTES).encode("latin-1")
                 out.append(raw.decode("utf-8", errors="replace"))
                 buf.clear()
 
@@ -254,7 +233,7 @@ class Tokenizer:
     def continues_character(self, token_id: int) -> bool:
         """Whether the token starts with a UTF-8 continuation byte, so that a
         cut just before it would split a character."""
-        return _BYTE_DECODER[self.id_to_token[token_id][0]] & 0xC0 == 0x80
+        return _SYMBOL_BYTES[ord(self.id_to_token[token_id][0])] & 0xC0 == 0x80
 
     # -- persistence ---------------------------------------------------------
 
@@ -299,7 +278,7 @@ def train_bpe(texts: Iterable[str], vocab_size: int) -> Tokenizer:
     alphabet = set()
     for text in texts:
         for piece in pre_tokenize(text):
-            mapped = tuple(_BYTE_ENCODER[b] for b in piece.encode("utf-8"))
+            mapped = tuple(_symbols(piece))
             alphabet.update(mapped)
             word_freq[mapped] = word_freq.get(mapped, 0) + 1
 

@@ -105,6 +105,13 @@ class TestMatmulAndShapes:
     def test_matmul_4d(self):
         check_op(ad.matmul, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 4, 3)))
 
+    def test_matmul_folds_leading_axes_into_rows(self):
+        a, b = RNG.normal(size=(3, 2, 4, 5)), RNG.normal(size=(2, 5, 6))
+        np.testing.assert_allclose(ad.matmul(Tensor(a), Tensor(b)).data, a @ b,
+                                   rtol=1e-13, atol=1e-13)
+        check_op(ad.matmul, a, b)
+        check_op(ad.matmul, RNG.normal(size=(2, 3, 2, 1, 4)), RNG.normal(size=(2, 4, 3)))
+
     def test_matmul_rejects_bad_inner(self):
         with pytest.raises(ShapeError) as e:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))

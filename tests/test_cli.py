@@ -530,6 +530,17 @@ class TestGenerateEvaluate:
         assert dispatch(["evaluate", "--pred", str(a), "--ref", str(a),
                          "--out", str(tmp_path / "s.json")]) == 2
 
+    @pytest.mark.parametrize("line", ['"the summary"', '{"summary": 5}'],
+                             ids=["not an object", "summary not a string"])
+    def test_malformed_prediction_line_is_data_error(self, tmp_path, line, capsys):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"summary": "x"}\n{"summary": "y"}\n')
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"summary": "x"}\n' + line + "\n")
+        assert dispatch(["evaluate", "--pred", str(preds), "--ref", str(refs),
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert f"{preds}:2:" in capsys.readouterr().err
+
 
 class TestGradCheckCommand:
     def test_small_config_passes(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from threadsum.tokenizer import (
     EOS_TOKEN,
     MASK_TOKEN,
     PAD_TOKEN,
+    REQUIRED_SPECIALS,
     UNK_TOKEN,
     URL_TOKEN,
     Tokenizer,
@@ -183,3 +185,206 @@ class TestTraining:
             [BOS_TOKEN, MASK_TOKEN, URL_TOKEN, PAD_TOKEN, EOS_TOKEN])}
         with pytest.raises(ValueError, match="dense"):
             Tokenizer(vocab, [])
+
+
+# -- oracles: the character scanner and the merge loop the fast paths replaced
+
+SCANNER_CONTRACTIONS = ("'s", "'t", "'re", "'ve", "'m", "'ll", "'d")
+
+
+def scanner_is_letter(c):
+    return unicodedata.category(c).startswith("L")
+
+
+def scanner_is_digit(c):
+    return unicodedata.category(c).startswith("N")
+
+
+def scanner_is_other(c):
+    return not (c.isspace() or scanner_is_letter(c) or scanner_is_digit(c))
+
+
+def scanner_run(text, i, pred):
+    while i < len(text) and pred(text[i]):
+        i += 1
+    return i
+
+
+def scanner_pre_tokenize(text):
+    """The character-by-character scanner over Unicode categories."""
+    pieces, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "'":
+            for suf in SCANNER_CONTRACTIONS:
+                if text.startswith(suf, i):
+                    pieces.append(suf)
+                    i += len(suf)
+                    break
+            else:
+                j = scanner_run(text, i, scanner_is_other)
+                pieces.append(text[i:j])
+                i = j
+            continue
+        if c == " " and i + 1 < n and not text[i + 1].isspace():
+            c2 = text[i + 1]
+            pred = (scanner_is_letter if scanner_is_letter(c2)
+                    else scanner_is_digit if scanner_is_digit(c2) else scanner_is_other)
+            j = scanner_run(text, i + 1, pred)
+            pieces.append(text[i:j])
+            i = j
+            continue
+        if scanner_is_letter(c) or scanner_is_digit(c):
+            j = scanner_run(text, i, scanner_is_letter if scanner_is_letter(c) else scanner_is_digit)
+            pieces.append(text[i:j])
+            i = j
+            continue
+        if not c.isspace():
+            j = scanner_run(text, i, scanner_is_other)
+            pieces.append(text[i:j])
+            i = j
+            continue
+        j = scanner_run(text, i, str.isspace)
+        if j < n and j - i > 1:
+            pieces.append(text[i:j - 1])
+            i = j - 1
+        else:
+            pieces.append(text[i:j])
+            i = j
+    return pieces
+
+
+BYTE_MAP = bytes_to_unicode()
+SYMBOL_BYTE = {c: b for b, c in BYTE_MAP.items()}
+
+
+def loop_bpe(symbols, ranks):
+    """Merge the lowest-ranked adjacent pair until none is ranked, one symbol at a time."""
+    word = tuple(symbols)
+    while len(word) > 1:
+        pairs = set(zip(word, word[1:]))
+        best = min(pairs, key=lambda p: ranks.get(p, float("inf")))
+        if best not in ranks:
+            break
+        merged, i = [], 0
+        while i < len(word):
+            if i < len(word) - 1 and (word[i], word[i + 1]) == best:
+                merged.append(word[i] + word[i + 1])
+                i += 2
+            else:
+                merged.append(word[i])
+                i += 1
+        word = tuple(merged)
+    return word
+
+
+def loop_encode(tok, text):
+    """``encode`` through the scanner, a per-byte map and the merge loop, uncached."""
+    ids = []
+    for is_special, chunk in tok._split_specials(text):
+        if is_special:
+            ids.append(tok.vocab[chunk])
+            continue
+        for piece in scanner_pre_tokenize(chunk):
+            symbols = "".join(BYTE_MAP[b] for b in piece.encode("utf-8"))
+            for sub in loop_bpe(symbols, tok.ranks):
+                tid = tok.vocab.get(sub, tok.unk_id)
+                if tid is None:
+                    raise ValueError(sub)
+                ids.append(tid)
+    return ids
+
+
+def loop_decode(tok, ids):
+    out, buf = [], []
+    for i in ids:
+        if i in tok._special_ids:
+            out.append(bytes(SYMBOL_BYTE[c] for c in "".join(buf)).decode("utf-8", errors="replace"))
+            buf = []
+            out.append(tok.id_to_token[i])
+        else:
+            buf.append(tok.id_to_token[i])
+    out.append(bytes(SYMBOL_BYTE[c] for c in "".join(buf)).decode("utf-8", errors="replace"))
+    return "".join(out)
+
+
+# every code point class the pre-tokenizer tells apart, with its edge cases:
+# non-ASCII letters, digits (Nd, Nl, No) and spaces, lone surrogates,
+# contraction suffixes and the class characters themselves
+EDGE_CHARS = ["'", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2009", "\u3000",
+              "\u2028", "s", "t", "re", "ve", "m", "ll", "d", "S", "L", "l", "0", "!", "a", "Z",
+              "\xe9", "\xdf", "\u6f22", "\u01c5", "\u0663", "\u216b", "\xbd", "\xb2", "\ud800",
+              "\udfff", "\U0001f600", "\u0301", "_"]
+UNICODE_TEXTS = st.lists(st.one_of(st.text(st.characters(exclude_categories=())),
+                                   st.sampled_from(EDGE_CHARS)), max_size=12).map("".join)
+
+
+class TestAgainstTheLoops:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=UNICODE_TEXTS)
+    def test_pre_tokenize_matches_the_scanner(self, text):
+        assert pre_tokenize(text) == scanner_pre_tokenize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.integers(0, BYTE_COMPLETE.vocab_size - 1), max_size=16))
+    def test_decode_matches_the_byte_loop(self, ids):
+        assert BYTE_COMPLETE.decode(ids) == loop_decode(BYTE_COMPLETE, ids)
+
+    def test_continues_character_matches_the_byte_map(self):
+        tok = BYTE_COMPLETE
+        for i, token in tok.id_to_token.items():
+            if i not in tok._special_ids:
+                assert tok.continues_character(i) == (SYMBOL_BYTE[token[0]] & 0xC0 == 0x80)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_encode_matches_the_loop_on_random_merge_tables(self, data):
+        # base symbols of "a", "b", " ", "é" (two bytes) and "'"
+        base = sorted({BYTE_MAP[b] for b in "ab é'".encode("utf-8")})
+        pool = list(base)
+        merges = []
+        for _ in range(data.draw(st.integers(0, 12), label="merges")):
+            if merges and data.draw(st.booleans(), label="repeat an earlier pair"):
+                pair = data.draw(st.sampled_from(merges))
+            else:
+                pair = (data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+            merges.append(pair)
+            pool.append(pair[0] + pair[1])
+        tokens = [BOS_TOKEN, MASK_TOKEN, URL_TOKEN, PAD_TOKEN, EOS_TOKEN, UNK_TOKEN]
+        tokens += list(BYTE_MAP.values()) + pool
+        tok = Tokenizer({t: i for i, t in enumerate(dict.fromkeys(tokens))}, merges)
+        tok.bpe_cache_size = data.draw(st.integers(1, 4), label="cache size")
+        words = st.text(st.sampled_from(["a", "b", "é", " ", "'", "\n", "!"]), max_size=10)
+        for text in data.draw(st.lists(words, min_size=1, max_size=6), label="texts"):
+            assert tok.encode(text) == loop_encode(tok, text)
+            assert len(tok._bpe_cache) <= tok.bpe_cache_size
+
+    def test_overlapping_pair_merges_left_to_right(self):
+        tokens = list(REQUIRED_SPECIALS) + [UNK_TOKEN, "a", "aa", "aaa"]
+        tok = Tokenizer({t: i for i, t in enumerate(tokens)}, [("a", "a"), ("aa", "a")])
+        for text in ("aaaa", "aaa", "aaaaa"):
+            assert tok.encode(text) == loop_encode(tok, text)
+        assert [tok.id_to_token[i] for i in tok.encode("aaaa")] == ["aa", "aa"]
+        assert [tok.id_to_token[i] for i in tok.encode("aaaaa")] == ["aa", "aaa"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=UNICODE_TEXTS)
+    def test_encode_matches_the_loop_on_arbitrary_unicode(self, text):
+        try:
+            expected = loop_encode(BYTE_COMPLETE, text)
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 bytes
+            with pytest.raises(UnicodeEncodeError):
+                BYTE_COMPLETE.encode(text)
+            return
+        assert BYTE_COMPLETE.encode(text) == expected
+
+    def test_missing_unk_raises_on_every_call_and_caches_nothing(self):
+        tokens = list(REQUIRED_SPECIALS) + ["a", "b"]
+        tok = Tokenizer({t: i for i, t in enumerate(tokens)}, [])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not in vocabulary"):
+                tok.encode("ac")
+            assert tok._bpe_cache == {}
+        assert tok.encode("ab") == [tok.vocab["a"], tok.vocab["b"]]
+        assert list(tok._bpe_cache) == ["ab"]
+
