@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from threadsum.decoding import beam_search, greedy_decode, has_repeated_trigram
+from threadsum.decoding import beam_search, has_repeated_trigram
 from threadsum.rouge import evaluate_pairs, rouge_tokenize, score_pair
 
 VOCAB, BOS, EOS = 12, 0, 1
@@ -27,7 +27,7 @@ table -= np.log(np.exp(table).sum(axis=1, keepdims=True))
 def decode_fn(prefix):
     return table[prefix[-1]]
 
-greedy = greedy_decode(decode_fn, BOS, EOS, max_len=16, block_trigrams=False)
+greedy = beam_search(decode_fn, BOS, EOS, max_len=16, beam_size=1, block_trigrams=False)
 print("greedy, no blocking   :", greedy.generated())
 print("  repeated trigram?   :", has_repeated_trigram(greedy.generated()))
 

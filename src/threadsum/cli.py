@@ -12,7 +12,9 @@ shorthand for one key, which is its argparse dest (``--steps`` sets
 "train.total_steps"), and ``--set KEY=VALUE`` sets any key; ``dispatch``
 resolves the config once and hands it to the command.  A key the package does
 not define is a configuration error (exit 1); that includes ``model.*`` keys
-that older versions accepted and that have since been removed.  A manifest is
+that older versions accepted and that have since been removed.  So is a value
+the run cannot honour, such as a shard size, beam size or log interval below
+1, reported before the command reads its data or builds a model.  A manifest is
 written atomically before and after each file-producing run; commands that
 only print to stdout write one when --manifest is given.  Manifests, --stats
 files, corpus shards, predictions and score reports go through the one atomic
@@ -44,6 +46,7 @@ from .corpus import (
     CorpusError,
     build_corpus,
     read_instances,
+    read_jsonl,
     read_post_dump,
     write_instances,  # noqa: F401  (perfbench's traced runs patch cli.write_instances)
 )
@@ -142,6 +145,15 @@ def model_config_from(config: Dict[str, object]) -> ModelConfig:
 
 def train_config_from(config: Dict[str, object]) -> TrainRunConfig:
     return _section_config(TrainRunConfig, config, "train")
+
+
+def _check_int(config: Dict[str, object], key: str, lo: int, hi: Optional[int] = None) -> None:
+    """A ConfigError unless ``config[key]`` is an integer in [lo, hi]."""
+    value = config[key]
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
 
 
 def named_seed(seed: int, name: str) -> int:
@@ -253,6 +265,7 @@ def _load_instances(paths: List[str]):
 
 
 def cmd_build_corpus(args, config, provenance) -> int:
+    _check_int(config, "corpus.shard_size", 1)
     tokenizer = Tokenizer.load(args.vocab) if args.vocab else None
     manifest_path = args.manifest or args.output + "-manifest.json"
     with RunManifest(manifest_path, "build-corpus", config, provenance,
@@ -298,7 +311,9 @@ def _from_checkpoint(config, provenance, path: str) -> Model:
 def cmd_train(args, config, provenance) -> int:
     """pretrain from a seeded init, or finetune (--init) from a checkpoint.
 
-    The data is read before the model is built, so bad data fails fast."""
+    The run config is checked and the data read before the model is built,
+    so a bad value or bad data fails fast."""
+    run = train_config_from(config)
     tokenizer = Tokenizer.load(args.vocab)
     instances, data_paths = _load_instances(args.data)
     if args.init is None:
@@ -306,7 +321,6 @@ def cmd_train(args, config, provenance) -> int:
                            seed=named_seed(config["train.seed"], "init"))
     else:
         model = _from_checkpoint(config, provenance, args.init)
-    run = train_config_from(config)
     state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                 total_steps=run.total_steps,
                                 weight_decay=run.weight_decay)
@@ -328,6 +342,9 @@ def cmd_train(args, config, provenance) -> int:
 
 def cmd_generate(args, config, provenance) -> int:
     ck = load_checkpoint(args.ckpt, with_optimizer=False)
+    _check_int(config, "decode.beam_size", 1)
+    if config["decode.max_len"] is not None:  # room for the bos slot
+        _check_int(config, "decode.max_len", 1, ck.config.max_summary_tokens - 1)
     model = Model(ck.config, ck.params)
     tokenizer = Tokenizer.load(args.vocab)
     with RunManifest(args.manifest or args.out + ".manifest.json",
@@ -353,19 +370,10 @@ def cmd_generate(args, config, provenance) -> int:
 
 def _read_summary_lines(path: str) -> List[str]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not a JSON object")
-            if not isinstance(obj.get("summary"), str):
-                raise CorpusError(f"{path}:{lineno}: record has no 'summary' string")
-            out.append(obj["summary"])
+    for where, obj in read_jsonl(path, "summary record"):
+        if not isinstance(obj.get("summary"), str):
+            raise CorpusError(f"{where}: malformed summary record (no 'summary' string)")
+        out.append(obj["summary"])
     return out
 
 

@@ -32,9 +32,11 @@ class TreeError(ValueError):
 class Utterance:
     """One turn of a conversation.
 
-    ``id`` is the dense position index inside its tree (0..n-1); original
-    external identifiers belong in ``meta``.  ``parent_id`` is None only for
-    the root.  ``score`` carries net upvotes where the source provides them.
+    Inside a tree, ``id`` is the dense position index (0..n-1) and
+    ``parent_id`` is None only for the root.  A comment parsed from a post
+    dump carries its source ids (strings) until ``ConversationTree.from_records``
+    re-indexes it, keeping the original id under ``meta['source_id']``.
+    ``score`` carries net upvotes where the source provides them.
     """
 
     id: int
@@ -65,10 +67,6 @@ class ThreadRelation:
     @classmethod
     def unrelated(cls) -> "ThreadRelation":
         return cls(False, 0)
-
-    def flipped(self) -> "ThreadRelation":
-        """Relation with the argument order swapped."""
-        return ThreadRelation(self.on_same_path, -self.delta)
 
 
 class ConversationTree:
@@ -129,28 +127,14 @@ class ConversationTree:
         return f"ConversationTree(n={len(self)})"
 
     @classmethod
-    def from_records(cls, records: Iterable) -> "ConversationTree":
-        """Build a tree from records carrying arbitrary (e.g. string) ids.
+    def from_records(cls, records: Iterable[Utterance]) -> "ConversationTree":
+        """Build a tree from utterances carrying arbitrary (e.g. string) ids.
 
-        Accepts ``Utterance`` objects or plain mappings with the same keys.
         Records are sorted by (timestamp, str(id)), re-indexed densely, and
         parent references remapped.  Original ids are kept under
         ``meta['source_id']``.
         """
-        as_utts = [
-            r if isinstance(r, Utterance) else Utterance(
-                id=r["id"],
-                author=r.get("author"),
-                text=r.get("text", ""),
-                timestamp=r.get("timestamp", 0),
-                parent_id=r.get("parent_id"),
-                role=r.get("role"),
-                score=r.get("score"),
-                meta=dict(r.get("meta", {})),
-            )
-            for r in records
-        ]
-        ordered = sorted(as_utts, key=lambda u: (u.timestamp, str(u.id)))
+        ordered = sorted(records, key=lambda u: (u.timestamp, str(u.id)))
         remap = {u.id: pos for pos, u in enumerate(ordered)}
         rebuilt = []
         for pos, u in enumerate(ordered):

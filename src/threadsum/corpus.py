@@ -1,10 +1,14 @@
 """Pretraining-corpus construction from forum-style post dumps.
 
-A post (title + comment forest) is split into threads, one per top-level
-comment.  Each sufficiently large, unflagged thread becomes a training
-instance: the pseudo-summary is the cleaned title concatenated with the
-cleaned lead comment, and the lead comment's slot in the tree is replaced
-by the mask token so the model cannot copy its own target.
+``post_from_record`` parses a post (title + comment forest) straight into
+``Utterance`` records that keep their source ids, and cleans the title and
+every comment body once, there.  The post is split into threads, one per
+top-level comment, and ``ConversationTree.from_records`` re-indexes each
+thread densely.  Each sufficiently large, unflagged thread becomes a
+training instance: the pseudo-summary is the title concatenated with the
+lead comment, and the lead comment's slot in the tree is replaced by the
+mask token so the model cannot copy its own target.  Post dumps, shards and
+prediction files are JSON lines, read through the one ``read_jsonl``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .tokenizer import MASK_TOKEN, URL_TOKEN
 
 __all__ = [
     "CorpusError",
-    "RawComment",
     "RawPost",
     "TrainingInstance",
     "CorpusStats",
@@ -31,7 +34,9 @@ __all__ = [
     "build_instance",
     "build_corpus",
     "write_instances",
+    "read_jsonl",
     "read_instances",
+    "read_post_dump",
 ]
 
 MIN_COMMENTS_DEFAULT = 10
@@ -46,21 +51,14 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawComment:
-    id: str
-    parent_id: Optional[str]  # None = replies to the post itself
-    timestamp: int
-    author: Optional[str]
-    text: str
-    score: int = 0
-
-
-@dataclass(frozen=True)
 class RawPost:
+    """A parsed post: cleaned title and comments, each comment an
+    ``Utterance`` with its source id (parent None = replies to the post)."""
+
     title: str
     title_score: int
     flags: frozenset
-    comments: Tuple[RawComment, ...]
+    comments: Tuple[Utterance, ...]
     meta: dict = field(default_factory=dict, compare=False)
 
 
@@ -136,7 +134,8 @@ def post_from_record(obj: dict) -> RawPost:
     conventions over_18 -> nsfw, quarantine, is_video -> video, and
     post_hint == "image" -> picture.  Comment parent ids may carry t1_/t3_
     prefixes; t3_ (the post itself) means top-level.  A missing comment id
-    or a field of the wrong type is a CorpusError naming the field.
+    or a field of the wrong type is a CorpusError naming the field.  The
+    title and each comment body are cleaned here, once.
     """
     post = f"post {obj.get('id', '?')}"
     flags = {str(f) for f in _field(obj, ("flags",), list, (), post)}
@@ -160,18 +159,18 @@ def post_from_record(obj: dict) -> RawPost:
                 parent = None
             elif parent.startswith("t1_"):
                 parent = parent[3:]
-        comments.append(RawComment(
+        comments.append(Utterance(
             id=str(_field(c, ("id",), object, _REQUIRED, where)),
             parent_id=parent,
             timestamp=_field(c, ("created_utc", "timestamp"), _TO_INT, 0, where),
             author=c.get("author"),
-            text=_field(c, ("body", "text"), str, "", where),
+            text=clean_text(_field(c, ("body", "text"), str, "", where)),
             score=_field(c, ("score",), _TO_INT, 0, where),
         ))
 
     meta = {k: obj[k] for k in ("id", "subreddit") if k in obj}
     return RawPost(
-        title=_field(obj, ("title",), str, "", post),
+        title=clean_text(_field(obj, ("title",), str, "", post)),
         title_score=_field(obj, ("score", "title_score"), _TO_INT, 0, post),
         flags=frozenset(flags),
         comments=tuple(comments),
@@ -199,7 +198,7 @@ def extract_threads(post: RawPost, stats: Optional[CorpusStats] = None) -> List[
     references, or descendants of invalid records) are skipped and counted,
     as are threads whose timestamps cannot form a valid tree.
     """
-    children: Dict[Optional[str], List[RawComment]] = {}
+    children: Dict[Optional[str], List[Utterance]] = {}
     for c in post.comments:
         children.setdefault(c.parent_id, []).append(c)
 
@@ -213,13 +212,8 @@ def extract_threads(post: RawPost, stats: Optional[CorpusStats] = None) -> List[
             group.append(node)
             queue.extend(children.get(node.id, ()))
         grouped += len(group)
-        records = [
-            Utterance(id=c.id, author=c.author, text=c.text, timestamp=c.timestamp,
-                      parent_id=c.parent_id if c is not top else None, score=c.score)
-            for c in group
-        ]
         try:
-            trees.append(ConversationTree.from_records(records))
+            trees.append(ConversationTree.from_records(group))
         except TreeError:
             if stats is not None:
                 stats.reject("invalid_tree")
@@ -250,13 +244,13 @@ def build_instance(post: RawPost, thread: ConversationTree,
     if rejection_reason(post, thread, min_comments) is not None:
         return None
     lead = thread[0]
-    summary = (clean_text(post.title) + " " + clean_text(lead.text)).strip()
+    summary = (post.title + " " + lead.text).strip()
     if not summary:
         return None
-    utts = [replace(u, text=MASK_TOKEN if u.id == 0 else clean_text(u.text)) for u in thread]
     meta = dict(post.meta)
     meta["thread_root"] = lead.meta.get("source_id", lead.id)
-    return TrainingInstance(tree=ConversationTree(utts), pseudo_summary=summary, source_meta=meta)
+    tree = ConversationTree((replace(lead, text=MASK_TOKEN),) + thread.utterances[1:])
+    return TrainingInstance(tree=tree, pseudo_summary=summary, source_meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +329,32 @@ def write_instances(path: str, instances: Iterable[TrainingInstance]) -> int:
     return n
 
 
-def read_instances(path: str) -> Iterator[TrainingInstance]:
+def read_jsonl(path: str, what: str) -> Iterator[Tuple[str, dict]]:
+    """``(path:line, object)`` for each non-blank line of a JSON-lines file.
+
+    A line that is not a JSON object is a CorpusError reading
+    ``path:line: malformed <what> (<cause>)``.
+    """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise CorpusError("not a JSON object")
-                yield instance_from_record(record)
-            except (json.JSONDecodeError, CorpusError, TreeError) as e:
-                raise CorpusError(f"{path}:{lineno}: malformed instance record ({e})") from e
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"{where}: malformed {what} ({e})") from e
+            if not isinstance(record, dict):
+                raise CorpusError(f"{where}: malformed {what} (not a JSON object)")
+            yield where, record
+
+
+def read_instances(path: str) -> Iterator[TrainingInstance]:
+    for where, record in read_jsonl(path, "instance record"):
+        try:
+            yield instance_from_record(record)
+        except (CorpusError, TreeError) as e:
+            raise CorpusError(f"{where}: malformed instance record ({e})") from e
 
 
 def build_corpus(
@@ -389,14 +397,4 @@ def build_corpus(
 
 
 def read_post_dump(path: str) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: malformed post record ({e})") from e
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: post record is not a JSON object")
-            yield record
+    return (record for _, record in read_jsonl(path, "post record"))

@@ -142,13 +142,6 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
                              block_trigrams=block_trigrams)
 
 
-def greedy_decode(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
-                  min_len: int = 1, block_trigrams: bool = True) -> BeamHypothesis:
-    return beam_search(decode_fn, bos_id, eos_id, max_len, beam_size=1,
-                       length_penalty=1.0, min_len=min_len,
-                       block_trigrams=block_trigrams)
-
-
 # ---------------------------------------------------------------------------
 # model plumbing
 

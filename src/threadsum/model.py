@@ -249,10 +249,6 @@ class ModelInput:
     summary_input: np.ndarray  # decoder input ids, starts with bos
     summary_target: np.ndarray  # next-token targets, ends with eos
 
-    @property
-    def num_utterances(self) -> int:
-        return len(self.token_ids)
-
 
 @dataclass
 class ForwardResult:

@@ -52,8 +52,8 @@ def sample_thread_pairs(tree: Union[ConversationTree, np.ndarray],
     """Sample C_s (20% of utterances, min 1) and enumerate candidate pairs.
 
     Accepts a tree or a precomputed strict-ancestor matrix.  The candidate
-    set is C_s x C union C x C_s minus self-pairs, deduplicated, in sorted
-    order so a given sample yields one canonical batch.
+    set is C_s x C union C x C_s minus self-pairs, each pair once, in
+    row-major order so a given sample yields one canonical batch.
     """
     ancestors = tree.ancestor_matrix() if isinstance(tree, ConversationTree) else np.asarray(tree)
     n = ancestors.shape[0]
@@ -64,15 +64,9 @@ def sample_thread_pairs(tree: Union[ConversationTree, np.ndarray],
     n_sampled = max(1, round(0.2 * n))
     sampled = np.sort(rng.choice(n, size=n_sampled, replace=False))
 
-    pairs = set()
-    for s in sampled:
-        for other in range(n):
-            if other != s:
-                pairs.add((int(s), other))
-                pairs.add((other, int(s)))
-    ordered = sorted(pairs)
-    rows = np.array([i for i, _ in ordered], dtype=np.int64)
-    cols = np.array([j for _, j in ordered], dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
+    hit[sampled] = True
+    rows, cols = np.nonzero((hit[:, None] | hit[None, :]) & ~np.eye(n, dtype=bool))
     labels = ancestors[rows, cols].astype(np.float64)
     return ThreadPairBatch(sampled=sampled, rows=rows, cols=cols, labels=labels)
 

@@ -11,8 +11,9 @@ splits that class string, and each piece is the same span of the text.
 
 ``encode`` memoizes the ids of each distinct piece, so a repeated word costs
 one dictionary lookup.  Special tokens are plain vocabulary entries with
-reserved surface forms; ``encode`` treats those surfaces atomically instead
-of byte-splitting them.
+reserved surface forms; ``encode`` splits them out of the text with one
+compiled pattern (leftmost match, then longest) and maps each to its id
+instead of byte-splitting it.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ class Tokenizer:
         self.unk_id: Optional[int] = vocab.get(UNK_TOKEN)
         self._specials = {t for t in (BOS_TOKEN, MASK_TOKEN, URL_TOKEN, PAD_TOKEN, EOS_TOKEN, UNK_TOKEN) if t in vocab}
         self._special_ids = {vocab[t] for t in self._specials}
-        # longest first so overlapping surfaces resolve deterministically
-        self._special_order = sorted(self._specials, key=len, reverse=True)
+        # leftmost surface first, then the longest one starting there
+        longest_first = sorted(self._specials, key=len, reverse=True)
+        self._special_re = re.compile("(" + "|".join(map(re.escape, longest_first)) + ")")
         self._bpe_cache: Dict[str, Tuple[int, ...]] = {}
 
     @property
@@ -183,32 +185,13 @@ class Tokenizer:
             ids += get(piece) or self._piece_ids(piece)
         return ids
 
-    def _split_specials(self, text: str) -> List[Tuple[bool, str]]:
-        parts: List[Tuple[bool, str]] = []
-        i = 0
-        while i < len(text):
-            hit = None
-            for surf in self._special_order:
-                pos = text.find(surf, i)
-                if pos != -1 and (hit is None or pos < hit[0]):
-                    hit = (pos, surf)
-            if hit is None:
-                parts.append((False, text[i:]))
-                break
-            pos, surf = hit
-            if pos > i:
-                parts.append((False, text[i:pos]))
-            parts.append((True, surf))
-            i = pos + len(surf)
-        return parts
-
     def encode(self, text: str) -> List[int]:
-        ids: List[int] = []
-        for is_special, chunk in self._split_specials(text):
-            if is_special:
-                ids.append(self.vocab[chunk])
-            else:
-                ids.extend(self._encode_plain(chunk))
+        # split with a capture group: plain text at even indices, specials at odd
+        parts = self._special_re.split(text)
+        ids = self._encode_plain(parts[0])
+        for special, plain in zip(parts[1::2], parts[2::2]):
+            ids.append(self.vocab[special])
+            ids += self._encode_plain(plain)
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:

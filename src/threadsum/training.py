@@ -231,6 +231,8 @@ class TrainRunConfig:
             raise ValueError("accumulation target must be >= 1")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
 
 
 def train_step(model: Model, state: OptimizerState,

@@ -309,7 +309,7 @@ class TestBuildCorpus:
 
     @pytest.mark.parametrize("line,named", [
         ('{"title":"t","comments":[{"id":"a","created_utc":null,"body":"x"}]}', "'created_utc'"),
-        ("[1, 2]", "bad.jsonl:1: post record is not a JSON object"),
+        ("[1, 2]", "bad.jsonl:1: malformed post record (not a JSON object)"),
         ('{"title":"t","comments":[{"created_utc":1,"body":"x"}]}', "missing field 'id'"),
     ], ids=["null-timestamp", "not-an-object", "missing-id"])
     def test_malformed_post_record_is_data_error(self, tmp_path, capsys, line, named):
@@ -373,6 +373,25 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {shard}") and named in err
+
+
+# each input is missing: reading it would be a data error (exit 2)
+@pytest.mark.parametrize("argv,key", [
+    (["build-corpus", "--input", "{tmp}/missing.jsonl", "--output", "{tmp}/s",
+      "--shard-size", "0"], "corpus.shard_size"),
+    (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
+      "--log-every", "0"], "log_every must be >= 1"),
+], ids=["shard-size-0", "log-every-0"])
+def test_value_the_run_cannot_honour_exits_1_before_reading_input(
+        tmp_path, capsys, monkeypatch, argv, key):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the config was checked")
+
+    monkeypatch.setattr(cli.Model, "init", no_model)
+    rc = dispatch([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # not even a manifest
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +508,26 @@ class TestGenerateEvaluate:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--beam", "0"], "decode.beam_size"),
+        (["--max-len", "0"], "decode.max_len"),
+        (["--max-len", "100"], "decode.max_len must be an integer in [1, 15]"),
+    ], ids=["beam-0", "max-len-0", "max-len-beyond-the-checkpoint"])
+    def test_value_the_run_cannot_honour_exits_1_before_reading_input(
+            self, trained_run, tmp_path, capsys, flags, key):
+        # the checkpoint's max_summary_tokens is 16: 15 tokens after the bos
+        rc = dispatch(["generate", "--ckpt", trained_run["ckpt"],
+                       "--input", str(tmp_path / "missing.jsonl"),
+                       "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB] + flags)
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_max_len_at_the_checkpoint_limit_runs(self, trained_run, tmp_path):
+        assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
+                         "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB,
+                         "--max-len", "15"]) == 0
 
     def test_generate_deterministic(self, trained_run):
         tmp = trained_run["tmp"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,8 @@ class TestTreeInvariants:
         t = small_tree()
         for i in range(5):
             for j in range(5):
-                assert t.relation(i, j) == t.relation(j, i).flipped()
+                rel = t.relation(j, i)
+                assert t.relation(i, j) == ThreadRelation(rel.on_same_path, -rel.delta)
 
     def test_ancestor_matrix_matches_pointwise(self):
         t = small_tree()
@@ -97,10 +100,7 @@ class TestTreeInvariants:
             ConversationTree([])
 
     def test_from_records_reindexes(self):
-        recs = [
-            {"id": "t3_x", "parent_id": None, "author": "op", "text": "hi", "timestamp": 10},
-            {"id": "c9", "parent_id": "t3_x", "author": "r", "text": "yo", "timestamp": 20},
-        ]
+        recs = [u("t3_x", None, 10, text="hi"), u("c9", "t3_x", 20, text="yo")]
         t = ConversationTree.from_records(recs)
         assert [x.id for x in t.utterances] == [0, 1]
         assert t.utterances[1].parent_id == 0
@@ -171,8 +171,8 @@ def forests(draw):
         else:
             stamps.append(stamps[parent] + draw(st.integers(1, 3)))
     ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
-    records = [{"id": ids[i], "parent_id": None if parents[i] is None else ids[parents[i]],
-                "timestamp": stamps[i], "author": f"a{i}", "text": f"text {i}"}
+    records = [Utterance(id=ids[i], author=f"a{i}", text=f"text {i}", timestamp=stamps[i],
+                         parent_id=None if parents[i] is None else ids[parents[i]])
                for i in draw(st.permutations(range(n)))]
     parent_of = {ids[i]: None if p is None else ids[p] for i, p in enumerate(parents)}
     return records, parent_of, sum(p is None for p in parents)
@@ -197,14 +197,14 @@ class TestFromRecordsProperties:
                 ConversationTree.from_records(records)
             return
         tree = ConversationTree.from_records(records)
-        by_id = {r["id"]: r for r in records}
+        by_id = {r.id: r for r in records}
         sources = [t.meta["source_id"] for t in tree]
-        assert sources == sorted(by_id, key=lambda s: (by_id[s]["timestamp"], s))
+        assert sources == sorted(by_id, key=lambda s: (by_id[s].timestamp, s))
         for pos, t in enumerate(tree):
             src = by_id[sources[pos]]
-            assert (t.id, t.text, t.timestamp, t.author) == (pos, src["text"], src["timestamp"], src["author"])
+            assert (t.id, t.text, t.timestamp, t.author) == (pos, src.text, src.timestamp, src.author)
             parent = None if t.parent_id is None else sources[t.parent_id]
-            assert parent == src["parent_id"]
+            assert parent == src.parent_id
             ancestors = _source_ancestors(parent_of, sources[pos])
             assert tree.depth(pos) == len(ancestors)
             assert {sources[j] for j in np.flatnonzero(tree.ancestor_matrix()[pos])} == set(ancestors)
@@ -213,9 +213,8 @@ class TestFromRecordsProperties:
     @given(forest=forests(), data=st.data())
     def test_unknown_parent_rejected(self, forest, data):
         records, _, _ = forest
-        victim = dict(data.draw(st.sampled_from(records)))
-        victim["parent_id"] = "\x00missing"
-        rest = [r for r in records if r["id"] != victim["id"]]
+        victim = replace(data.draw(st.sampled_from(records)), parent_id="\x00missing")
+        rest = [r for r in records if r.id != victim.id]
         with pytest.raises(TreeError, match="unknown id"):
             ConversationTree.from_records(rest + [victim])
 
@@ -236,7 +235,7 @@ class TestRelationIndexProperties:
         for i in range(n):
             for j in range(n):
                 rel = tree.relation(i, j)
-                assert tree.relation(j, i) == rel.flipped()
+                assert tree.relation(j, i) == ThreadRelation(rel.on_same_path, -rel.delta)
                 want = 1 + k + clip(rel.delta, k) if rel.on_same_path else 0
                 assert idx[i, j] == want, (i, j, rel)
         assert 0 <= idx.min() and idx.max() < num_relation_buckets(k)

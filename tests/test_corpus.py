@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from threadsum.conversation import Utterance
 from threadsum.corpus import (
     CorpusError,
     CorpusStats,
-    RawComment,
     RawPost,
     build_corpus,
     build_instance,
@@ -24,12 +24,16 @@ from threadsum.corpus import (
 from threadsum.tokenizer import MASK_TOKEN
 
 
+def comment(id, parent_id, timestamp, text, score=1, author="u"):
+    """A parsed comment: source ids, cleaned text."""
+    return Utterance(id=id, author=author, text=text, timestamp=timestamp,
+                     parent_id=parent_id, score=score)
+
+
 def make_chain(n, t0=0, lead_score=1):
-    out = [RawComment(id="c1", parent_id=None, timestamp=t0 + 10, author="u1",
-                      text="lead text", score=lead_score)]
+    out = [comment("c1", None, t0 + 10, "lead text", lead_score, author="u1")]
     for i in range(2, n + 1):
-        out.append(RawComment(id=f"c{i}", parent_id=f"c{i-1}", timestamp=t0 + 10 * i,
-                              author=f"u{i}", text=f"reply {i}", score=1))
+        out.append(comment(f"c{i}", f"c{i-1}", t0 + 10 * i, f"reply {i}", author=f"u{i}"))
     return tuple(out)
 
 
@@ -79,12 +83,20 @@ class TestAdapter:
             ],
         }
         post = post_from_record(obj)
+        assert post.comments[0] == Utterance(id="x", author="a", text="hi", timestamp=5,
+                                             parent_id=None, score=2)
         assert post.title_score == 3
         assert post.flags == {"nsfw", "video", "picture"}
         assert post.comments[0].parent_id is None
         assert post.comments[1].parent_id == "x"
         assert post.comments[1].text == "yo"
         assert post.meta["id"] == "abc"
+
+    def test_title_and_bodies_cleaned_at_parse(self):
+        post = post_from_record({"title": "*big* news www.a.io", "comments": [
+            {"id": "x", "body": " see  https://b.c/d [now]~ "}]})
+        assert post.title == "big news [URL]"
+        assert post.comments[0].text == "see [URL] now"
 
     def test_explicit_flags_list(self):
         post = post_from_record({"title": "t", "score": 1, "flags": ["quarantine"]})
@@ -113,10 +125,10 @@ class TestAdapter:
 class TestExtractThreads:
     def test_forest_split(self):
         comments = (
-            RawComment("a", None, 10, "u", "top a", 1),
-            RawComment("b", "a", 20, "u", "re a", 1),
-            RawComment("c", None, 30, "u", "top c", 1),
-            RawComment("d", "c", 40, "u", "re c", 1),
+            comment("a", None, 10, "top a"),
+            comment("b", "a", 20, "re a"),
+            comment("c", None, 30, "top c"),
+            comment("d", "c", 40, "re c"),
         )
         post = RawPost("t", 1, frozenset(), comments)
         trees = extract_threads(post)
@@ -129,8 +141,8 @@ class TestExtractThreads:
 
     def test_dangling_counted_and_skipped(self):
         comments = make_chain(3) + (
-            RawComment("z", "nope", 99, "u", "orphan", 1),
-            RawComment("z2", "z", 100, "u", "child of orphan", 1),
+            comment("z", "nope", 99, "orphan"),
+            comment("z2", "z", 100, "child of orphan"),
         )
         stats = CorpusStats()
         trees = extract_threads(RawPost("t", 1, frozenset(), comments), stats)
@@ -139,8 +151,8 @@ class TestExtractThreads:
 
     def test_unsortable_timestamps_counted(self):
         comments = (
-            RawComment("a", None, 10, "u", "top", 1),
-            RawComment("b", "a", 10, "u", "same-time reply", 1),  # tie breaks tree order
+            comment("a", None, 10, "top"),
+            comment("b", "a", 10, "same-time reply"),  # tie breaks tree order
         )
         stats = CorpusStats()
         trees = extract_threads(RawPost("t", 1, frozenset(), comments), stats)
@@ -155,8 +167,8 @@ class TestExtractThreads:
                  "author": c.author, "body": c.text, "score": c.score}
                 for c in comments])
 
-        child_first = (RawComment("x", None, 500, "u", "top", 1),
-                       RawComment("y", "x", 400, "u", "reply older than its parent", 1))
+        child_first = (comment("x", None, 500, "top"),
+                       comment("y", "x", 400, "reply older than its parent"))
         dump = [record(make_chain(10)),
                 record(make_chain(3) + child_first),
                 record(make_chain(10), over_18=True)]
@@ -183,6 +195,8 @@ class TestFilters:
         assert inst.tree[0].text == MASK_TOKEN
         assert sum(u.text == MASK_TOKEN for u in inst.tree) == 1
         assert inst.tree[1].text == "reply 2"
+        # only the masked root is rebuilt; the replies are the thread's own
+        assert all(a is b for a, b in zip(inst.tree.utterances[1:], thread.utterances[1:]))
 
     def test_negative_lead_score_rejected(self):
         post = make_post(10, lead_score=-1)
@@ -213,19 +227,21 @@ class TestFilters:
             assert rejection_reason(post, thread) != "too_few_comments"
 
     def test_random_instances_satisfy_invariants(self):
+        # raw markup goes in through the record adapter, which cleans it
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(10, 30))
-            comments = [RawComment("c1", None, 10, "u1", "lead *text* here", 1)]
+            comments = [{"id": "c1", "created_utc": 10, "author": "u1",
+                         "body": "lead *text* here", "score": 1}]
             for i in range(2, n + 1):
-                parent = f"c{int(rng.integers(1, i))}"
-                comments.append(RawComment(f"c{i}", parent, 10 * i, f"u{i}",
-                                           f"body [{i}] www.x{i}.io", 1))
-            post = RawPost("a ~title~", 1, frozenset(), tuple(comments))
+                comments.append({"id": f"c{i}", "parent_id": f"t1_c{int(rng.integers(1, i))}",
+                                 "created_utc": 10 * i, "author": f"u{i}",
+                                 "body": f"body [{i}] www.x{i}.io", "score": 1})
+            post = post_from_record({"title": "a ~title~", "score": 1, "comments": comments})
             [thread] = extract_threads(post)
             inst = build_instance(post, thread)
             assert inst is not None
-            assert inst.pseudo_summary
+            assert inst.pseudo_summary == "a title lead text here"
             assert sum(u.text == MASK_TOKEN for u in inst.tree) == 1
             assert all("[" not in u.text or "[URL]" in u.text or u.text == MASK_TOKEN
                        for u in inst.tree)

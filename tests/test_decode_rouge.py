@@ -14,7 +14,6 @@ from threadsum.decoding import (
     batch_beam_search,
     beam_search,
     generate_summary,
-    greedy_decode,
     has_repeated_trigram,
     model_decode_fn,
 )
@@ -334,7 +333,7 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         for seed in range(8):
             fn = table_decode_fn(seed)
-            hyp = greedy_decode(fn, BOS, EOS, max_len=12)
+            hyp = beam_search(fn, BOS, EOS, max_len=12, beam_size=1)
             assert hyp.generated() == manual_greedy(fn, 12)
 
     def test_matches_exhaustive_search(self):

@@ -508,7 +508,7 @@ class TestDropoutSwitch:
 class TestEncodeInstance:
     def test_fields(self, toy_model, tiny_tokenizer, toy_input):
         tok = tiny_tokenizer
-        n = toy_input.num_utterances
+        n = len(toy_input.token_ids)
         assert n == 5
         assert all(ids[0] == tok.bos_id for ids in toy_input.token_ids)
         assert toy_input.relation_buckets.shape == (n, n)

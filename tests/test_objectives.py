@@ -118,6 +118,20 @@ class TestSampling:
                     li = dict(zip(zip(batch.rows, batch.cols), batch.labels))
                     assert not (li[(i, j)] == 1.0 and li[(j, i)] == 1.0)
 
+    def test_pairs_match_the_sorted_set_of_both_directions(self):
+        # the reference builds C_s x C and C x C_s minus self-pairs as a set
+        rng = np.random.default_rng(9)
+        for n in range(2, 70):
+            parents = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
+            tree = ConversationTree([Utterance(i, "a", "m", i, p) for i, p in enumerate(parents)])
+            batch = sample_thread_pairs(tree, n)
+            pairs = sorted({pair for s in batch.sampled.tolist() for o in range(n) if o != s
+                            for pair in ((s, o), (o, s))})
+            assert batch.rows.dtype == batch.cols.dtype == np.int64
+            assert list(zip(batch.rows.tolist(), batch.cols.tolist())) == pairs
+            np.testing.assert_array_equal(
+                batch.labels, [float(tree.is_ancestor(j, i)) for i, j in pairs])
+
     def test_accepts_ancestor_matrix(self):
         tree = chain(6)
         b1 = sample_thread_pairs(tree, 3)

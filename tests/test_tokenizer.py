@@ -278,10 +278,32 @@ def loop_bpe(symbols, ranks):
     return word
 
 
+def scanner_split_specials(tok, text):
+    """(is_special, chunk) runs of ``text`` by a per-special ``find`` scan:
+    the leftmost hit first, the longest surface on a tie."""
+    order = sorted(tok._specials, key=len, reverse=True)
+    parts, i = [], 0
+    while i < len(text):
+        hit = None
+        for surf in order:
+            pos = text.find(surf, i)
+            if pos != -1 and (hit is None or pos < hit[0]):
+                hit = (pos, surf)
+        if hit is None:
+            parts.append((False, text[i:]))
+            break
+        pos, surf = hit
+        if pos > i:
+            parts.append((False, text[i:pos]))
+        parts.append((True, surf))
+        i = pos + len(surf)
+    return parts
+
+
 def loop_encode(tok, text):
-    """``encode`` through the scanner, a per-byte map and the merge loop, uncached."""
+    """``encode`` through the scanners, a per-byte map and the merge loop, uncached."""
     ids = []
-    for is_special, chunk in tok._split_specials(text):
+    for is_special, chunk in scanner_split_specials(tok, text):
         if is_special:
             ids.append(tok.vocab[chunk])
             continue
@@ -317,6 +339,10 @@ EDGE_CHARS = ["'", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u200
               "\udfff", "\U0001f600", "\u0301", "_"]
 UNICODE_TEXTS = st.lists(st.one_of(st.text(st.characters(exclude_categories=())),
                                    st.sampled_from(EDGE_CHARS)), max_size=12).map("".join)
+# whole special surfaces among fragments of them, which must stay plain text
+SPECIAL_MIXES = st.lists(st.sampled_from(
+    [BOS_TOKEN, EOS_TOKEN, MASK_TOKEN, PAD_TOKEN, URL_TOKEN, UNK_TOKEN, "<bo", "s>", "<unk",
+     "[URL", "[MA", "SK]", "<", ">", "[", "]", "a", " ", "\n"]), max_size=10).map("".join)
 
 
 class TestAgainstTheLoops:
@@ -377,6 +403,11 @@ class TestAgainstTheLoops:
                 BYTE_COMPLETE.encode(text)
             return
         assert BYTE_COMPLETE.encode(text) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(SPECIAL_MIXES, TEXTS))
+    def test_encode_splits_specials_as_the_scanner(self, text):
+        assert BYTE_COMPLETE.encode(text) == loop_encode(BYTE_COMPLETE, text)
 
     def test_missing_unk_raises_on_every_call_and_caches_nothing(self):
         tokens = list(REQUIRED_SPECIALS) + ["a", "b"]
