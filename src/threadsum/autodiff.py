@@ -13,13 +13,14 @@ equal rank with explicit size-1 axes.
 Gradient ownership: a backward rule never writes into the gradient it is
 given, and a tensor keeps the first gradient it receives as is, because
 that array may be shared with a sibling operand (``add`` hands the same
-``g`` to both sides) or be a view (``transpose``, ``split_heads``,
-``merge_heads``).  A rule that computes a fresh array hands it over with
+``g`` to both sides) or be a view (``transpose``; ``split_heads`` and
+``merge_heads`` lend none, since they scatter or gather into fresh
+arrays).  A rule that computes a fresh array hands it over with
 ``owned=True``; a tensor adds later gradients into a buffer it owns, or
 makes one with a single out-of-place add.  Indexing scatter-adds into the
-parent's own buffer (``Tensor.grad_buffer``).  Every
-``Parameter`` owns one C-contiguous gradient buffer, so clipping may scale
-it in place and micro-batches accumulate into it.
+parent's own buffer (``Tensor.grad_buffer``).  Every ``Parameter`` owns
+one C-contiguous gradient buffer, so clipping may scale it in place and
+micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -277,27 +278,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b^T for a 2-d ``b``, such as a tied output projection onto an
-    embedding table.
+    """a @ b^T for 2-d ``a`` and ``b``, such as a tied output projection onto
+    an embedding table.
 
     ``b``'s gradient is formed as g^T a, C-contiguous in ``b``'s own
-    layout, rather than as a transposed [k, n] product.  The forward flattens
-    ``a``'s leading axes into one 2-d product, which reads ``b`` once rather
-    than once per leading index.
+    layout, rather than as a transposed [k, n] product.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[1]:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
         raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align")
-    n, k = bd.shape
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
             a.accumulate_grad(g @ bd, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, n).T @ ad.reshape(-1, k), owned=True)
+            b.accumulate_grad(g.T @ ad, owned=True)
 
-    out = (ad.reshape(-1, k) @ bd.T).reshape(ad.shape[:-1] + (n,))
-    return _make(out, (a, b), bwd)
+    return _make(ad @ bd.T, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -309,24 +306,17 @@ def transpose(a: Tensor) -> Tensor:
     return _make(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
-def split_heads(x: Tensor, heads: int, valid: Optional[np.ndarray] = None) -> Tensor:
-    """Rows [..., T, heads * dz] as heads [..., heads, T, dz], a view.
+def split_heads(x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    """Packed rows [N, heads * dz] as zero-padded heads [n, heads, T, dz].
 
-    With ``valid`` [n, T], ``x`` is packed rows [N, heads * dz] and the heads
-    are zero-padded [n, heads, T, dz]: the r-th row goes to the r-th marked
-    slot in row-major order.  The scatter into the padded layout and the
-    head split are one op, and the backward is the gather of the marked
-    slots.
+    ``valid`` [n, T] marks the N slots that hold a row: the r-th row goes to
+    the r-th marked slot in row-major order.  The scatter into the padded
+    layout and the head split are one op, and the backward is the gather of
+    the marked slots.
     """
     xd = x.data
-    dz = xd.shape[-1] // heads
-    if valid is None:
-        def bwd(g, x=x):
-            x.accumulate_grad(np.swapaxes(g, -2, -3).reshape(xd.shape))
-
-        return _make(np.swapaxes(xd.reshape(xd.shape[:-1] + (heads, dz)), -2, -3), (x,), bwd)
-    out = np.zeros((valid.shape[0], heads, valid.shape[1], dz), xd.dtype)
-    np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, dz)
+    out = np.zeros((valid.shape[0], heads, valid.shape[1], xd.shape[1] // heads), xd.dtype)
+    np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, out.shape[3])
 
     def bwd(g, x=x):
         x.accumulate_grad(np.swapaxes(g, 1, 2)[valid].reshape(xd.shape), owned=True)
@@ -334,26 +324,19 @@ def split_heads(x: Tensor, heads: int, valid: Optional[np.ndarray] = None) -> Te
     return _make(out, (x,), bwd)
 
 
-def merge_heads(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
-    """The inverse of ``split_heads``: heads [..., h, T, dz] as rows
-    [..., T, h * dz]; with ``valid``, the marked slots of [n, h, T, dz] heads
-    as packed rows [N, h * dz], the unmarked ones dropped with a zero
+def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
+    """The inverse of ``split_heads``: the marked slots of [n, h, T, dz]
+    heads as packed rows [N, h * dz], the unmarked ones dropped with a zero
     gradient."""
     xd = x.data
-    rows = np.swapaxes(xd, -2, -3)  # [..., T, h, dz]
-    h, dz = rows.shape[-2:]
-    if valid is None:
-        def bwd(g, x=x):
-            x.accumulate_grad(np.swapaxes(g.reshape(rows.shape), -2, -3))
-
-        return _make(rows.reshape(rows.shape[:-2] + (h * dz,)), (x,), bwd)
+    h, dz = xd.shape[1], xd.shape[3]
 
     def bwd(g, x=x):
         gx = np.zeros(xd.shape, g.dtype)
         np.swapaxes(gx, 1, 2)[valid] = g.reshape(-1, h, dz)
         x.accumulate_grad(gx, owned=True)
 
-    return _make(rows[valid].reshape(-1, h * dz), (x,), bwd)
+    return _make(np.swapaxes(xd, 1, 2)[valid].reshape(-1, h * dz), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -398,28 +381,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis: x @ w + b.
-
-    ``x``'s leading axes are flattened into one 2-d product, which reads
-    ``w`` once rather than once per leading index.
-    """
+    """Affine map of the rows of a 2-d ``x``: x @ w + b."""
     xd, wd = x.data, w.data
-    if xd.shape[-1] != wd.shape[0]:
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} do not align")
-    din, dout = wd.shape
-    y = xd.reshape(-1, din) @ wd
+    y = xd @ wd
     y += b.data
 
     def bwd(g, x=x, w=w, b=b):
-        g = g.reshape(-1, dout)
         if x.requires_grad:
-            x.accumulate_grad((g @ wd.T).reshape(xd.shape), owned=True)
+            x.accumulate_grad(g @ wd.T, owned=True)
         if w.requires_grad:
-            w.accumulate_grad(xd.reshape(-1, din).T @ g, owned=True)
+            w.accumulate_grad(xd.T @ g, owned=True)
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0), owned=True)
 
-    return _make(y.reshape(xd.shape[:-1] + (dout,)), (x, w, b), bwd)
+    return _make(y, (x, w, b), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:

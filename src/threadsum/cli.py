@@ -13,8 +13,10 @@ shorthand for one key, which is its argparse dest (``--steps`` sets
 resolves the config once and hands it to the command.  A key the package does
 not define is a configuration error (exit 1); that includes ``model.*`` keys
 that older versions accepted and that have since been removed.  So is a value
-the run cannot honour, such as a shard size, beam size or log interval below
-1, reported before the command reads its data or builds a model.  A manifest is
+of another type than its key's default (a bool, an integer or a number, and
+null for train.clip_norm and decode.max_len), or one the run cannot honour,
+such as a shard size, beam size or log interval below 1; each is reported
+before the command reads its data or builds a model.  A manifest is
 written atomically before and after each file-producing run; commands that
 only print to stdout write one when --manifest is given.  Manifests, --stats
 files, corpus shards, predictions and score reports go through the one atomic
@@ -101,12 +103,30 @@ def _defaults() -> Dict[str, object]:
 
 
 CONFIG_DEFAULTS = _defaults()
+# the keys that also take null, with the type of their other values
+_NULLABLE = {"train.clip_norm": float, "decode.max_len": int}
+_KIND_NAMES = {bool: "a bool", int: "an integer", float: "a number"}
+
+
+def _check_type(key: str, value) -> None:
+    """A ConfigError unless ``value`` has the type of ``key``'s default: a
+    bool, an integer that is not a bool, or a number (an int or a float)."""
+    if value is None and key in _NULLABLE:
+        return
+    kind = _NULLABLE.get(key, type(CONFIG_DEFAULTS[key]))
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        null = " or null" if key in _NULLABLE else ""
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}{null}, got {value!r}")
 
 
 def load_config(path=None, flag_values: Optional[Dict[str, object]] = None):
-    """defaults <- file <- flags; returns (config, provenance per key)."""
+    """defaults <- file <- flags; returns (config, provenance per key).
+
+    An unknown key, or a value of another type than its key's, is a ConfigError."""
     config = dict(CONFIG_DEFAULTS)
     provenance = {k: "default" for k in config}
+    layers = []  # (provenance, values), file before flags
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -117,16 +137,14 @@ def load_config(path=None, flag_values: Optional[Dict[str, object]] = None):
             raise CorpusError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        for key, value in file_cfg.items():
+        layers.append(("file", file_cfg))
+    for source, values in layers + [("flag", flag_values or {})]:
+        for key, value in values.items():
             if key not in config:
                 raise ConfigError(f"unknown config key {key!r}")
+            _check_type(key, value)
             config[key] = value
-            provenance[key] = "file"
-    for key, value in (flag_values or {}).items():
-        if key not in config:
-            raise ConfigError(f"unknown config key {key!r}")
-        config[key] = value
-        provenance[key] = "flag"
+            provenance[key] = source
     return config, provenance
 
 
@@ -148,10 +166,9 @@ def train_config_from(config: Dict[str, object]) -> TrainRunConfig:
 
 
 def _check_int(config: Dict[str, object], key: str, lo: int, hi: Optional[int] = None) -> None:
-    """A ConfigError unless ``config[key]`` is an integer in [lo, hi]."""
+    """A ConfigError unless the integer ``config[key]`` is in [lo, hi]."""
     value = config[key]
-    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
-            or (hi is not None and value > hi)):
+    if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
 

@@ -134,8 +134,10 @@ def post_from_record(obj: dict) -> RawPost:
     conventions over_18 -> nsfw, quarantine, is_video -> video, and
     post_hint == "image" -> picture.  Comment parent ids may carry t1_/t3_
     prefixes; t3_ (the post itself) means top-level.  A missing comment id
-    or a field of the wrong type is a CorpusError naming the field.  The
-    title and each comment body are cleaned here, once.
+    or a field of the wrong type is a CorpusError naming the field, and so
+    is a comment id that repeats one of the post's (its replies could not
+    be told apart, and could close a cycle).  The title and each comment
+    body are cleaned here, once.
     """
     post = f"post {obj.get('id', '?')}"
     flags = {str(f) for f in _field(obj, ("flags",), list, (), post)}
@@ -149,6 +151,7 @@ def post_from_record(obj: dict) -> RawPost:
         flags.add("picture")
 
     comments = []
+    seen = set()
     for i, c in enumerate(_field(obj, ("comments",), list, (), post)):
         where = f"{post} comment {i}"
         if not isinstance(c, dict):
@@ -159,8 +162,12 @@ def post_from_record(obj: dict) -> RawPost:
                 parent = None
             elif parent.startswith("t1_"):
                 parent = parent[3:]
+        cid = str(_field(c, ("id",), object, _REQUIRED, where))
+        if cid in seen:
+            raise CorpusError(f"{where}: repeated comment id {cid!r}")
+        seen.add(cid)
         comments.append(Utterance(
-            id=str(_field(c, ("id",), object, _REQUIRED, where)),
+            id=cid,
             parent_id=parent,
             timestamp=_field(c, ("created_utc", "timestamp"), _TO_INT, 0, where),
             author=c.get("author"),

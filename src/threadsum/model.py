@@ -2,8 +2,7 @@
 
 Three pre-LN transformer stacks share one token embedding table:
 
-* a token encoder run over every utterance's tokens packed into one
-  [N, d] batch of rows, with no padding except inside the attention core,
+* a token encoder run over every utterance's tokens,
 * an utterance encoder whose self-attention scores carry learned
   thread-relation embeddings (same-path depth deltas or an off-path
   bucket), and
@@ -11,6 +10,10 @@ Three pre-LN transformer stacks share one token embedding table:
   output plus its utterance's thread-aware vector broadcast over the
   utterance's tokens, so token detail and thread context both reach
   generation.
+
+Every stack runs on packed [N, d] rows (the tokens of all utterances, the
+utterances, or the summary positions of one or b beams); only attention
+lays them out as zero-padded [n, h, T, dz] heads (``ad.split_heads``).
 
 The output projection is the transpose of the embedding table (weight
 tying).  All forwards are pure functions of (parameters, inputs, rng), and
@@ -256,7 +259,7 @@ class ForwardResult:
     token_bos: Tensor  # [n, d] token-encoder output at each utterance's bos
 
 
-KeysValues = Tuple[np.ndarray, np.ndarray]  # (K^T [..., h, dz, T], V [..., h, T, dz])
+KeysValues = Tuple[np.ndarray, np.ndarray]  # (K, V), each [..., h, T, dz]
 
 
 @dataclass
@@ -264,10 +267,10 @@ class DecoderCache:
     """What an incremental ``decoder_forward`` keeps per decoder layer.
 
     ``cross`` holds the keys and values of the memory, projected once
-    (``[h, dz, M]`` and ``[h, M, dz]``) and shared by every beam; ``self_kv``
-    those of the ``length`` summary positions decoded so far, one row per
-    beam (``[b, h, dz, T]`` and ``[b, h, T, dz]``).  Neither a forward nor
-    ``reorder`` writes into a held array: both rebind ``self_kv`` entries.
+    (``[h, M, dz]``) and shared by every beam; ``self_kv`` those of the
+    ``length`` summary positions decoded so far, one row per beam
+    (``[b, h, T, dz]``).  Neither a forward nor ``reorder`` writes into a
+    held array: both rebind ``self_kv`` entries.
     """
 
     cross: List[KeysValues]
@@ -333,45 +336,32 @@ class Model:
         p = self.params
         return ad.linear(x, p[f"{prefix}.w{which}"], p[f"{prefix}.b{which}"])
 
-    def _attention(self, prefix: str, x_q: Tensor, x_kv: Tensor,
-                   mask_add: Optional[np.ndarray], rel_buckets: Optional[np.ndarray],
-                   rng, kv: Optional[KeysValues] = None,
-                   valid: Optional[np.ndarray] = None) -> Tensor:
-        """Multi-head attention; optional additive mask and, for
-        ``rel_buckets``, the ``thread.rel`` terms of ``thread_attention_scores``.
+    def _keys_values(self, prefix: str, x: Tensor, valid: np.ndarray) -> Tuple[Tensor, Tensor]:
+        """Key and value heads [n, h, T, dz] of the packed rows ``x``."""
+        h = self.config.num_heads
+        return (ad.split_heads(self._proj(x, prefix, "k"), h, valid),
+                ad.split_heads(self._proj(x, prefix, "v"), h, valid))
 
-        ``kv`` supplies precomputed keys and values (see ``_keys_values``)
-        in place of projecting ``x_kv``.  With ``valid``, the inputs are
-        packed rows and only the attention core is padded (``ad.split_heads``).
-        """
+    def _attention(self, prefix: str, x: Tensor, valid: np.ndarray,
+                   bias: Optional[np.ndarray], rng, kv: Optional[Tuple[Tensor, Tensor]] = None,
+                   rel_buckets: Optional[np.ndarray] = None) -> Tensor:
+        """Multi-head attention from the packed rows ``x``, laid out by ``valid``
+        [n, T], to ``kv``'s key and value heads or, without it, to ``x``'s own;
+        plus an additive ``bias`` and, for ``rel_buckets``, the ``thread.rel``
+        terms of ``thread_attention_scores``."""
         cfg = self.config
-        h = cfg.num_heads
-        q = ad.split_heads(self._proj(x_q, prefix, "q"), h, valid)
-        if kv is None:
-            k = ad.split_heads(self._proj(x_kv, prefix, "k"), h, valid)
-            v = ad.split_heads(self._proj(x_kv, prefix, "v"), h, valid)
-        else:
-            k_t, v = Tensor(kv[0]), Tensor(kv[1])
+        q = ad.split_heads(self._proj(x, prefix, "q"), cfg.num_heads, valid)
+        k, v = self._keys_values(prefix, x, valid) if kv is None else kv
         if rel_buckets is not None:
             scores = thread_attention_scores(q, k, self.params["thread.rel"], rel_buckets, cfg.d_head)
         else:
-            if kv is None:
-                k_t = ad.transpose(k)
-            scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(cfg.d_head))
-        if mask_add is not None:
-            scores = ad.add(scores, Tensor(mask_add))
+            scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.d_head))
+        if bias is not None:
+            scores = ad.add(scores, Tensor(bias))
         att = ad.softmax(scores, axis=-1)
         att = ad.dropout(att, cfg.dropout, rng)
         ctx = ad.merge_heads(ad.matmul(att, v), valid)
         return self._proj(ctx, prefix, "o")
-
-    def _keys_values(self, prefix: str, x: Tensor) -> KeysValues:
-        """Key and value heads of a [..., T, d] input, K transposed and
-        contiguous so attention over them copies nothing."""
-        h = self.config.num_heads
-        k = ad.split_heads(self._proj(x, prefix, "k"), h)
-        v = ad.split_heads(self._proj(x, prefix, "v"), h)
-        return np.ascontiguousarray(np.swapaxes(k.data, -1, -2)), v.data
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
@@ -386,13 +376,25 @@ class Model:
 
     # -- encoder stacks -----------------------------------------------------
 
+    def _encoder_stack(self, stack: str, x: Tensor, valid: np.ndarray, rng,
+                       bias: Optional[np.ndarray] = None,
+                       rel_buckets: Optional[np.ndarray] = None) -> Tensor:
+        """The layers and final norm of encoder ``stack`` over the packed rows ``x``."""
+        for layer in range(self.config.num_layers):
+            pre = f"{stack}.{layer}"
+            normed = self._layer_norm(x, f"{pre}.ln1")
+            a = self._attention(f"{pre}.attn", normed, valid, bias, rng, rel_buckets=rel_buckets)
+            x = self._sublayer(x, a, rng)
+            f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
+            x = self._sublayer(x, f, rng)
+        return self._layer_norm(x, f"{stack}.final_ln")
+
     def token_encode(self, token_ids: List[List[int]], rng=None) -> Tuple[Tensor, np.ndarray]:
         """Run the token encoder over all utterances' tokens, packed.
 
         Returns ([N, d] states, one row per token with the utterances in
-        order, and the [n] lengths).  Every row-wise layer runs on the N
-        rows; only the attention core pads them, into [n, h, T_max, dz]
-        heads whose padded keys are masked out.
+        order, and the [n] lengths).  The attention core pads the rows into
+        [n, h, T_max, dz] heads whose padded keys are masked out.
         """
         cfg = self.config
         lengths = np.array([len(ids) for ids in token_ids], dtype=np.int64)
@@ -407,30 +409,16 @@ class Model:
         x = self.params["embed.tokens"][ids]
         x = ad.add(x, Tensor(sinusoidal_pe(valid.shape[1], cfg.d_hidden)[positions]))
         x = ad.dropout(x, cfg.dropout, rng)
-        for layer in range(cfg.num_layers):
-            pre = f"tok.{layer}"
-            normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, normed, mask_add, None, rng, valid=valid)
-            x = self._sublayer(x, a, rng)
-            f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
-            x = self._sublayer(x, f, rng)
-        return self._layer_norm(x, "tok.final_ln"), lengths
+        return self._encoder_stack("tok", x, valid, rng, bias=mask_add), lengths
 
     def utterance_representations(self, token_bos: Tensor) -> Tensor:
         """Per-utterance vectors: bos output + position-in-conversation PE."""
         return ad.add(token_bos, Tensor(sinusoidal_pe(token_bos.shape[0], self.config.d_hidden)))
 
     def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray, rng=None) -> Tensor:
-        cfg = self.config
-        x = utt_repr
-        for layer in range(cfg.num_layers):
-            pre = f"utt.{layer}"
-            normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, normed, None, relation_buckets, rng)
-            x = self._sublayer(x, a, rng)
-            f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
-            x = self._sublayer(x, f, rng)
-        return self._layer_norm(x, "utt.final_ln")
+        """The thread-aware stack over the [n, d] utterance rows, one unpadded sequence."""
+        valid = np.ones((1, utt_repr.shape[0]), dtype=bool)
+        return self._encoder_stack("utt", utt_repr, valid, rng, rel_buckets=relation_buckets)
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
                              utt_states: Tensor) -> Tensor:
@@ -441,12 +429,12 @@ class Model:
     def decoder_cache(self, memory: Tensor) -> DecoderCache:
         """An empty one-beam cache for incremental decoding against ``memory``."""
         cfg = self.config
-        h, dz = cfg.num_heads, cfg.d_head
+        memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
         with ad.no_grad():
-            cross = [self._keys_values(f"dec.{layer}.cross", memory)
-                     for layer in range(cfg.num_layers)]
-        empty = (np.empty((1, h, dz, 0)), np.empty((1, h, 0, dz)))
-        return DecoderCache(cross, [empty] * cfg.num_layers)
+            cross = [tuple(t.data[0] for t in self._keys_values(f"dec.{i}.cross", memory, memory_valid))
+                     for i in range(cfg.num_layers)]
+        empty = np.empty((1, cfg.num_heads, 0, cfg.d_head))
+        return DecoderCache(cross, [(empty, empty)] * cfg.num_layers)
 
     def decoder_forward(self, summary_input: np.ndarray, memory: Tensor, rng=None,
                         cache: Optional[DecoderCache] = None) -> Tensor:
@@ -454,10 +442,10 @@ class Model:
 
         With a ``cache`` (inference only), ``summary_input`` is [b, s]: for
         each of the cache's b beams, the s positions after the
-        ``cache.length`` already decoded.  They attend to their beam's cached
-        keys and values as well as their own, which are appended, and
-        cross-attention reads the cache's memory keys and values; the
-        logits are [b, s, V].
+        ``cache.length`` already decoded.  They run as b·s packed rows and
+        attend to their beam's cached keys and values as well as their own,
+        which are appended, and cross-attention reads the cache's memory
+        keys and values; the logits are [b, s, V].
         """
         cfg = self.config
         if cache is not None and rng is not None:
@@ -469,36 +457,39 @@ class Model:
         if start + s > cfg.max_summary_tokens:
             raise ValueError(f"summary length {start + s} exceeds max {cfg.max_summary_tokens}")
         _check_ids(summary_input, cfg.vocab_size)
+        valid = np.ones(np.atleast_2d(summary_input).shape, dtype=bool)  # [b, s]
+        memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
         causal = np.triu(np.full((s, start + s), -1e9), k=1 + start)
-        pe = sinusoidal_pe(cfg.max_summary_tokens, cfg.d_hidden)[start:start + s]
+        positions = start + np.nonzero(valid)[1]
 
-        x = self.params["embed.tokens"][summary_input]
-        x = ad.add(x, Tensor(pe))
+        x = self.params["embed.tokens"][summary_input.reshape(-1)]
+        x = ad.add(x, Tensor(sinusoidal_pe(cfg.max_summary_tokens, cfg.d_hidden)[positions]))
         x = ad.dropout(x, cfg.dropout, rng)
         for layer in range(cfg.num_layers):
             pre = f"dec.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            self_kv = cross_kv = None
-            if cache is not None:
-                past_k, past_v = cache.self_kv[layer]
-                new_k, new_v = self._keys_values(f"{pre}.self", normed)
-                self_kv = (np.concatenate([past_k, new_k], axis=-1),
-                           np.concatenate([past_v, new_v], axis=-2))
-                cache.self_kv[layer] = self_kv
+            if cache is None:
+                self_kv, cross_kv = None, self._keys_values(f"{pre}.cross", memory, memory_valid)
+            else:
+                new = self._keys_values(f"{pre}.self", normed, valid)
+                cache.self_kv[layer] = tuple(np.concatenate([past, t.data], axis=2)
+                                             for past, t in zip(cache.self_kv[layer], new))
                 # every beam's queries meet the one memory projection in one
                 # product per head (``ad.matmul`` folds the beam axis)
-                cross_kv = cache.cross[layer]
-            a = self._attention(f"{pre}.self", normed, normed, causal, None, rng, kv=self_kv)
+                self_kv, cross_kv = (tuple(map(Tensor, kv))
+                                     for kv in (cache.self_kv[layer], cache.cross[layer]))
+            a = self._attention(f"{pre}.self", normed, valid, causal, rng, kv=self_kv)
             x = self._sublayer(x, a, rng)
-            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),
-                                memory, None, None, rng, kv=cross_kv)
+            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"), valid,
+                                None, rng, kv=cross_kv)
             x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)
-        if cache is not None:
-            cache.length += s
-        x = self._layer_norm(x, "dec.final_ln")
-        return ad.matmul_transposed(x, self.params["embed.tokens"])
+        logits = ad.matmul_transposed(self._layer_norm(x, "dec.final_ln"), self.params["embed.tokens"])
+        if cache is None:
+            return logits
+        cache.length += s
+        return Tensor(logits.data.reshape(summary_input.shape + (-1,)))
 
     # -- full passes ----------------------------------------------------------
 

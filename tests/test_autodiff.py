@@ -125,30 +125,38 @@ class TestMatmulAndShapes:
         check_op(lambda a: ad.transpose(a), RNG.normal(size=(3, 4)))
 
     def test_linear_with_bias(self):
-        check_op(ad.linear, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
+        check_op(ad.linear, RNG.normal(size=(3, 4)), RNG.normal(size=(4, 5)),
                  RNG.normal(size=(5,)))
-        # a strided input is flattened into the one 2-d product as well
+        # a strided input runs as the same one 2-d product
         check_op(lambda x, w, b: ad.linear(ad.transpose(x), w, b),
-                 RNG.normal(size=(2, 4, 3)), RNG.normal(size=(4, 5)), RNG.normal(size=(5,)))
+                 RNG.normal(size=(4, 3)), RNG.normal(size=(4, 5)), RNG.normal(size=(5,)))
+        # activations are row matrices: leading axes are not flattened
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
-    # lengths 2 and 3 in a batch padded to 3 slots
+    # lengths 2 and 3 in a batch padded to 3 slots; all-true masks are the
+    # unpadded layouts of one sequence and of b beams of equal length
     VALID = np.array([[True, True, False], [True, True, True]])
+    MASKS = {"padded": VALID, "one-sequence": np.ones((1, 3), dtype=bool),
+             "beams": np.ones((2, 3), dtype=bool)}
+
+    @staticmethod
+    def dense_heads(x):
+        """Rows [..., T, h * dz] as heads [..., h, T, dz] by reshape, h = 2."""
+        return np.swapaxes(x.reshape(x.shape[:-1] + (2, -1)), -2, -3)
 
     def test_split_heads_layouts_and_inverse(self):
-        x = RNG.normal(size=(2, 3, 4))
-        heads = ad.split_heads(Tensor(x), 2).data
-        np.testing.assert_array_equal(heads, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
-        np.testing.assert_array_equal(ad.merge_heads(Tensor(heads)).data, x)
-        packed = x[self.VALID]
-        padded = ad.split_heads(Tensor(packed), 2, self.VALID).data
-        want = np.where(self.VALID[:, :, None], x, 0.0)
-        np.testing.assert_array_equal(padded, want.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
-        np.testing.assert_array_equal(ad.merge_heads(Tensor(padded), self.VALID).data, packed)
+        for valid in self.MASKS.values():
+            x = RNG.normal(size=valid.shape + (4,))
+            packed = x[valid]
+            padded = ad.split_heads(Tensor(packed), 2, valid).data
+            np.testing.assert_array_equal(padded, self.dense_heads(np.where(valid[:, :, None], x, 0.0)))
+            np.testing.assert_array_equal(ad.merge_heads(Tensor(padded), valid).data, packed)
 
-    @pytest.mark.parametrize("valid", [None, VALID], ids=["dense", "packed"])
+    @pytest.mark.parametrize("valid", [MASKS["beams"], VALID], ids=["dense", "packed"])
     def test_split_and_merge_heads_gradients(self, valid):
         # weighted sums, so that a misplaced slot shows in the gradient
-        rows = (2, 3) if valid is None else (5,)
+        rows = (int(valid.sum()),)
         w = Tensor(RNG.normal(size=(2, 2, 3, 2)))
         check_op(lambda a: ad.mul(ad.split_heads(a, 2, valid), w), RNG.normal(size=rows + (4,)))
         v = Tensor(RNG.normal(size=rows + (4,)))
@@ -156,7 +164,8 @@ class TestMatmulAndShapes:
 
     def test_matmul_transposed(self):
         check_op(ad.matmul_transposed, RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4)))
-        check_op(ad.matmul_transposed, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(5, 4)))
+        with pytest.raises(ShapeError):
+            ad.matmul_transposed(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))))
         a = Tensor(RNG.normal(size=(3, 4)))
         b = Parameter("b", RNG.normal(size=(5, 4)))
         np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import shutil
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +77,24 @@ class TestLoadConfig:
             load_config(p)
         with pytest.raises(ConfigError, match="zzz"):
             load_config(None, {"zzz": 1})
+
+    def test_values_of_the_key_type_are_accepted(self):
+        values = {"model.dropout": 0, "train.peak_lr": 1, "train.clip_norm": None,
+                  "decode.max_len": None, "decode.block_trigrams": False, "train.seed": 3}
+        config, _ = load_config(None, values)
+        assert {k: config[k] for k in values} == values
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.seed", True), ("train.seed", 1.0), ("model.dropout", False),
+        ("decode.block_trigrams", 1), ("decode.min_len", None), ("train.peak_lr", "1e-3"),
+    ])
+    def test_value_of_another_type_is_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be")):
+            load_config(None, {key: value})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(p)
 
     def test_model_config_round_trip(self):
         config, _ = load_config()
@@ -203,11 +223,11 @@ class TestFlagKeys:
         assert config["decode.max_len"] is None
         assert provenance["decode.beam_size"] == provenance["decode.block_trigrams"] == "flag"
 
-    def test_set_falls_back_to_the_raw_string(self, resolved):
-        rc, config, provenance = resolved("count-params", ["--set", "train.seed=abc"])
-        assert rc == 0
-        assert config["train.seed"] == "abc"
-        assert provenance["train.seed"] == "flag"
+    def test_set_falls_back_to_the_raw_string(self, resolved, capsys):
+        # not JSON, so the raw string is the value, and a string is no seed
+        rc, config, _ = resolved("count-params", ["--set", "train.seed=abc"])
+        assert rc == 1 and config is None
+        assert "train.seed must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_set_without_equals_is_usage_error(self, resolved, capsys):
         rc, config, _ = resolved("count-params", ["--set", "train.seed"])
@@ -324,6 +344,30 @@ class TestBuildCorpus:
         # no shard, stats file or temporary is left beside the failed manifest
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "s-manifest.json"]
 
+    def test_repeated_comment_id_is_data_error(self, tmp_path, capsys):
+        # the repeated id closes a reply cycle (a -> b -> a) that a thread walk
+        # would follow forever; the alarm turns such a hang into a failure
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"id": "p", "title": "t", "comments": [
+            {"id": "a", "body": "x"}, {"id": "b", "parent_id": "t1_a", "body": "y"},
+            {"id": "a", "parent_id": "t1_b", "body": "z"}]}) + "\n")
+
+        def hung(signum, frame):
+            raise AssertionError("build-corpus did not finish within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            rc = dispatch(["build-corpus", "--input", str(bad), "--output", str(tmp_path / "s")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+        assert "post p comment 2: repeated comment id 'a'" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "s-manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "s-manifest.json"]
+
     def test_failed_build_leaves_no_earlier_shard(self, tmp_path):
         # the fixture's kept instance would fill a first shard of size 1
         # before the last record fails
@@ -391,6 +435,16 @@ def test_value_the_run_cannot_honour_exits_1_before_reading_input(
     rc = dispatch([a.format(tmp=tmp_path) for a in argv])
     assert rc == 1
     assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # not even a manifest
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_DEFAULTS))
+def test_string_value_for_any_key_exits_1_before_reading_input(tmp_path, capsys, key):
+    rc = dispatch(["build-corpus", "--input", str(tmp_path / "missing.jsonl"),
+                   "--output", str(tmp_path / "s"), "--set", f'{key}="x"'])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # not even a manifest
 
 

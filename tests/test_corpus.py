@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ class TestAdapter:
     def test_bad_field_is_named(self, record, message):
         with pytest.raises(CorpusError, match=re.escape(message)):
             post_from_record(record)
+
+    def test_repeated_comment_id_is_rejected_at_parse(self):
+        # b replies to a, and a second a replies to b: a walk over the ids
+        # would re-enter a's replies forever, so the alarm fails a regression
+        record = {"id": "p", "title": "t", "comments": [
+            {"id": "a", "body": "x"}, {"id": "b", "parent_id": "t1_a", "body": "y"},
+            {"id": "a", "parent_id": "t1_b", "body": "z"}]}
+
+        def hung(signum, frame):
+            raise AssertionError("the post was not rejected within 3 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(3)
+        try:
+            with pytest.raises(CorpusError, match=re.escape("post p comment 2: repeated comment id 'a'")):
+                extract_threads(post_from_record(record))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtractThreads:

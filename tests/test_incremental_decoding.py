@@ -85,6 +85,24 @@ class TestIncrementalLogProbs:
                         for t in rng.integers(vocab, size=2)][:4]
             parents, prefixes = [r for r, _ in children], [b for _, b in children]
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_beams_match_one_beam_calls(self, name):
+        # b beams run as b·s packed rows; each beam's logits must be those of
+        # the same positions decoded alone in a one-beam cache
+        model, memory = MODELS[name], MEMORY[name]
+        rng = np.random.default_rng(3)
+        beams = 3
+        with no_grad():
+            joint = model.decoder_cache(memory)
+            joint.reorder([0] * beams)
+            alone = [model.decoder_cache(memory) for _ in range(beams)]
+            for s in (2, 1, 3):
+                ids = rng.integers(model.config.vocab_size, size=(beams, s))
+                got = model.decoder_forward(ids, memory, cache=joint).data
+                for b in range(beams):
+                    want = model.decoder_forward(ids[b:b + 1], memory, cache=alone[b]).data
+                    np.testing.assert_allclose(got[b], want[0], rtol=0, atol=1e-12)
+
     def test_parent_arrays_are_not_written(self):
         model, memory = MODELS["toy"], MEMORY["toy"]
         with no_grad():
