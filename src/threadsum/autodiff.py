@@ -6,9 +6,11 @@ wrapping an ndarray, fused forward ops with hand-written backward rules, a
 order, and a central-finite-difference gradient checker.  Ops are plain
 functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
-Broadcasting is deliberately narrow: two operands must have equal shapes,
-or the second must be a suffix of the first (bias adds), or both must have
-equal rank with explicit size-1 axes.
+There is no broadcasting between operands: ``add`` and ``mul`` take two
+arrays of one shape, and ``matmul`` equal batch axes or a 2-d right
+operand, so no backward rule has to sum a gradient back down to a smaller
+operand.  The one constant that broadcasts, an attention mask, enters
+through ``softmax``'s ``bias``, outside the graph.
 
 Gradient ownership: a backward rule never writes into the gradient it is
 given, and a tensor keeps the first gradient it receives as is, because
@@ -184,27 +186,9 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     return out
 
 
-def _check_broadcast(sa: tuple, sb: tuple) -> None:
-    if sa == sb:
-        return
-    if len(sb) < len(sa) and sb == sa[len(sa) - len(sb):]:
-        return
-    if len(sb) == len(sa) and all(x == y or x == 1 or y == 1 for x, y in zip(sa, sb)):
-        return
-    raise ShapeError(f"shapes {sa} and {sb} are not compatible here")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs operands of one shape; got {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +196,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    _check_same_shape("add", a, b)
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            b.accumulate_grad(g)
 
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * bd, a.shape), owned=True)
+            a.accumulate_grad(g * bd, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ad, b.shape), owned=True)
+            b.accumulate_grad(g * ad, owned=True)
 
     return _make(ad * bd, (a, b), bwd)
 
@@ -244,37 +228,27 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b``.  ``a`` may have leading axes beyond ``b``'s batch axes
-    ([B, h, s, k] @ [h, k, n]); they are folded into the rows of one product
-    per batch index of ``b`` instead of broadcasting ``b``."""
+    """``a @ b`` where ``b`` is 2-d ([..., s, k] @ [k, n]) or has ``a``'s
+    batch axes ([..., s, k] @ [..., k, n])."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not align")
-    lead = ad.ndim - bd.ndim
-    if min(ad.ndim, bd.ndim) > 2 and (lead < 0 or ad.shape[lead:-2] != bd.shape[:-2]):
-        raise ShapeError(f"matmul batch dims of {ad.shape} must end with those of {bd.shape} "
-                         f"(or one side be 2-d)")
-    if lead > 0 and bd.ndim > 2:
-        folded = range(-lead - 2, -2)
-        rows = np.moveaxis(ad, range(lead), folded)  # [h, B, s, k]
-        out = rows.reshape(bd.shape[:-2] + (-1, ad.shape[-1])) @ bd
-        out = np.moveaxis(out.reshape(rows.shape[:-1] + bd.shape[-1:]), folded, range(lead))
-    else:
-        out = ad @ bd
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} differ "
+                         f"(and the right operand is not 2-d)")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            ga = g @ np.swapaxes(bd, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
+            a.accumulate_grad(g @ np.swapaxes(bd, -1, -2), owned=True)
         if b.requires_grad:
             if bd.ndim == 2 and ad.ndim > 2:
                 k, n = bd.shape
                 gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = np.swapaxes(ad, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
+            b.accumulate_grad(gb, owned=True)
 
-    return _make(out, (a, b), bwd)
+    return _make(ad @ bd, (a, b), bwd)
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
@@ -343,13 +317,16 @@ def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
 # neural-net ops
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(a: Tensor, bias: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax over the last axis of ``a`` plus an optional constant additive
+    ``bias``, such as an attention mask of -1e9 entries, which broadcasts
+    against ``a`` as numpy broadcasts and carries no gradient."""
+    x = a.data if bias is None else a.data + bias
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(g, a=a, y=y, axis=axis):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+    def bwd(g, a=a, y=y):
+        inner = (g * y).sum(axis=-1, keepdims=True)
         a.accumulate_grad((g - inner) * y, owned=True)
 
     return _make(y, (a,), bwd)

@@ -304,7 +304,14 @@ def cmd_build_corpus(args, config, provenance) -> int:
     return 0
 
 
-def _from_checkpoint(config, provenance, path: str) -> Model:
+def _check_vocabulary(tokenizer: Tokenizer, mconfig: ModelConfig) -> None:
+    """A ConfigError unless every token id fits the model's embedding table."""
+    if tokenizer.vocab_size > mconfig.vocab_size:
+        raise ConfigError(f"the tokenizer has {tokenizer.vocab_size} ids, more than "
+                          f"model.vocab_size {mconfig.vocab_size}")
+
+
+def _from_checkpoint(config, provenance, path: str):
     """The fine-tuning start: the checkpoint's architecture and weights.
 
     Architecture keys left at their defaults take the checkpoint's values;
@@ -322,7 +329,7 @@ def _from_checkpoint(config, provenance, path: str) -> Model:
     mconfig = model_config_from(config)
     if mconfig != replace(ck.config, lambda_thread_pred=mconfig.lambda_thread_pred):
         raise ConfigError("cannot change the architecture of a checkpointed model")
-    return Model(mconfig, ck.params)
+    return mconfig, ck.params
 
 
 def cmd_train(args, config, provenance) -> int:
@@ -334,10 +341,14 @@ def cmd_train(args, config, provenance) -> int:
     tokenizer = Tokenizer.load(args.vocab)
     instances, data_paths = _load_instances(args.data)
     if args.init is None:
-        model = Model.init(model_config_from(config),
-                           seed=named_seed(config["train.seed"], "init"))
+        mconfig, params = model_config_from(config), None
     else:
-        model = _from_checkpoint(config, provenance, args.init)
+        mconfig, params = _from_checkpoint(config, provenance, args.init)
+    _check_vocabulary(tokenizer, mconfig)
+    if params is None:
+        model = Model.init(mconfig, seed=named_seed(config["train.seed"], "init"))
+    else:
+        model = Model(mconfig, params)
     state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                 total_steps=run.total_steps,
                                 weight_decay=run.weight_decay)
@@ -362,8 +373,9 @@ def cmd_generate(args, config, provenance) -> int:
     _check_int(config, "decode.beam_size", 1)
     if config["decode.max_len"] is not None:  # room for the bos slot
         _check_int(config, "decode.max_len", 1, ck.config.max_summary_tokens - 1)
-    model = Model(ck.config, ck.params)
     tokenizer = Tokenizer.load(args.vocab)
+    _check_vocabulary(tokenizer, ck.config)
+    model = Model(ck.config, ck.params)
     with RunManifest(args.manifest or args.out + ".manifest.json",
                      "generate", config, provenance,
                      inputs=[args.ckpt, args.input], outputs=[args.out]):

@@ -52,6 +52,12 @@ __all__ = [
 ]
 
 
+# the least value of each field; a token cap holds the bos and one more id
+_FIELD_MINIMA = dict(num_layers=1, num_heads=1, d_hidden=1, d_ff=1, vocab_size=1, clip_k=1,
+                     max_utterances=1, max_utterance_tokens=2, max_summary_tokens=2,
+                     lambda_thread_pred=0)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int = 6
@@ -67,6 +73,11 @@ class ModelConfig:
     lambda_thread_pred: float = 1.0  # 0 drops the thread objective (fine-tuning)
 
     def __post_init__(self):
+        for name, least in _FIELD_MINIMA.items():
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.d_hidden % self.num_heads != 0:
             raise ValueError(f"d_hidden {self.d_hidden} not divisible by num_heads {self.num_heads}")
 
@@ -267,7 +278,7 @@ class DecoderCache:
     """What an incremental ``decoder_forward`` keeps per decoder layer.
 
     ``cross`` holds the keys and values of the memory, projected once
-    (``[h, M, dz]``) and shared by every beam; ``self_kv`` those of the
+    (``[1, h, M, dz]``) and shared by every beam; ``self_kv`` those of the
     ``length`` summary positions decoded so far, one row per beam
     (``[b, h, T, dz]``).  Neither a forward nor ``reorder`` writes into a
     held array: both rebind ``self_kv`` entries.
@@ -347,8 +358,9 @@ class Model:
                    rel_buckets: Optional[np.ndarray] = None) -> Tensor:
         """Multi-head attention from the packed rows ``x``, laid out by ``valid``
         [n, T], to ``kv``'s key and value heads or, without it, to ``x``'s own;
-        plus an additive ``bias`` and, for ``rel_buckets``, the ``thread.rel``
-        terms of ``thread_attention_scores``."""
+        plus, for ``rel_buckets``, the ``thread.rel`` terms of
+        ``thread_attention_scores``.  The constant mask ``bias`` is added
+        inside the softmax."""
         cfg = self.config
         q = ad.split_heads(self._proj(x, prefix, "q"), cfg.num_heads, valid)
         k, v = self._keys_values(prefix, x, valid) if kv is None else kv
@@ -356,9 +368,7 @@ class Model:
             scores = thread_attention_scores(q, k, self.params["thread.rel"], rel_buckets, cfg.d_head)
         else:
             scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.d_head))
-        if bias is not None:
-            scores = ad.add(scores, Tensor(bias))
-        att = ad.softmax(scores, axis=-1)
+        att = ad.softmax(scores, bias)
         att = ad.dropout(att, cfg.dropout, rng)
         ctx = ad.merge_heads(ad.matmul(att, v), valid)
         return self._proj(ctx, prefix, "o")
@@ -431,7 +441,7 @@ class Model:
         cfg = self.config
         memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
         with ad.no_grad():
-            cross = [tuple(t.data[0] for t in self._keys_values(f"dec.{i}.cross", memory, memory_valid))
+            cross = [tuple(t.data for t in self._keys_values(f"dec.{i}.cross", memory, memory_valid))
                      for i in range(cfg.num_layers)]
         empty = np.empty((1, cfg.num_heads, 0, cfg.d_head))
         return DecoderCache(cross, [(empty, empty)] * cfg.num_layers)
@@ -444,8 +454,8 @@ class Model:
         each of the cache's b beams, the s positions after the
         ``cache.length`` already decoded.  They run as b·s packed rows and
         attend to their beam's cached keys and values as well as their own,
-        which are appended, and cross-attention reads the cache's memory
-        keys and values; the logits are [b, s, V].
+        which are appended; in cross-attention they are one query sequence
+        against the cache's memory keys and values.  The logits are [b, s, V].
         """
         cfg = self.config
         if cache is not None and rng is not None:
@@ -459,6 +469,9 @@ class Model:
         _check_ids(summary_input, cfg.vocab_size)
         valid = np.ones(np.atleast_2d(summary_input).shape, dtype=bool)  # [b, s]
         memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
+        # each query row attends to the memory on its own, so every beam's
+        # rows meet the one memory projection as a single sequence
+        cross_valid = valid.reshape(1, -1)
         causal = np.triu(np.full((s, start + s), -1e9), k=1 + start)
         positions = start + np.nonzero(valid)[1]
 
@@ -474,13 +487,11 @@ class Model:
                 new = self._keys_values(f"{pre}.self", normed, valid)
                 cache.self_kv[layer] = tuple(np.concatenate([past, t.data], axis=2)
                                              for past, t in zip(cache.self_kv[layer], new))
-                # every beam's queries meet the one memory projection in one
-                # product per head (``ad.matmul`` folds the beam axis)
                 self_kv, cross_kv = (tuple(map(Tensor, kv))
                                      for kv in (cache.self_kv[layer], cache.cross[layer]))
             a = self._attention(f"{pre}.self", normed, valid, causal, rng, kv=self_kv)
             x = self._sublayer(x, a, rng)
-            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"), valid,
+            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"), cross_valid,
                                 None, rng, kv=cross_kv)
             x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")

@@ -71,41 +71,33 @@ def _cut_text(tokenizer, ids: List[int], cap: int) -> str:
 
 
 def truncate_instance(instance: TrainingInstance, config: ModelConfig,
-                      tokenizer=None) -> TrainingInstance:
+                      tokenizer) -> TrainingInstance:
     """Apply the length limits: utterance count, tokens per utterance, summary.
 
     The kept prefix is ancestor-closed because a parent always precedes its
-    children in tree order.  Token caps need a tokenizer; without one only the
-    utterance count is cut (the encoder enforces the hard caps regardless).
+    children in tree order.  The token caps mirror ``encode_instance``: the
+    bos takes one utterance slot, and the summary also reserves one for eos.
     """
-    utterances = list(instance.tree.utterances)
-    changed = False
-    if len(utterances) > config.max_utterances:
-        utterances = utterances[: config.max_utterances]
-        changed = True
-
-    summary = instance.pseudo_summary
-    if tokenizer is not None:
-        # caps mirror encode_instance: bos takes one utterance slot, the
-        # summary additionally reserves a slot for eos
-        per_utt = config.max_utterance_tokens - 1
-        trimmed = []
-        for u in utterances:
-            ids = tokenizer.encode(u.text)
-            if len(ids) > per_utt:
-                trimmed.append(replace(u, text=_cut_text(tokenizer, ids, per_utt)))
-                changed = True
-            else:
-                trimmed.append(u)
-        utterances = trimmed
-        ids = tokenizer.encode(summary)
-        if len(ids) > config.max_summary_tokens - 2:
-            summary = _cut_text(tokenizer, ids, config.max_summary_tokens - 2)
+    utterances = instance.tree.utterances
+    changed = len(utterances) > config.max_utterances
+    per_utt = config.max_utterance_tokens - 1
+    trimmed = []
+    for u in utterances[: config.max_utterances]:
+        ids = tokenizer.encode(u.text)
+        if len(ids) > per_utt:
+            trimmed.append(replace(u, text=_cut_text(tokenizer, ids, per_utt)))
             changed = True
+        else:
+            trimmed.append(u)
+    summary = instance.pseudo_summary
+    ids = tokenizer.encode(summary)
+    if len(ids) > config.max_summary_tokens - 2:
+        summary = _cut_text(tokenizer, ids, config.max_summary_tokens - 2)
+        changed = True
 
     if not changed:
         return instance
-    return TrainingInstance(tree=ConversationTree(utterances),
+    return TrainingInstance(tree=ConversationTree(trimmed),
                             pseudo_summary=summary,
                             source_meta=instance.source_meta)
 

@@ -19,7 +19,8 @@ from threadsum.cli import (
     model_config_from,
     named_seed,
 )
-from threadsum.model import count_parameters, paper_config, toy_config
+from threadsum.checkpoint import save_checkpoint
+from threadsum.model import Model, count_parameters, paper_config, toy_config
 from threadsum.tokenizer import Tokenizer
 from threadsum.training import truncate_instance
 
@@ -446,6 +447,38 @@ def test_string_value_for_any_key_exits_1_before_reading_input(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # not even a manifest
+
+
+# model values no run can use, and a tokenizer (200 ids) beyond the model's table
+@pytest.mark.parametrize("key,value", [
+    ("num_layers", 0), ("num_heads", 0), ("d_hidden", 0), ("d_ff", 0), ("vocab_size", 0),
+    ("max_utterances", 0), ("clip_k", 0), ("clip_k", -1), ("dropout", 1.0), ("dropout", -0.1),
+    ("max_utterance_tokens", 1), ("max_summary_tokens", 1), ("lambda_thread_pred", -1.0),
+    ("vocab_size", 100),
+])
+def test_model_value_the_run_cannot_honour_exits_1_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch, key, value):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the config was checked")
+
+    monkeypatch.setattr(cli.Model, "init", no_model)
+    rc = dispatch(["pretrain", "--data", GOLDEN, "--vocab", VOCAB,
+                   "--out", str(tmp_path / "run"), "--set", f"model.{key}={value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # not even a manifest
+
+
+def test_generate_with_a_tokenizer_beyond_the_model_vocabulary_exits_1(tmp_path, capsys):
+    small = toy_config(vocab_size=100)
+    save_checkpoint(str(tmp_path / "ckpt"), small, Model.init(small, seed=0).params)
+    rc = dispatch(["generate", "--ckpt", str(tmp_path / "ckpt"), "--input", GOLDEN,
+                   "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tokenizer has 200 ids") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ckpt.npz"]
 
 
 @pytest.fixture(scope="module")

@@ -64,17 +64,17 @@ def chain_instance(n, text="check the logs", summary="restart the server"):
 
 
 class TestTruncation:
-    def test_utterance_count_cap(self):
+    def test_utterance_count_cap(self, tiny_tokenizer):
         cfg = toy_config()
-        out = truncate_instance(chain_instance(30), cfg)
+        out = truncate_instance(chain_instance(30), cfg, tiny_tokenizer)
         assert len(out.tree) == cfg.max_utterances
         assert [u.id for u in out.tree.utterances] == list(range(cfg.max_utterances))
 
-    def test_small_instance_untouched(self):
+    def test_small_instance_untouched(self, tiny_tokenizer):
         inst = chain_instance(4)
-        assert truncate_instance(inst, toy_config()) is inst
+        assert truncate_instance(inst, toy_config(), tiny_tokenizer) is inst
 
-    def test_truncated_tree_valid(self):
+    def test_truncated_tree_valid(self, tiny_tokenizer):
         # random replies, parents always precede children, so any prefix
         # must reconstruct without TreeError
         rng = np.random.default_rng(9)
@@ -84,7 +84,7 @@ class TestTruncation:
             for i in range(1, n):
                 utts.append(Utterance(i, "a", "x", i, int(rng.integers(0, i))))
             inst = TrainingInstance(ConversationTree(utts), "s")
-            out = truncate_instance(inst, toy_config())
+            out = truncate_instance(inst, toy_config(), tiny_tokenizer)
             assert len(out.tree) == 16
             out.tree.ancestor_matrix()  # exercises the validated structure
 
