@@ -10,19 +10,27 @@ There is no broadcasting between operands: ``add`` and ``mul`` take two
 arrays of one shape, and ``matmul`` equal batch axes or a 2-d right
 operand, so no backward rule has to sum a gradient back down to a smaller
 operand.  The one constant that broadcasts, an attention mask, enters
-through ``softmax``'s ``bias``, outside the graph.
+through ``attention``'s ``bias``, outside the graph.
+
+What a node keeps for its backward is what the training step holds between
+forward and backward, so the large ops keep little: ``attention`` (scale,
+bias, softmax, dropout and the product with the values as one node) keeps
+only its probabilities and a bool keep mask, and recomputes the dropped
+probabilities; ``dropout`` keeps a bool mask (1 byte an entry); and
+``cross_entropy`` keeps only each row's max and exponential sum, and
+recomputes the [S, V] probabilities from its logits.
 
 Gradient ownership: a backward rule never writes into the gradient it is
 given, and a tensor keeps the first gradient it receives as is, because
 that array may be shared with a sibling operand (``add`` hands the same
-``g`` to both sides) or be a view (``transpose``; ``split_heads`` and
-``merge_heads`` lend none, since they scatter or gather into fresh
-arrays).  A rule that computes a fresh array hands it over with
+``g`` to both sides) or be a view (``transpose``, ``concat_rows``;
+``split_heads`` and ``merge_heads`` lend none, since they scatter or gather
+into fresh arrays).  A rule that computes a fresh array hands it over with
 ``owned=True``; a tensor adds later gradients into a buffer it owns, or
-makes one with a single out-of-place add.  Indexing scatter-adds into the
-parent's own buffer (``Tensor.grad_buffer``).  Every ``Parameter`` owns
-one C-contiguous gradient buffer, so clipping may scale it in place and
-micro-batches accumulate into it.
+makes one with a single out-of-place add.  Indexing, and ``split_heads`` of
+some of the rows, add into the parent's own buffer (``Tensor.grad_buffer``).
+Every ``Parameter`` owns one C-contiguous gradient buffer, so clipping may
+scale it in place and micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ __all__ = [
     "GradCheckReport",
     # ops
     "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "split_heads",
-    "merge_heads", "softmax", "layer_norm", "linear", "gelu", "sigmoid", "dropout",
-    "tensor_sum", "cross_entropy", "binary_cross_entropy",
+    "merge_heads", "concat_rows", "attention", "layer_norm", "linear", "gelu", "sigmoid",
+    "dropout", "tensor_sum", "cross_entropy", "binary_cross_entropy",
 ]
 
 _GRAD_ENABLED = True
@@ -280,20 +288,24 @@ def transpose(a: Tensor) -> Tensor:
     return _make(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
-def split_heads(x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(None)) -> Tensor:
     """Packed rows [N, heads * dz] as zero-padded heads [n, heads, T, dz].
 
-    ``valid`` [n, T] marks the N slots that hold a row: the r-th row goes to
-    the r-th marked slot in row-major order.  The scatter into the padded
-    layout and the head split are one op, and the backward is the gather of
-    the marked slots.
+    ``valid`` [n, T] marks the slots that hold a row: the r-th of ``x``'s
+    ``rows`` (all of them by default) goes to the r-th marked slot in
+    row-major order.  The scatter into the padded layout and the head split
+    are one op, and the backward is the gather of the marked slots.
     """
-    xd = x.data
+    xd = x.data[rows]
     out = np.zeros((valid.shape[0], heads, valid.shape[1], xd.shape[1] // heads), xd.dtype)
     np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, out.shape[3])
 
     def bwd(g, x=x):
-        x.accumulate_grad(np.swapaxes(g, 1, 2)[valid].reshape(xd.shape), owned=True)
+        gx = np.swapaxes(g, 1, 2)[valid].reshape(xd.shape)
+        if xd.shape == x.shape:
+            x.accumulate_grad(gx, owned=True)
+        else:
+            x.grad_buffer()[rows] += gx
 
     return _make(out, (x,), bwd)
 
@@ -313,23 +325,71 @@ def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
     return _make(np.swapaxes(xd, 1, 2)[valid].reshape(-1, h * dz), (x,), bwd)
 
 
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The rows of 2-d tensors stacked in order; each part's gradient is a
+    lent view of its rows."""
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def bwd(g, parts=parts):
+        for p, start, stop in zip(parts, bounds[:-1], bounds[1:]):
+            if p.requires_grad:
+                p.accumulate_grad(g[start:stop])
+
+    return _make(np.concatenate([p.data for p in parts]), parts, bwd)
+
+
 # ---------------------------------------------------------------------------
 # neural-net ops
 
 
-def softmax(a: Tensor, bias: Optional[np.ndarray] = None) -> Tensor:
-    """Softmax over the last axis of ``a`` plus an optional constant additive
-    ``bias``, such as an attention mask of -1e9 entries, which broadcasts
-    against ``a`` as numpy broadcasts and carries no gradient."""
-    x = a.data if bias is None else a.data + bias
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+def _dropped(a: np.ndarray, c: float, keep: np.ndarray) -> np.ndarray:
+    """(a * c) * keep, as a fresh array."""
+    out = a * c
+    out *= keep
+    return out
 
-    def bwd(g, a=a, y=y):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        a.accumulate_grad((g - inner) * y, owned=True)
 
-    return _make(y, (a,), bwd)
+def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray],
+              rng: Optional[np.random.Generator], p: float) -> Tensor:
+    """``dropout(softmax(scores * scale + bias)) @ v`` as one node.
+
+    ``scores`` [..., s, t] and ``v`` [..., t, dz] have equal batch axes.  The
+    constant ``bias``, such as an attention mask of -1e9 entries, broadcasts
+    against the scores as numpy broadcasts and carries no gradient.  Dropout
+    is drawn as ``dropout`` draws it and is off without an ``rng``.  The
+    backward is the softmax Jacobian-vector product written out; besides
+    the operands' own values it saves only the probabilities and the keep
+    mask, and recomputes the dropped probabilities.
+    """
+    sd, vd = scores.data, v.data
+    if sd.ndim < 2 or sd.shape[:-2] != vd.shape[:-2] or sd.shape[-1] != vd.shape[-2]:
+        raise ShapeError(f"attention scores {sd.shape} and values {vd.shape} do not align")
+    y = sd * scale
+    if bias is not None:
+        y += bias
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    keep = None if rng is None or p <= 0.0 else rng.random(y.shape) >= p
+    c = 1.0 / (1.0 - p)
+
+    def bwd(g, scores=scores, v=v, y=y, keep=keep):
+        if v.requires_grad:
+            att = y if keep is None else _dropped(y, c, keep)
+            v.accumulate_grad(np.swapaxes(att, -1, -2) @ g, owned=True)
+        if scores.requires_grad:
+            ga = g @ np.swapaxes(vd, -1, -2)
+            if keep is not None:
+                ga *= c
+                ga *= keep
+            ga -= (ga * y).sum(axis=-1, keepdims=True)
+            ga *= y
+            if scale != 1.0:
+                ga *= scale
+            scores.accumulate_grad(ga, owned=True)
+
+    att = y if keep is None else _dropped(y, c, keep)
+    return _make(att @ vd, (scores, v), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -398,18 +458,17 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout, active units rescaled by 1/(1-p); the identity, with
-    nothing drawn, when there is no ``rng`` (inference) or ``p`` is 0."""
+    nothing drawn, when there is no ``rng`` (inference) or ``p`` is 0.  The
+    mask is kept as bools."""
     if rng is None or p <= 0.0:
         return x
-    # (u >= p) / (1 - p), formed in the one array the uniforms were drawn into
-    mask = rng.random(x.shape)
-    np.greater_equal(mask, p, out=mask)
-    mask *= 1.0 / (1.0 - p)
+    keep = rng.random(x.shape) >= p
+    c = 1.0 / (1.0 - p)
 
-    def bwd(g, x=x, mask=mask):
-        x.accumulate_grad(g * mask, owned=True)
+    def bwd(g, x=x, keep=keep):
+        x.accumulate_grad(_dropped(g, c, keep), owned=True)
 
-    return _make(x.data * mask, (x,), bwd)
+    return _make(_dropped(x.data, c, keep), (x,), bwd)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -422,7 +481,9 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean next-token negative log-likelihood over a [T, V] logit matrix."""
+    """Mean next-token negative log-likelihood over a [T, V] logit matrix.
+
+    Only each row's max and exponential sum are kept for the backward."""
     targets = np.asarray(targets, dtype=np.int64)
     t, v = logits.shape
     if targets.shape != (t,):
@@ -430,14 +491,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of vocabulary of size {v}")
     m = logits.data.max(axis=-1, keepdims=True)
-    e = logits.data - m
-    np.exp(e, out=e)
-    z = e.sum(axis=-1, keepdims=True)
+    z = np.exp(logits.data - m).sum(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     nll = lse - logits.data[np.arange(t), targets]
 
-    def bwd(g, logits=logits, e=e, z=z):
-        p = e / z
+    def bwd(g, logits=logits, m=m, z=z):
+        # the probabilities again, from the logits the tape holds anyway
+        p = logits.data - m
+        np.exp(p, out=p)
+        p /= z
         p[np.arange(t), targets] -= 1.0
         p *= g / t
         logits.accumulate_grad(p, owned=True)

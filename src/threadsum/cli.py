@@ -15,12 +15,14 @@ not define is a configuration error (exit 1); that includes ``model.*`` keys
 that older versions accepted and that have since been removed.  So is a value
 of another type than its key's default (a bool, an integer or a number, and
 null for train.clip_norm and decode.max_len), or one the run cannot honour,
-such as a shard size, beam size or log interval below 1; each is reported
-before the command reads its data or builds a model.  A manifest is
-written atomically before and after each file-producing run; commands that
-only print to stdout write one when --manifest is given.  Manifests, --stats
-files, corpus shards, predictions and score reports go through the one atomic
-writer (fileio.atomic_write), so a failed run leaves none of them half-written.
+such as a shard size, beam size or log interval below 1, a negative learning
+rate, a clip norm of 0, a min_len beyond the summary cap or a non-finite
+length penalty; each is reported before the command reads its data or
+builds a model.  A manifest is written atomically before and after each
+file-producing run; commands that only print to stdout write one when
+--manifest is given.  Manifests, --stats files, corpus shards, predictions
+and score reports go through the one atomic writer (fileio.atomic_write), so
+a failed run leaves none of them half-written.
 All randomness flows from the single train.seed, fanned out into named
 substreams.  BLAS threading is not a flag: set it in the environment before
 launch (``OPENBLAS_NUM_THREADS=1 threadsum ...``).
@@ -30,6 +32,7 @@ import argparse
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -371,8 +374,14 @@ def cmd_train(args, config, provenance) -> int:
 def cmd_generate(args, config, provenance) -> int:
     ck = load_checkpoint(args.ckpt, with_optimizer=False)
     _check_int(config, "decode.beam_size", 1)
-    if config["decode.max_len"] is not None:  # room for the bos slot
-        _check_int(config, "decode.max_len", 1, ck.config.max_summary_tokens - 1)
+    max_len = ck.config.max_summary_tokens - 1  # room for the bos slot
+    if config["decode.max_len"] is not None:
+        _check_int(config, "decode.max_len", 1, max_len)
+        max_len = config["decode.max_len"]
+    _check_int(config, "decode.min_len", 1, max_len)
+    penalty = config["decode.length_penalty"]
+    if not math.isfinite(penalty):
+        raise ConfigError(f"decode.length_penalty must be finite, got {penalty!r}")
     tokenizer = Tokenizer.load(args.vocab)
     _check_vocabulary(tokenizer, ck.config)
     model = Model(ck.config, ck.params)

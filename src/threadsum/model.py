@@ -13,7 +13,11 @@ Three pre-LN transformer stacks share one token embedding table:
 
 Every stack runs on packed [N, d] rows (the tokens of all utterances, the
 utterances, or the summary positions of one or b beams); only attention
-lays them out as zero-padded [n, h, T, dz] heads (``ad.split_heads``).
+lays them out as zero-padded [n, h, T, dz] heads (``ad.split_heads``), and
+one ``ad.attention`` node per bucket forms the probabilities and their
+product with the values.  The token encoder runs with its utterances sorted
+by length, so that its attention core pads each of at most three length
+buckets only to the bucket's own longest utterance.
 
 The output projection is the transpose of the embedding table (weight
 tying).  All forwards are pure functions of (parameters, inputs, rng), and
@@ -125,6 +129,20 @@ def thread_attention_scores(q: Tensor, k: Tensor, rel_table, rel_buckets: np.nda
     term_q = proj_q[..., rows, rel_buckets]
     term_k = ad.transpose(proj_k[..., rows, rel_buckets.T])
     return ad.scale(ad.add(ad.add(scores, term_q), term_k), 1.0 / math.sqrt(d_head))
+
+
+def _length_buckets(lengths: np.ndarray) -> List[Tuple[int, int]]:
+    """At most three runs [first, stop) of the ascending ``lengths``, chosen
+    to minimise the padded score entries, sum over runs of n_b * T_b ** 2
+    with T_b the run's longest length; a tie keeps fewer runs."""
+    n = len(lengths)
+    # square[c] is the squared longest length of a run that stops at c
+    square = np.concatenate([[0], lengths.astype(np.int64) ** 2])
+    a, b = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
+    cost = a * square[a] + (b - a) * square[b] + (n - b) * square[n]
+    a, b = divmod(int(np.argmin(np.where(a <= b, cost, np.iinfo(np.int64).max))), n + 1)
+    cuts = sorted({0, a, b, n})
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 _PE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
@@ -271,6 +289,7 @@ class ForwardResult:
 
 
 KeysValues = Tuple[np.ndarray, np.ndarray]  # (K, V), each [..., h, T, dz]
+Layout = Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]  # (valid [n_b, T_b], bias) per bucket
 
 
 @dataclass
@@ -353,25 +372,39 @@ class Model:
         return (ad.split_heads(self._proj(x, prefix, "k"), h, valid),
                 ad.split_heads(self._proj(x, prefix, "v"), h, valid))
 
-    def _attention(self, prefix: str, x: Tensor, valid: np.ndarray,
-                   bias: Optional[np.ndarray], rng, kv: Optional[Tuple[Tensor, Tensor]] = None,
+    def _attention(self, prefix: str, x: Tensor, layout: Layout, rng,
+                   kv: Optional[Tuple[Tensor, Tensor]] = None,
                    rel_buckets: Optional[np.ndarray] = None) -> Tensor:
-        """Multi-head attention from the packed rows ``x``, laid out by ``valid``
-        [n, T], to ``kv``'s key and value heads or, without it, to ``x``'s own;
-        plus, for ``rel_buckets``, the ``thread.rel`` terms of
-        ``thread_attention_scores``.  The constant mask ``bias`` is added
-        inside the softmax."""
+        """Multi-head attention from the packed rows ``x`` to ``kv``'s key and
+        value heads or, without it, to ``x``'s own; plus, for ``rel_buckets``,
+        the ``thread.rel`` terms of ``thread_attention_scores``.
+
+        ``layout`` lists buckets (valid [n_b, T_b], bias): each lays out the
+        next run of ``x``'s rows as heads, and its rows attend only within
+        it, with the constant mask ``bias`` added inside the softmax.  The
+        projections run once over all rows; with ``kv`` there is one bucket.
+        """
         cfg = self.config
-        q = ad.split_heads(self._proj(x, prefix, "q"), cfg.num_heads, valid)
-        k, v = self._keys_values(prefix, x, valid) if kv is None else kv
-        if rel_buckets is not None:
-            scores = thread_attention_scores(q, k, self.params["thread.rel"], rel_buckets, cfg.d_head)
-        else:
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.d_head))
-        att = ad.softmax(scores, bias)
-        att = ad.dropout(att, cfg.dropout, rng)
-        ctx = ad.merge_heads(ad.matmul(att, v), valid)
-        return self._proj(ctx, prefix, "o")
+        h = cfg.num_heads
+        q = self._proj(x, prefix, "q")
+        if kv is None:
+            k, v = self._proj(x, prefix, "k"), self._proj(x, prefix, "v")
+        ctx, start = [], 0
+        for valid, bias in layout:
+            rows = slice(start, start + int(valid.sum()))
+            start = rows.stop
+            qh = ad.split_heads(q, h, valid, rows)
+            kh, vh = kv if kv is not None else (ad.split_heads(k, h, valid, rows),
+                                                ad.split_heads(v, h, valid, rows))
+            if rel_buckets is not None:
+                scores = thread_attention_scores(qh, kh, self.params["thread.rel"], rel_buckets,
+                                                 cfg.d_head)
+                scale = 1.0
+            else:
+                scores, scale = ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(cfg.d_head)
+            att = ad.attention(scores, vh, scale, bias, rng, cfg.dropout)
+            ctx.append(ad.merge_heads(att, valid))
+        return self._proj(ctx[0] if len(ctx) == 1 else ad.concat_rows(ctx), prefix, "o")
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
@@ -386,14 +419,14 @@ class Model:
 
     # -- encoder stacks -----------------------------------------------------
 
-    def _encoder_stack(self, stack: str, x: Tensor, valid: np.ndarray, rng,
-                       bias: Optional[np.ndarray] = None,
+    def _encoder_stack(self, stack: str, x: Tensor, layout: Layout, rng,
                        rel_buckets: Optional[np.ndarray] = None) -> Tensor:
-        """The layers and final norm of encoder ``stack`` over the packed rows ``x``."""
+        """The layers and final norm of encoder ``stack`` over the packed rows
+        ``x``, whose attention runs on the buckets of ``layout``."""
         for layer in range(self.config.num_layers):
             pre = f"{stack}.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
-            a = self._attention(f"{pre}.attn", normed, valid, bias, rng, rel_buckets=rel_buckets)
+            a = self._attention(f"{pre}.attn", normed, layout, rng, rel_buckets=rel_buckets)
             x = self._sublayer(x, a, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln2"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)
@@ -403,23 +436,33 @@ class Model:
         """Run the token encoder over all utterances' tokens, packed.
 
         Returns ([N, d] states, one row per token with the utterances in
-        order, and the [n] lengths).  The attention core pads the rows into
-        [n, h, T_max, dz] heads whose padded keys are masked out.
+        order, and the [n] lengths).  The stack runs with the utterances
+        sorted by length, so that the attention core can pad each of a few
+        buckets of them (``_length_buckets``) only to its own longest
+        utterance, with the padded keys masked out; one gather at the end
+        restores utterance order.
         """
         cfg = self.config
         lengths = np.array([len(ids) for ids in token_ids], dtype=np.int64)
         if lengths.min() < 1 or lengths.max() > cfg.max_utterance_tokens:
             raise ValueError("utterance token sequences must have 1..max_utterance_tokens ids")
-        ids = np.concatenate(token_ids).astype(np.int64)
+        # the rows with the utterances sorted by length; the sort is stable,
+        # so each utterance's rows stay together and in order
+        order = np.argsort(np.repeat(lengths, lengths), kind="stable")
+        ids = np.concatenate(token_ids).astype(np.int64)[order]
         _check_ids(ids, cfg.vocab_size)
-        valid = np.arange(lengths.max()) < lengths[:, None]  # [n, T_max]
-        mask_add = np.where(valid, 0.0, -1e9)[:, None, None, :]  # [n,1,1,T]
-        positions = np.nonzero(valid)[1]  # each row's position in its utterance
+        sorted_lengths = np.sort(lengths)
+        layout = []
+        for first, stop in _length_buckets(sorted_lengths):
+            valid = np.arange(sorted_lengths[stop - 1]) < sorted_lengths[first:stop, None]
+            layout.append((valid, np.where(valid, 0.0, -1e9)[:, None, None, :]))
+        positions = np.concatenate([np.nonzero(valid)[1] for valid, _ in layout])
 
         x = self.params["embed.tokens"][ids]
-        x = ad.add(x, Tensor(sinusoidal_pe(valid.shape[1], cfg.d_hidden)[positions]))
+        x = ad.add(x, Tensor(sinusoidal_pe(int(lengths.max()), cfg.d_hidden)[positions]))
         x = ad.dropout(x, cfg.dropout, rng)
-        return self._encoder_stack("tok", x, valid, rng, bias=mask_add), lengths
+        states = self._encoder_stack("tok", x, layout, rng)
+        return states[np.argsort(order)], lengths
 
     def utterance_representations(self, token_bos: Tensor) -> Tensor:
         """Per-utterance vectors: bos output + position-in-conversation PE."""
@@ -427,8 +470,8 @@ class Model:
 
     def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray, rng=None) -> Tensor:
         """The thread-aware stack over the [n, d] utterance rows, one unpadded sequence."""
-        valid = np.ones((1, utt_repr.shape[0]), dtype=bool)
-        return self._encoder_stack("utt", utt_repr, valid, rng, rel_buckets=relation_buckets)
+        layout = [(np.ones((1, utt_repr.shape[0]), dtype=bool), None)]
+        return self._encoder_stack("utt", utt_repr, layout, rng, rel_buckets=relation_buckets)
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
                              utt_states: Tensor) -> Tensor:
@@ -489,10 +532,10 @@ class Model:
                                              for past, t in zip(cache.self_kv[layer], new))
                 self_kv, cross_kv = (tuple(map(Tensor, kv))
                                      for kv in (cache.self_kv[layer], cache.cross[layer]))
-            a = self._attention(f"{pre}.self", normed, valid, causal, rng, kv=self_kv)
+            a = self._attention(f"{pre}.self", normed, [(valid, causal)], rng, kv=self_kv)
             x = self._sublayer(x, a, rng)
-            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"), cross_valid,
-                                None, rng, kv=cross_kv)
+            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),
+                                [(cross_valid, None)], rng, kv=cross_kv)
             x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)

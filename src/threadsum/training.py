@@ -12,6 +12,7 @@ checkpoint retraces the uninterrupted trajectory exactly.
 """
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -225,6 +226,14 @@ class TrainRunConfig:
             raise ValueError("total_steps must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        for name in ("peak_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be null or a finite number > 0, got {self.clip_norm!r}")
 
 
 def train_step(model: Model, state: OptimizerState,

@@ -47,6 +47,52 @@ def check_op(build, *arrays, eps=1e-6, tol=1e-7):
         np.testing.assert_allclose(p.grad, num, rtol=tol, atol=tol)
 
 
+def probabilities(scores, bias=None):
+    """The softmax inside ``attention``, read out against identity values."""
+    t = scores.shape[-1]
+    eye = np.broadcast_to(np.eye(t), scores.shape[:-2] + (t, t))
+    return ad.attention(scores, Tensor(eye), 1.0, bias, None, 0.0)
+
+
+def softmax(a, bias=None):
+    """Softmax over the last axis plus a constant ``bias``: the op that
+    ``attention`` replaced, kept as the middle step of its oracle."""
+    x = a.data if bias is None else a.data + bias
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g, a=a, y=y):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        a.accumulate_grad((g - inner) * y, owned=True)
+
+    return ad._make(y, (a,), bwd)
+
+
+def composite_attention(scores, v, scale, bias, rng, p):
+    """Scale, softmax, dropout and the product with ``v``, one node each."""
+    return ad.matmul(ad.dropout(softmax(ad.scale(scores, scale), bias), p, rng), v)
+
+
+def held_arrays(*nodes):
+    """The arrays the nodes keep for their backward: their values and what
+    their backward rules close over or take as defaults, one per buffer."""
+    found = []
+    for node in nodes:
+        fn = node._backward
+        found += [node.data] + list(fn.__defaults__ or ())
+        found += [cell.cell_contents for cell in fn.__closure__ or ()]
+    seen, out = set(), []
+    for a in found:
+        if isinstance(a, np.ndarray):
+            root = a
+            while root.base is not None:
+                root = root.base
+            if id(root) not in seen:
+                seen.add(id(root))
+                out.append(a)
+    return out
+
+
 class TestElementwiseOps:
     def test_add_equal_shapes(self):
         check_op(ad.add, RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)))
@@ -163,6 +209,31 @@ class TestMatmulAndShapes:
         v = Tensor(RNG.normal(size=rows + (4,)))
         check_op(lambda a: ad.mul(ad.merge_heads(a, valid), v), RNG.normal(size=(2, 2, 3, 2)))
 
+    def test_split_heads_of_some_rows(self):
+        # rows 1..5 of 7 laid out by VALID; the other rows get a zero gradient
+        w = Tensor(RNG.normal(size=(2, 2, 3, 2)))
+        x = RNG.normal(size=(7, 4))
+        heads = ad.split_heads(Tensor(x), 2, self.VALID, slice(1, 6))
+        np.testing.assert_array_equal(heads.data, ad.split_heads(Tensor(x[1:6]), 2, self.VALID).data)
+        check_op(lambda a: ad.mul(ad.split_heads(a, 2, self.VALID, slice(1, 6)), w), x)
+
+    def test_buckets_of_rows_round_trip(self):
+        # two runs of rows, each laid out as its own heads, merged and stacked
+        # back in order: the identity, forward and backward
+        long = np.ones((2, 4), dtype=bool)
+
+        def buckets(a):
+            return ad.concat_rows([
+                ad.merge_heads(ad.split_heads(a, 2, self.VALID, slice(0, 5)), self.VALID),
+                ad.merge_heads(ad.split_heads(a, 2, long, slice(5, 13)), long)])
+
+        x = RNG.normal(size=(13, 4))
+        np.testing.assert_array_equal(buckets(Tensor(x)).data, x)
+        w = Tensor(RNG.normal(size=(13, 4)))
+        check_op(lambda a: ad.mul(buckets(a), w), x)
+        check_op(lambda a, b: ad.mul(ad.concat_rows([a, b]), w),
+                 RNG.normal(size=(6, 4)), RNG.normal(size=(7, 4)))
+
     def test_matmul_transposed(self):
         check_op(ad.matmul_transposed, RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4)))
         with pytest.raises(ShapeError):
@@ -263,13 +334,13 @@ class TestReductionsAndLosses:
 
     def test_softmax_rows_sum_to_one(self):
         x = RNG.normal(size=(4, 7)) * 30
-        y = ad.softmax(Tensor(x))
+        y = probabilities(Tensor(x))
         np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(4), atol=1e-12)
-        check_op(ad.softmax, RNG.normal(size=(3, 5)))
+        check_op(probabilities, RNG.normal(size=(3, 5)))
 
     def test_softmax_additive_mask_gives_exact_zero(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        y = ad.softmax(Tensor(x), np.array([0.0, 0.0, -1e9]))
+        y = probabilities(Tensor(x), np.array([0.0, 0.0, -1e9]))
         assert y.data[0, 2] == 0.0
 
     def test_softmax_bias_is_added_before_the_max(self):
@@ -277,9 +348,9 @@ class TestReductionsAndLosses:
         x = RNG.normal(size=(2, 3, 4, 5)) * 10
         for bias in (np.where(np.arange(5) < np.array([5, 3]).reshape(2, 1, 1, 1), 0.0, -1e9),
                      np.triu(np.full((4, 5), -1e9), k=2)):
-            np.testing.assert_array_equal(ad.softmax(Tensor(x), bias).data,
-                                          ad.softmax(Tensor(x + bias)).data)
-            check_op(lambda a, bias=bias: ad.mul(ad.softmax(a, bias), Tensor(x)), x)
+            np.testing.assert_array_equal(probabilities(Tensor(x), bias).data,
+                                          probabilities(Tensor(x + bias)).data)
+            check_op(lambda a, bias=bias: ad.mul(probabilities(a, bias), Tensor(x)), x)
 
     def test_layer_norm(self):
         check_op(ad.layer_norm, RNG.normal(size=(2, 3, 6)),
@@ -302,6 +373,23 @@ class TestReductionsAndLosses:
     def test_cross_entropy_grad(self):
         targets = np.array([1, 0, 3])
         check_op(lambda a: ad.cross_entropy(a, targets), RNG.normal(size=(3, 4)))
+
+    def test_cross_entropy_gradient_is_the_stored_formula_bit_for_bit(self):
+        # the backward recomputes e / z from the logits; the rule that kept
+        # e = exp(logits - max) from the forward gave the same bits
+        t, v = 7, 301
+        x = RNG.normal(size=(t, v)) * 5
+        targets = RNG.integers(0, v, size=t)
+        logits = Parameter("logits", x.copy())
+        loss = ad.cross_entropy(logits, targets)
+        backward(ad.scale(loss, 0.37))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        want[np.arange(t), targets] -= 1.0
+        want *= 0.37 / t
+        np.testing.assert_array_equal(logits.grad, want)
+        # and it keeps no [T, V] array of its own
+        assert [a.shape for a in held_arrays(loss)] == [(), (t, 1), (t, 1), (t,)]
 
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(IndexError):
@@ -332,6 +420,63 @@ class TestReductionsAndLosses:
         assert np.isfinite(loss.item())
         backward(loss)
         assert p.grad[0] == 0.0  # clamped entry gets no gradient
+
+
+class TestAttention:
+    """``attention`` against the four ops it replaced, and finite differences."""
+
+    PADDING = np.where(np.arange(5) < np.array([5, 3]).reshape(2, 1, 1, 1), 0.0, -1e9)
+    CAUSAL = np.triu(np.full((4, 5), -1e9), k=2)  # 4 queries after 1 cached position
+    CASES = {"no-bias": (None, 0.0), "padding": (PADDING, 0.0), "causal": (CAUSAL, 0.0),
+             "dropout": (PADDING, 0.3)}
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_composite_bit_for_bit(self, case, scale):
+        bias, p = self.CASES[case]
+        arrays = [RNG.normal(size=s) for s in ((2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3))]
+        w = Tensor(RNG.normal(size=(2, 2, 4, 3)))
+        rng = np.random.default_rng(11)
+        clone = copy.deepcopy(rng)
+        results = []
+        for op, gen in ((ad.attention, rng), (composite_attention, clone)):
+            q, k, v = (Parameter(n, a.copy()) for n, a in zip("qkv", arrays))
+            out = op(ad.matmul(q, ad.transpose(k)), v, scale, bias, gen, p)
+            backward(ad.tensor_sum(ad.mul(out, w)))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        assert rng.random() == clone.random()  # the same draws
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finite_differences(self, case):
+        bias, p = self.CASES[case]
+
+        def op(q, k, v):
+            # a fresh generator per call keeps the dropout draw fixed
+            return ad.attention(ad.matmul(q, ad.transpose(k)), v, 0.7, bias,
+                                np.random.default_rng(5), p)
+
+        check_op(op, RNG.normal(size=(2, 2, 4, 3)), RNG.normal(size=(2, 2, 5, 3)),
+                 RNG.normal(size=(2, 2, 5, 3)))
+
+    def test_keeps_probabilities_and_a_bool_mask(self):
+        scores = Parameter("s", RNG.normal(size=(2, 2, 4, 5)))
+        v = Parameter("v", RNG.normal(size=(2, 2, 5, 3)))
+        out = ad.attention(scores, v, 0.5, self.PADDING, np.random.default_rng(0), 0.3)
+        saved = held_arrays(out)[1:]  # besides the output
+        by_kind = sorted((a.dtype.kind, a.shape) for a in saved)
+        # the probabilities, the keep mask, and v's own values
+        assert by_kind == [("b", (2, 2, 4, 5)), ("f", (2, 2, 4, 5)), ("f", (2, 2, 5, 3))]
+        probs = next(a for a in saved if a.dtype.kind == "f" and a.shape == scores.shape)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert any(a is v.data for a in saved)
+
+    def test_rejects_misaligned(self):
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((2, 4, 3))), 1.0, None, None, 0)
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((1, 5, 3))), 1.0, None, None, 0)
 
 
 class TestGraphMechanics:
@@ -425,6 +570,12 @@ class TestGraphMechanics:
         np.testing.assert_allclose(y.data[kept], 1 / 0.75)
         backward(ad.tensor_sum(y))
         np.testing.assert_array_equal(x.grad != 0, kept)
+
+    def test_dropout_keeps_a_bool_mask(self):
+        x = Parameter("x", RNG.normal(size=(3, 5, 7)))
+        y = ad.dropout(x, 0.3, np.random.default_rng(0))
+        saved = held_arrays(y)[1:]  # besides the output
+        assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(bool), x.shape)]
 
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
     def test_dropout_mask_matches_reference_draw(self, p):

@@ -426,7 +426,22 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
       "--shard-size", "0"], "corpus.shard_size"),
     (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
       "--log-every", "0"], "log_every must be >= 1"),
-], ids=["shard-size-0", "log-every-0"])
+] + [
+    (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
+      "--set", f"train.{value}"], message)
+    for value, message in [
+        ("peak_lr=-1", "peak_lr must be a finite number >= 0, got -1"),
+        ("peak_lr=NaN", "peak_lr must be a finite number >= 0, got nan"),
+        ("weight_decay=-1", "weight_decay must be a finite number >= 0"),
+        ("weight_decay=Infinity", "weight_decay must be a finite number >= 0"),
+        ("clip_norm=0", "clip_norm must be null or a finite number > 0, got 0"),
+        ("clip_norm=-1", "clip_norm must be null or a finite number > 0"),
+        ("clip_norm=Infinity", "clip_norm must be null or a finite number > 0"),
+        ("checkpoint_every=-1", "checkpoint_every must be >= 0"),
+    ]
+], ids=["shard-size-0", "log-every-0", "peak-lr-negative", "peak-lr-nan", "weight-decay-negative",
+        "weight-decay-inf", "clip-norm-0", "clip-norm-negative", "clip-norm-inf",
+        "checkpoint-every-negative"])
 def test_value_the_run_cannot_honour_exits_1_before_reading_input(
         tmp_path, capsys, monkeypatch, argv, key):
     def no_model(*args, **kwargs):
@@ -600,7 +615,14 @@ class TestGenerateEvaluate:
         (["--beam", "0"], "decode.beam_size"),
         (["--max-len", "0"], "decode.max_len"),
         (["--max-len", "100"], "decode.max_len must be an integer in [1, 15]"),
-    ], ids=["beam-0", "max-len-0", "max-len-beyond-the-checkpoint"])
+        (["--min-len", "0"], "decode.min_len must be an integer in [1, 15]"),
+        (["--min-len", "16"], "decode.min_len must be an integer in [1, 15]"),
+        (["--max-len", "5", "--min-len", "6"], "decode.min_len must be an integer in [1, 5]"),
+        (["--set", "decode.length_penalty=NaN"], "decode.length_penalty must be finite, got nan"),
+        (["--length-penalty=-inf"], "decode.length_penalty must be finite, got -inf"),
+    ], ids=["beam-0", "max-len-0", "max-len-beyond-the-checkpoint", "min-len-0",
+            "min-len-beyond-the-checkpoint", "min-len-beyond-max-len", "length-penalty-nan",
+            "length-penalty-inf"])
     def test_value_the_run_cannot_honour_exits_1_before_reading_input(
             self, trained_run, tmp_path, capsys, flags, key):
         # the checkpoint's max_summary_tokens is 16: 15 tokens after the bos
@@ -615,6 +637,11 @@ class TestGenerateEvaluate:
         assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
                          "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB,
                          "--max-len", "15"]) == 0
+
+    def test_min_len_at_max_len_runs(self, trained_run, tmp_path):
+        assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
+                         "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB,
+                         "--max-len", "3", "--min-len", "3"]) == 0
 
     def test_generate_deterministic(self, trained_run):
         tmp = trained_run["tmp"]

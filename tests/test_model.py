@@ -3,19 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, softmax
 from scipy.stats import truncnorm
 
 from threadsum import autodiff as ad
-from threadsum.autodiff import Tensor, no_grad
+from threadsum.autodiff import ComputationTape, Tensor, backward, no_grad
 from threadsum.conversation import ConversationTree, Utterance, relation_index
 from threadsum.corpus import TrainingInstance
 from threadsum.model import (
     INIT_BLOCK_ROWS,
     Model,
     ModelConfig,
+    _length_buckets,
     count_parameters,
     encode_instance,
     init_parameters,
@@ -25,6 +26,9 @@ from threadsum.model import (
     toy_config,
     truncated_normal,
 )
+from threadsum.objectives import instance_loss
+
+from test_autodiff import held_arrays
 
 
 def chain_tree(n):
@@ -266,13 +270,17 @@ class TestTokenEncoder:
         want = np.concatenate([r + utt_states.data[i] for i, r in enumerate(refs)])
         np.testing.assert_allclose(memory.data, want, atol=1e-12, rtol=0)
 
+    # lengths 1..16 in a scattered order, which the core splits into three buckets
+    SPREAD = [16, 2, 9, 3, 15, 1, 8, 16, 4, 12]
+
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_rows_do_not_depend_on_batch_mates(self, toy_model, data):
+    @given(lengths=st.lists(st.integers(1, toy_config().max_utterance_tokens), min_size=1,
+                            max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=SPREAD, seed=0)
+    def test_rows_do_not_depend_on_batch_mates(self, toy_model, lengths, seed):
         cfg = toy_model.config
-        lengths = data.draw(st.lists(st.integers(1, cfg.max_utterance_tokens), min_size=1,
-                                     max_size=6), label="lengths")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rng = np.random.default_rng(seed)
         token_ids = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in lengths]
         with no_grad():
             batched, _ = toy_model.token_encode(token_ids)
@@ -280,6 +288,58 @@ class TestTokenEncoder:
                 alone, _ = toy_model.token_encode([ids])
                 np.testing.assert_allclose(batched.data[start:start + len(ids)], alone.data,
                                            atol=1e-12, rtol=0)
+
+    def test_buckets_match_unpadded_per_utterance_reference(self, toy_model):
+        cfg = toy_model.config
+        assert len(_length_buckets(np.sort(self.SPREAD))) == 3
+        rng = np.random.default_rng(3)
+        token_ids = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in self.SPREAD]
+        with no_grad():
+            states, _ = toy_model.token_encode(token_ids)
+        for start, ids in zip(row_starts(np.array(self.SPREAD)), token_ids):
+            want = reference_token_encoder(toy_model.params, ids, cfg.num_layers, cfg.num_heads)
+            np.testing.assert_allclose(states.data[start:start + len(ids)], want, atol=1e-12, rtol=0)
+
+    def test_gradients_do_not_depend_on_batch_mates(self, toy_model):
+        # a weighted sum of the rows: its gradient is the sum of each
+        # utterance's own, whichever buckets the utterances share
+        cfg = toy_model.config
+        rng = np.random.default_rng(4)
+        token_ids = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in self.SPREAD]
+        weights = Tensor(rng.normal(size=(sum(self.SPREAD), cfg.d_hidden)))
+        params = toy_model.parameters()
+
+        def grads(batches):
+            toy_model.zero_grad()
+            for start, batch in batches:
+                states, _ = toy_model.token_encode(batch)
+                backward(ad.tensor_sum(ad.mul(states, weights[start:start + states.shape[0]])))
+            return [np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in params]
+
+        together = grads([(0, token_ids)])
+        alone = grads(list(zip(row_starts(np.array(self.SPREAD)), [[ids] for ids in token_ids])))
+        toy_model.zero_grad()
+        for p, got, want in zip(params, together, alone):
+            np.testing.assert_allclose(got, want, atol=1e-12 * max(np.abs(want).max(), 1), rtol=0,
+                                       err_msg=p.name)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 200), min_size=1, max_size=12))
+    def test_length_buckets_minimise_padded_scores(self, lengths):
+        lengths = np.sort(lengths)
+        n = len(lengths)
+
+        def cost(runs):
+            return sum((stop - first) * lengths[stop - 1] ** 2 for first, stop in runs)
+
+        runs = _length_buckets(lengths)
+        assert runs[0][0] == 0 and runs[-1][1] == n and 1 <= len(runs) <= 3
+        assert all(first < stop for first, stop in runs)
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        best = min(cost([(0, a), (a, b), (b, n)]) for a in range(n + 1) for b in range(a, n + 1))
+        assert cost(runs) == best
+        # a split that saves nothing is not made
+        assert len(_length_buckets(np.full(n, lengths[-1]))) == 1
 
     def test_rejects_out_of_vocab(self, toy_model):
         with pytest.raises(IndexError):
@@ -445,7 +505,7 @@ class TestDecoder:
     def test_logit_shape_and_softmax(self, toy_model, toy_input):
         with no_grad():
             res = toy_model.forward(toy_input)
-            probs = ad.softmax(res.logits).data
+            probs = softmax(res.logits.data, axis=-1)
         assert res.logits.shape == (len(toy_input.summary_input), toy_model.config.vocab_size)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -481,6 +541,25 @@ class TestDecoder:
         # saw the bumped input embedding) and the input path at positions > 1
         assert np.abs(bumped[0, tid] - base[0, tid]).max() > 0
         assert np.abs(bumped[2:] - base[2:]).max() > 1e-6
+
+
+class TestTrainingTapeMemory:
+    """What a training forward holds until its backward runs."""
+
+    def test_no_second_logit_matrix_and_no_float_dropout_mask(self, toy_model, toy_input):
+        model = Model(replace(toy_model.config, dropout=0.1), toy_model.params)
+        loss, _ = instance_loss(model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
+        held = held_arrays(*(n for n in ComputationTape(loss).nodes if n._backward is not None))
+        s, v = len(toy_input.summary_input), model.config.vocab_size
+        # the logits alone: cross-entropy keeps no [S, V] probabilities of its own
+        assert sum(a.dtype == np.float64 and a.shape == (s, v) for a in held) == 1
+        # dropout keeps bool masks: no float matrix of zeros and ones or
+        # 1 / (1 - p) (every dropout site is a matrix; the pair labels are not)
+        assert any(a.dtype == bool and a.size > 1 for a in held)
+        mask_values = {0.0, 1.0, 1.0 / (1.0 - 0.1)}
+        assert not [a.shape for a in held if a.dtype.kind == "f" and a.ndim > 1 and a.any()
+                    and 0.0 in a and set(np.unique(a)) <= mask_values]
+        toy_model.zero_grad()
 
 
 class TestDropoutSwitch:
