@@ -560,7 +560,9 @@ class ComputationTape:
 
         Intermediate gradient buffers are dropped as soon as they are
         consumed; parameters keep accumulating across calls.  ``seed`` is
-        only read.
+        only read.  Every node's value and backward closure stay alive after
+        this returns, for as long as the root is referenced: a caller that
+        is done with the graph drops its last reference to the root.
         """
         self.root.grad = None
         if seed is None:

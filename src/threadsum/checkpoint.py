@@ -9,6 +9,7 @@ files are written to temporaries and renamed into place by
 
 import hashlib
 import json
+import zipfile
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
@@ -87,6 +88,8 @@ def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest {manifest_path} is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')!r}")
     try:
@@ -98,7 +101,7 @@ def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
 
     try:
         archive = np.load(npz_path)
-    except OSError as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:  # missing, not numpy, or a bad zip
         raise CheckpointError(f"cannot read arrays {npz_path}: {exc}") from exc
     with archive:
         params: Dict[str, Parameter] = {}

@@ -3,7 +3,9 @@
 Subcommands: build-corpus, pretrain, finetune, generate, evaluate, grad-check,
 count-params.  Exit codes: 0 success, 1 usage or configuration error, 2 data
 error (unreadable or malformed inputs), 3 numeric failure (non-finite loss or
-a failed gradient check).
+a failed gradient check).  Exit 2 is only for the data error types and for
+files that cannot be read or decoded; any other exception is a bug, and it
+propagates with its traceback.
 
 Configuration is a flat JSON object with dotted keys ("model.d_hidden",
 "train.peak_lr", ...).  Resolution order is defaults <- config file <- flags,
@@ -34,6 +36,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -214,8 +217,8 @@ class RunManifest:
     """Reproducibility record, written atomically before and after a run.
 
     Used as a context manager: entering writes the "running" record, leaving
-    writes the final status ("ok", or "failed" with the error).  With no path
-    nothing is written.
+    writes the final status ("ok", or "failed" with the error) and the
+    process's peak RSS in MiB.  With no path nothing is written.
     """
 
     def __init__(self, path, command: str, config: dict, provenance: dict,
@@ -233,6 +236,7 @@ class RunManifest:
             "environment": run_environment(),
             "started_at": _utcnow(),
             "finished_at": None,
+            "peak_rss_mb": None,
             "status": "running",
         }
 
@@ -247,6 +251,8 @@ class RunManifest:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.payload["status"] = "ok" if exc_type is None else "failed"
         self.payload["finished_at"] = _utcnow()
+        # the process's peak resident set so far; ru_maxrss is in KiB on Linux
+        self.payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if exc_type is not None:
             self.payload["error"] = f"{exc_type.__name__}: {exc}"
         self.write()
@@ -358,6 +364,7 @@ def cmd_train(args, config, provenance) -> int:
     inputs = [encode_instance(model.config, tokenizer,
                               truncate_instance(inst, model.config, tokenizer))
               for inst in instances]
+    del instances  # the run keeps only the encoded inputs
 
     os.makedirs(args.out, exist_ok=True)
     with RunManifest(args.manifest or os.path.join(args.out, "manifest.json"),
@@ -582,7 +589,7 @@ def dispatch(argv: List[str]) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (CorpusError, TreeError, CheckpointError, OSError,
-            json.JSONDecodeError, ValueError, KeyError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .conversation import ConversationTree, TreeError, Utterance
-from .fileio import atomic_write
+from .fileio import CorpusError, atomic_write
 from .tokenizer import MASK_TOKEN, URL_TOKEN
 
 __all__ = [
@@ -44,10 +44,6 @@ MIN_COMMENTS_DEFAULT = 10
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MARKUP_CHARS = str.maketrans("", "", "*~[]")
 _URL_SENTINEL = "\x00URL\x00"
-
-
-class CorpusError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

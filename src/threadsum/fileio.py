@@ -1,12 +1,18 @@
-"""Atomic file writes, shared by every module that writes outputs.
+"""Atomic file writes, shared by every module that writes outputs, and the
+error for malformed input data, shared by every module that reads it.
 
 A leaf module: it imports nothing from the package, so the corpus builder,
-the checkpoint container and the command line can all use it.
+the tokenizer, the checkpoint container and the command line can all use it.
 """
 
 import json
 import os
 import tempfile
+
+
+class CorpusError(ValueError):
+    """Malformed or unusable input data: a post dump, an instance shard, a
+    vocabulary or a prediction file (the command line's exit 2)."""
 
 
 def atomic_write(path, write_fn) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .conversation import ConversationTree
+from .conversation import ConversationTree, TreeError
 from .model import Model, ModelInput
 
 __all__ = [
@@ -58,7 +58,7 @@ def sample_thread_pairs(tree: Union[ConversationTree, np.ndarray],
     ancestors = tree.ancestor_matrix() if isinstance(tree, ConversationTree) else np.asarray(tree)
     n = ancestors.shape[0]
     if n < 2:
-        raise ValueError(f"thread prediction needs at least 2 utterances, got {n}")
+        raise TreeError(f"thread prediction needs at least 2 utterances, got {n}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     n_sampled = max(1, round(0.2 * n))

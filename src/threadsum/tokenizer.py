@@ -25,6 +25,8 @@ import unicodedata
 from itertools import islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .fileio import CorpusError
+
 BOS_TOKEN = "<bos>"
 MASK_TOKEN = "[MASK]"
 URL_TOKEN = "[URL]"
@@ -122,10 +124,10 @@ class Tokenizer:
     def __init__(self, vocab: Dict[str, int], merges: Sequence[Tuple[str, str]]):
         for tok in REQUIRED_SPECIALS:
             if tok not in vocab:
-                raise ValueError(f"vocabulary is missing required special token {tok!r}")
+                raise CorpusError(f"vocabulary is missing required special token {tok!r}")
         ids = sorted(vocab.values())
         if ids != list(range(len(vocab))):
-            raise ValueError("vocabulary ids must be dense in [0, |V|)")
+            raise CorpusError("vocabulary ids must be dense in [0, |V|)")
         self.vocab = dict(vocab)
         self.id_to_token = {i: t for t, i in vocab.items()}
         self.merges = [tuple(m) for m in merges]
@@ -169,8 +171,8 @@ class Tokenizer:
         word = self._bpe(_symbols(piece))
         ids = tuple(map(self.vocab.get, word, repeat(self.unk_id)))
         if None in ids:
-            raise ValueError(f"token {word[ids.index(None)]!r} not in vocabulary "
-                             f"and no {UNK_TOKEN} defined")
+            raise CorpusError(f"token {word[ids.index(None)]!r} not in vocabulary "
+                              f"and no {UNK_TOKEN} defined")
         cache = self._bpe_cache
         if len(cache) >= self.bpe_cache_size:
             for stale in list(islice(cache, (len(cache) + 1) // 2)):
@@ -231,16 +233,22 @@ class Tokenizer:
 
     @classmethod
     def load(cls, directory: str) -> "Tokenizer":
-        with open(os.path.join(directory, "vocab.json"), encoding="utf-8") as f:
+        path = os.path.join(directory, "vocab.json")
+        with open(path, encoding="utf-8") as f:
             vocab = json.load(f)
+        if not isinstance(vocab, dict):
+            raise CorpusError(f"{path}: not a JSON object of token ids")
         merges: List[Tuple[str, str]] = []
-        with open(os.path.join(directory, "merges.txt"), encoding="utf-8") as f:
-            for line in f:
+        path = os.path.join(directory, "merges.txt")
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#version"):
                     continue
-                a, b = line.split(" ")
-                merges.append((a, b))
+                pair = line.split(" ")
+                if len(pair) != 2:
+                    raise CorpusError(f"{path}:{lineno}: a merge is two symbols and one space")
+                merges.append(tuple(pair))
         return cls(vocab, merges)
 
 

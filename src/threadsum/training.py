@@ -242,6 +242,8 @@ def train_step(model: Model, state: OptimizerState,
                loss_weight: float = 1.0) -> dict:
     """Accumulate summed gradients over the micro-batches, then apply once.
 
+    A micro-batch's graph lives only until its backward ends, so no two
+    graphs are alive at once, and clipping and the apply run with none.
     A non-finite loss or gradient norm raises ``NumericsError`` and leaves
     the parameters and the optimizer state as they were.
     """
@@ -257,6 +259,7 @@ def train_step(model: Model, state: OptimizerState,
         if loss_weight != 1.0:
             loss = ad.scale(loss, loss_weight)
         backward(loss)
+        del loss  # the last reference to this micro-batch's graph
         clm_sum += parts["loss_clm"]
         tp_sum += parts["loss_tp"]
     n = len(micro_batches)

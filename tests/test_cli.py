@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import shutil
 import signal
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -496,6 +498,105 @@ def test_generate_with_a_tokenizer_beyond_the_model_vocabulary_exits_1(tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ckpt.npz"]
 
 
+def write_vocabulary(directory, edit=None, merge=None) -> str:
+    """A copy of the fixture vocabulary: ``edit`` maps its token -> id object
+    to what is written as vocab.json, and ``merge`` is appended to merges.txt."""
+    shutil.copytree(VOCAB, directory)
+    if edit is not None:
+        with open(os.path.join(VOCAB, "vocab.json"), encoding="utf-8") as fh:
+            vocab = json.load(fh)
+        with open(os.path.join(directory, "vocab.json"), "w", encoding="utf-8") as fh:
+            json.dump(edit(vocab), fh)
+    if merge is not None:
+        with open(os.path.join(directory, "merges.txt"), "a", encoding="utf-8") as fh:
+            fh.write(merge + "\n")
+    return str(directory)
+
+
+def without(token):
+    """A vocabulary edit that drops ``token`` and keeps the ids dense."""
+
+    def edit(vocab):
+        gone = vocab.pop(token)
+        return {t: i - (i > gone) for t, i in vocab.items()}
+
+    return edit
+
+
+@pytest.mark.parametrize("edit,merge,named", [
+    (without("<pad>"), None, "vocabulary is missing required special token '<pad>'"),
+    (lambda vocab: {**vocab, "zz": 1000}, None, "vocabulary ids must be dense"),
+    (sorted, None, "vocab.json: not a JSON object of token ids"),
+    (None, "a b c", "a merge is two symbols and one space"),
+], ids=["missing-special", "ids-not-dense", "not-an-object", "bad-merge"])
+def test_malformed_vocabulary_is_data_error_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch, edit, merge, named):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the vocabulary was read")
+
+    monkeypatch.setattr(cli.Model, "init", no_model)
+    vocab = write_vocabulary(tmp_path / "vocab", edit, merge)
+    rc = dispatch(["pretrain", "--data", GOLDEN, "--vocab", vocab, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and named in err
+
+
+def one_conversation_shard(path, utterances=None, text=None) -> str:
+    """The golden shard's first record, cut to its first ``utterances``
+    utterances, or with its second utterance's text replaced."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        record = json.loads(fh.readline())
+    if utterances is not None:
+        record["utterances"] = record["utterances"][:utterances]
+    if text is not None:
+        record["utterances"][1]["text"] = text
+    path.write_text(json.dumps(record) + "\n")
+    return str(path)
+
+
+def test_text_outside_a_vocabulary_without_unk_is_data_error(tmp_path, capsys):
+    vocab = write_vocabulary(tmp_path / "vocab", without("<unk>"))
+    shard = one_conversation_shard(tmp_path / "shard.jsonl", text="caf\u00e9")
+    rc = dispatch(["pretrain", "--config", write_toy_config(tmp_path / "toy.json"),
+                   "--data", shard, "--vocab", vocab, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "not in vocabulary and no <unk> defined" in err
+
+
+def test_one_utterance_conversation_under_thread_prediction_is_data_error(tmp_path, capsys):
+    shard = one_conversation_shard(tmp_path / "shard.jsonl", utterances=1)
+    out = tmp_path / "run"
+    rc = dispatch(["pretrain", "--config", write_toy_config(tmp_path / "toy.json"),
+                   "--data", shard, "--vocab", VOCAB, "--out", str(out), "--steps", "1"])
+    assert rc == 2
+    assert "thread prediction needs at least 2 utterances, got 1" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    # a failed run records its peak RSS too
+    assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
+
+
+def test_shard_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    shard = tmp_path / "shard.jsonl"
+    shard.write_bytes(b'{"summary": "caf\xe9"}\n')
+    rc = dispatch(["pretrain", "--data", str(shard), "--vocab", VOCAB,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_programming_error_is_not_reported_as_a_data_error(monkeypatch, error):
+    def broken(config):
+        raise error("a bug, not bad data")
+
+    monkeypatch.setattr(cli, "count_parameters", broken)
+    with pytest.raises(error, match="a bug, not bad data"):
+        dispatch(["count-params"])
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """build-corpus + 4-step pretrain; returns paths for downstream commands."""
@@ -525,6 +626,7 @@ class TestTrainingCommands:
         assert manifest["status"] == "ok"
         assert manifest["config"]["train.total_steps"] == 4
         assert manifest["config_provenance"]["train.seed"] == "flag"
+        assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
         assert os.path.exists(trained_run["ckpt"] + ".npz")
 
     def test_same_seed_reproduces_metrics(self, trained_run):
@@ -547,6 +649,30 @@ class TestTrainingCommands:
         assert manifest["config"]["model.lambda_thread_pred"] == 0.0
         assert manifest["config_provenance"]["model.lambda_thread_pred"] == "command-default"
         assert manifest["config_provenance"]["model.d_hidden"] == "checkpoint"
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_run_keeps_only_the_encoded_inputs(self, trained_run, tmp_path, monkeypatch, command):
+        # the conversations read from the shards are freed once encoded
+        read, entered = [], []
+        real_load, real_run = cli._load_instances, cli.run_training
+
+        def load(paths):
+            instances, expanded = real_load(paths)
+            read.extend(weakref.ref(inst) for inst in instances)
+            return instances, expanded
+
+        def run(*args, **kwargs):
+            assert read and [ref() for ref in read] == [None] * len(read)
+            entered.append(command)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_instances", load)
+        monkeypatch.setattr(cli, "run_training", run)
+        init = ["--init", trained_run["ckpt"]] if command == "finetune" else []
+        assert dispatch([command, *init, "--config", trained_run["config"],
+                         "--data", trained_run["shard"], "--out", str(tmp_path / "run"),
+                         "--vocab", VOCAB, "--steps", "1", "--accumulation", "1"]) == 0
+        assert entered == [command]
 
     def test_finetune_architecture_change_rejected(self, trained_run, tmp_path):
         cfg = write_toy_config(tmp_path / "bigger.json",
@@ -632,6 +758,21 @@ class TestGenerateEvaluate:
         assert rc == 1
         assert key in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("part,content,named", [
+        ("npz", b"not an archive", "cannot read arrays"),
+        ("json", b"[1]", "is not a JSON object"),
+    ], ids=["arrays-not-numpy", "manifest-not-an-object"])
+    def test_unreadable_checkpoint_is_data_error(self, trained_run, tmp_path, capsys,
+                                                 part, content, named):
+        for suffix in ("json", "npz"):
+            shutil.copy(f"{trained_run['ckpt']}.{suffix}", tmp_path / f"ck.{suffix}")
+        (tmp_path / f"ck.{part}").write_bytes(content)
+        rc = dispatch(["generate", "--ckpt", str(tmp_path / "ck"), "--input", trained_run["shard"],
+                       "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_max_len_at_the_checkpoint_limit_runs(self, trained_run, tmp_path):
         assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],

@@ -1,12 +1,14 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadsum import training
-from threadsum.autodiff import NumericsError, Parameter, Tensor
+from threadsum import checkpoint, training
+from threadsum.autodiff import ComputationTape, NumericsError, Parameter, Tensor
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -451,6 +453,65 @@ class TestGradientBuffers:
             scale[stack] = max(scale.get(stack, 0.0), float(np.abs(g).max()))
         for name, g in ref.items():
             assert np.abs(got[name] - g).max() <= 1e-12 * scale[name.split(".")[0]], name
+
+
+class TestGraphLifetime:
+    """A micro-batch's graph is freed when its backward ends: no array of it
+    is alive in the next micro-batch's forward, nor in clipping, the apply,
+    ``on_step`` or the checkpoint.  The garbage collector is off, so what
+    frees a graph is its last reference going away, not a collection."""
+
+    def test_no_graph_outlives_its_backward(self, tiny_inputs, tmp_path, monkeypatch):
+        cfg, inputs = tiny_inputs
+        cfg = toy_config(vocab_size=cfg.vocab_size, num_heads=4, d_hidden=128, d_ff=512,
+                         clip_k=9, dropout=0.1)
+        model = Model.init(cfg, seed=13)
+        run = TrainRunConfig(total_steps=2, accumulation=3, peak_lr=1e-3, seed=3,
+                             checkpoint_every=1)
+        state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
+                                    total_steps=run.total_steps)
+        held = []  # weakrefs to the arrays of every graph backward has run over
+        checked = []
+
+        def assert_graphs_freed(where):
+            live = sum(ref() is not None for ref in held)
+            assert live == 0, f"{live} of {len(held)} graph arrays alive in {where}"
+            checked.append(where)
+
+        def wrap(owner, name):
+            real = getattr(owner, name)
+
+            def checked_call(*args, **kwargs):
+                assert_graphs_freed(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, checked_call)
+
+        real_backward = training.backward
+
+        def recording_backward(loss):
+            nodes = ComputationTape(loss).nodes
+            held.extend(weakref.ref(n.data) for n in nodes if not isinstance(n, Parameter))
+            del nodes
+            real_backward(loss)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        wrap(training, "instance_loss")
+        wrap(training, "apply_adamw")
+        wrap(checkpoint, "save_checkpoint")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_training(model, inputs, state, run, checkpoint_dir=tmp_path,
+                         on_step=lambda record: assert_graphs_freed("on_step"))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(held) > 6 * 100  # six graphs of a few hundred nodes each
+        # the first forward of a run is the one call with no graph before it
+        assert checked.count("instance_loss") == 6
+        assert checked.count("apply_adamw") == checked.count("on_step") == 2
+        assert checked.count("save_checkpoint") == 2
 
 
 class TestCheckpoint:
