@@ -7,10 +7,12 @@ order, and a central-finite-difference gradient checker.  Ops are plain
 functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
 There is no broadcasting between operands: ``add`` and ``mul`` take two
-arrays of one shape, and ``matmul`` equal batch axes or a 2-d right
-operand, so no backward rule has to sum a gradient back down to a smaller
-operand.  The one constant that broadcasts, an attention mask, enters
-through ``attention``'s ``bias``, outside the graph.
+arrays of one shape, and ``matmul`` equal batch axes, so no backward rule
+has to sum a gradient back down to a smaller operand.  A product against a
+transposed operand is ``matmul_transposed``, whose right operand has the
+left's batch axes or is 2-d; a 2-d one's gradient is a single product over
+all the left's rows.  The one constant that broadcasts, an attention mask,
+enters through ``attention``'s ``bias``, outside the graph.
 
 What a node keeps for its backward is what the training step holds between
 forward and backward, so the large ops keep little: ``attention`` (scale,
@@ -20,17 +22,16 @@ probabilities; ``dropout`` keeps a bool mask (1 byte an entry); and
 ``cross_entropy`` keeps only each row's max and exponential sum, and
 recomputes the [S, V] probabilities from its logits.
 
-Gradient ownership: a backward rule never writes into the gradient it is
-given, and a tensor keeps the first gradient it receives as is, because
-that array may be shared with a sibling operand (``add`` hands the same
-``g`` to both sides) or be a view (``transpose``, ``concat_rows``;
-``split_heads`` and ``merge_heads`` lend none, since they scatter or gather
-into fresh arrays).  A rule that computes a fresh array hands it over with
-``owned=True``; a tensor adds later gradients into a buffer it owns, or
-makes one with a single out-of-place add.  Indexing, and ``split_heads`` of
-some of the rows, add into the parent's own buffer (``Tensor.grad_buffer``).
-Every ``Parameter`` owns one C-contiguous gradient buffer, so clipping may
-scale it in place and micro-batches accumulate into it.
+Gradients change hands: an array a backward rule passes to
+``accumulate_grad`` belongs to the receiver from then on, and the rule
+never touches it again.  A tensor keeps its first gradient as is and adds
+later ones into it in place.  So no two tensors ever hold one array:
+``add`` hands ``g`` to one operand and a copy to the other when both need
+it, and ``concat_rows`` hands each part its own rows of ``g``.  Indexing,
+and ``split_heads`` of some of the rows, add into the parent's gradient
+(``Tensor.grad_buffer``).  A ``Parameter`` copies a strided first gradient,
+so every parameter gradient is C-contiguous: clipping may scale it in place
+and micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "mul", "scale", "matmul", "matmul_transposed", "transpose", "split_heads",
+    "add", "mul", "scale", "matmul", "matmul_transposed", "split_heads",
     "merge_heads", "concat_rows", "attention", "layer_norm", "linear", "gelu", "sigmoid",
     "dropout", "tensor_sum", "cross_entropy", "binary_cross_entropy",
 ]
@@ -93,13 +94,12 @@ class Tensor:
     want fresh gradients zero it explicitly.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=data.dtype if isinstance(data, np.ndarray) else np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._owns_grad = False
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
@@ -120,26 +120,19 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to the gradient without ever writing into ``g``.
-
-        ``owned=True`` hands over a fresh array that nothing else holds.
-        """
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Take ``g``, which from now on belongs to this tensor: keep it as
+        the gradient if there is none yet, else add it into the gradient."""
         if self.grad is None:
-            self.grad, self._owns_grad = g, owned
-        elif self._owns_grad:
-            self.grad += g
+            self.grad = g
         else:
-            self.grad, self._owns_grad = self.grad + g, True
+            self.grad += g
 
     def grad_buffer(self) -> np.ndarray:
-        """The gradient as a C-contiguous buffer this tensor owns, created
-        on first use, for the in-place scatter-add of indexing."""
+        """The gradient, created as zeros on first use, for the in-place
+        scatter-add of indexing."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, self.data.dtype)
-        elif not (self._owns_grad and self.grad.flags.c_contiguous):
-            self.grad = np.array(self.grad, order="C")
-        self._owns_grad = True
         return self.grad
 
     def __repr__(self):
@@ -162,20 +155,15 @@ class Parameter(Tensor):
 
     def __init__(self, name: str, data, decay: bool = True):
         super().__init__(np.asarray(data), requires_grad=True)
-        self._owns_grad = True
         self.name = name
         self.decay = decay
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """As ``Tensor.accumulate_grad``, but the gradient is always a
-        C-contiguous buffer of the parameter's own: a first gradient that is
-        lent or strided is copied."""
-        if self.grad is not None:
-            self.grad += g
-        elif owned and g.flags.c_contiguous:
-            self.grad = g
-        else:
-            self.grad = np.array(g, order="C")
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """As ``Tensor.accumulate_grad``, but a strided first gradient is
+        copied, so the gradient is always C-contiguous."""
+        if self.grad is None and not g.flags.c_contiguous:
+            g = np.array(g, order="C")
+        super().accumulate_grad(g)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -210,7 +198,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g)
+            b.accumulate_grad(g.copy() if a.requires_grad else g)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -221,71 +209,64 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(g * bd, owned=True)
+            a.accumulate_grad(g * bd)
         if b.requires_grad:
-            b.accumulate_grad(g * ad, owned=True)
+            b.accumulate_grad(g * ad)
 
     return _make(ad * bd, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(g, a=a, s=s):
-        a.accumulate_grad(g * s, owned=True)
+        a.accumulate_grad(g * s)
 
     return _make(a.data * s, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` where ``b`` is 2-d ([..., s, k] @ [k, n]) or has ``a``'s
-    batch axes ([..., s, k] @ [..., k, n])."""
+    """``a @ b`` for operands with equal batch axes ([..., s, k] @ [..., k, n])."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not align")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} differ "
-                         f"(and the right operand is not 2-d)")
+    if ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} differ")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(bd, -1, -2), owned=True)
+            a.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
         if b.requires_grad:
-            if bd.ndim == 2 and ad.ndim > 2:
-                k, n = bd.shape
-                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = np.swapaxes(ad, -1, -2) @ g
-            b.accumulate_grad(gb, owned=True)
+            b.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
 
     return _make(ad @ bd, (a, b), bwd)
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b^T for 2-d ``a`` and ``b``, such as a tied output projection onto
-    an embedding table.
+    """``a @ b^T`` over the last two axes, where ``b`` is 2-d ([..., s, k]
+    by [t, k]) or has ``a``'s batch axes ([..., s, k] by [..., t, k]):
+    attention scores, the thread-relation projections and the tied output
+    projection onto the embedding table.
 
-    ``b``'s gradient is formed as g^T a, C-contiguous in ``b``'s own
-    layout, rather than as a transposed [k, n] product.
+    ``b``'s gradient is formed as g^T a in ``b``'s own layout; a 2-d
+    ``b``'s is one product over all of ``a``'s rows.
     """
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
+    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-1]:
         raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align")
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul_transposed batch dims of {ad.shape} and {bd.shape} differ "
+                         f"(and the right operand is not 2-d)")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.accumulate_grad(g @ bd, owned=True)
+            a.accumulate_grad(g @ bd)
         if b.requires_grad:
-            b.accumulate_grad(g.T @ ad, owned=True)
+            if bd.ndim == 2:
+                gb = g.reshape(-1, g.shape[-1]).T @ ad.reshape(-1, ad.shape[-1])
+            else:
+                gb = np.swapaxes(g, -1, -2) @ ad
+            b.accumulate_grad(gb)
 
-    return _make(ad @ bd.T, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes (matrix transpose under leading batch dims)."""
-
-    def bwd(g, a=a):
-        a.accumulate_grad(np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), bwd)
+    return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), bwd)
 
 
 def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(None)) -> Tensor:
@@ -303,7 +284,7 @@ def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(No
     def bwd(g, x=x):
         gx = np.swapaxes(g, 1, 2)[valid].reshape(xd.shape)
         if xd.shape == x.shape:
-            x.accumulate_grad(gx, owned=True)
+            x.accumulate_grad(gx)
         else:
             x.grad_buffer()[rows] += gx
 
@@ -320,14 +301,14 @@ def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
     def bwd(g, x=x):
         gx = np.zeros(xd.shape, g.dtype)
         np.swapaxes(gx, 1, 2)[valid] = g.reshape(-1, h, dz)
-        x.accumulate_grad(gx, owned=True)
+        x.accumulate_grad(gx)
 
     return _make(np.swapaxes(xd, 1, 2)[valid].reshape(-1, h * dz), (x,), bwd)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """The rows of 2-d tensors stacked in order; each part's gradient is a
-    lent view of its rows."""
+    """The rows of 2-d tensors stacked in order; each part is handed its own
+    rows of the gradient, as a view."""
     bounds = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def bwd(g, parts=parts):
@@ -376,7 +357,7 @@ def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray
     def bwd(g, scores=scores, v=v, y=y, keep=keep):
         if v.requires_grad:
             att = y if keep is None else _dropped(y, c, keep)
-            v.accumulate_grad(np.swapaxes(att, -1, -2) @ g, owned=True)
+            v.accumulate_grad(np.swapaxes(att, -1, -2) @ g)
         if scores.requires_grad:
             ga = g @ np.swapaxes(vd, -1, -2)
             if keep is not None:
@@ -386,7 +367,7 @@ def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray
             ga *= y
             if scale != 1.0:
                 ga *= scale
-            scores.accumulate_grad(ga, owned=True)
+            scores.accumulate_grad(ga)
 
     att = y if keep is None else _dropped(y, c, keep)
     return _make(att @ vd, (scores, v), bwd)
@@ -405,14 +386,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
+            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0), owned=True)
+            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gxhat = g * gain.data
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2), owned=True)
+            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -427,11 +408,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, x=x, w=w, b=b):
         if x.requires_grad:
-            x.accumulate_grad(g @ wd.T, owned=True)
+            x.accumulate_grad(g @ wd.T)
         if w.requires_grad:
-            w.accumulate_grad(xd.T @ g, owned=True)
+            w.accumulate_grad(xd.T @ g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0), owned=True)
+            b.accumulate_grad(g.sum(axis=0))
 
     return _make(y, (x, w, b), bwd)
 
@@ -442,7 +423,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def bwd(g, x=x, cdf=cdf):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf), owned=True)
+        x.accumulate_grad(g * (cdf + x.data * pdf))
 
     return _make(x.data * cdf, (x,), bwd)
 
@@ -451,7 +432,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y = expit(x.data)
 
     def bwd(g, x=x, y=y):
-        x.accumulate_grad(g * y * (1.0 - y), owned=True)
+        x.accumulate_grad(g * y * (1.0 - y))
 
     return _make(y, (x,), bwd)
 
@@ -466,7 +447,7 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     c = 1.0 / (1.0 - p)
 
     def bwd(g, x=x, keep=keep):
-        x.accumulate_grad(_dropped(g, c, keep), owned=True)
+        x.accumulate_grad(_dropped(g, c, keep))
 
     return _make(_dropped(x.data, c, keep), (x,), bwd)
 
@@ -475,7 +456,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g, x=x):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
+        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
@@ -502,7 +483,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         p /= z
         p[np.arange(t), targets] -= 1.0
         p *= g / t
-        logits.accumulate_grad(p, owned=True)
+        logits.accumulate_grad(p)
 
     return _make(np.asarray(nll.mean()), (logits,), bwd)
 
@@ -524,7 +505,7 @@ def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
     def bwd(g, probs=probs, pc=pc, clamped=clamped):
         dp = -(labels / pc - (1.0 - labels) / (1.0 - pc))
         dp[clamped] = 0.0
-        probs.accumulate_grad(dp * g, owned=True)
+        probs.accumulate_grad(dp * g)
 
     return _make(np.asarray(losses.sum()), (probs,), bwd)
 
@@ -559,16 +540,17 @@ class ComputationTape:
         """Run every recorded backward rule once, children before parents.
 
         Intermediate gradient buffers are dropped as soon as they are
-        consumed; parameters keep accumulating across calls.  ``seed`` is
-        only read.  Every node's value and backward closure stay alive after
-        this returns, for as long as the root is referenced: a caller that
-        is done with the graph drops its last reference to the root.
+        consumed; parameters keep accumulating across calls.  The root gets
+        a copy of ``seed``.  Every node's value and backward closure stay
+        alive after this returns, for as long as the root is referenced: a
+        caller that is done with the graph drops its last reference to the
+        root.
         """
         self.root.grad = None
         if seed is None:
-            self.root.accumulate_grad(np.ones_like(self.root.data), owned=True)
+            self.root.accumulate_grad(np.ones_like(self.root.data))
         else:
-            self.root.accumulate_grad(np.asarray(seed))
+            self.root.accumulate_grad(np.array(seed))
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -160,7 +160,7 @@ def _section_config(cls, config: Dict[str, object], prefix: str):
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{prefix}.{exc}") from exc
 
 
 def model_config_from(config: Dict[str, object]) -> ModelConfig:
@@ -466,6 +466,10 @@ def cmd_grad_check(args, config, provenance) -> int:
     mconfig = model_config_from(config)
     if mconfig.dropout != 0.0:
         raise ConfigError("grad-check needs model.dropout = 0")
+    _check_int(config, "train.seed", 0)
+    for key in ("gradcheck.eps", "gradcheck.tol"):
+        if not (math.isfinite(config[key]) and config[key] > 0):
+            raise ConfigError(f"{key} must be a finite number > 0, got {config[key]!r}")
     seed = config["train.seed"]
     with RunManifest(args.manifest, "grad-check", config, provenance,
                      inputs=[], outputs=[]):

@@ -122,12 +122,12 @@ def thread_attention_scores(q: Tensor, k: Tensor, rel_table, rel_buckets: np.nda
     both relation dot-product terms are table projections gathered per pair,
     so the cost stays O(n^2 d + n B d) instead of materializing r_ij.
     """
-    scores = ad.matmul(q, ad.transpose(k))
-    proj_q = ad.matmul(q, ad.transpose(rel_table))  # [..., n, buckets]
-    proj_k = ad.matmul(k, ad.transpose(rel_table))
+    scores = ad.matmul_transposed(q, k)
+    proj_q = ad.matmul_transposed(q, rel_table)  # [..., n, buckets]
+    proj_k = ad.matmul_transposed(k, rel_table)
     rows = np.arange(rel_buckets.shape[0])[:, None]
     term_q = proj_q[..., rows, rel_buckets]
-    term_k = ad.transpose(proj_k[..., rows, rel_buckets.T])
+    term_k = proj_k[..., rows.T, rel_buckets]
     return ad.scale(ad.add(ad.add(scores, term_q), term_k), 1.0 / math.sqrt(d_head))
 
 
@@ -401,7 +401,7 @@ class Model:
                                                  cfg.d_head)
                 scale = 1.0
             else:
-                scores, scale = ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(cfg.d_head)
+                scores, scale = ad.matmul_transposed(qh, kh), 1.0 / math.sqrt(cfg.d_head)
             att = ad.attention(scores, vh, scale, bias, rng, cfg.dropout)
             ctx.append(ad.merge_heads(att, valid))
         return self._proj(ctx[0] if len(ctx) == 1 else ad.concat_rows(ctx), prefix, "o")

@@ -76,7 +76,7 @@ def pair_probabilities(vectors: Tensor, w_a: Parameter, w_b: Parameter,
     """sigmoid((v_i W_a) (v_j W_b)^T) for every candidate pair, as [|A|]."""
     va = ad.matmul(vectors, w_a)
     vb = ad.matmul(vectors, w_b)
-    scores = ad.matmul(va, ad.transpose(vb))
+    scores = ad.matmul_transposed(va, vb)
     return ad.sigmoid(scores[batch.rows, batch.cols])
 
 

@@ -228,6 +228,8 @@ class TrainRunConfig:
             raise ValueError("log_every must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("peak_lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -422,12 +422,25 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
     assert err.startswith(f"data error: {shard}") and named in err
 
 
-# each input is missing: reading it would be a data error (exit 2)
+# each input is missing: reading it would be a data error (exit 2); grad-check
+# reads none, but would build the paper-size model
 @pytest.mark.parametrize("argv,key", [
     (["build-corpus", "--input", "{tmp}/missing.jsonl", "--output", "{tmp}/s",
       "--shard-size", "0"], "corpus.shard_size"),
     (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
       "--log-every", "0"], "log_every must be >= 1"),
+    (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
+      "--seed", "-1"], "train.seed must be an integer >= 0, got -1"),
+] + [
+    (["grad-check", "--set", "model.dropout=0"] + flags, message)
+    for flags, message in [
+        (["--seed", "-3"], "train.seed must be an integer >= 0, got -3"),
+        (["--eps", "0"], "gradcheck.eps must be a finite number > 0, got 0.0"),
+        (["--eps=-1e-3"], "gradcheck.eps must be a finite number > 0, got -0.001"),
+        (["--eps", "nan"], "gradcheck.eps must be a finite number > 0, got nan"),
+        (["--tol", "0"], "gradcheck.tol must be a finite number > 0, got 0.0"),
+        (["--tol", "inf"], "gradcheck.tol must be a finite number > 0, got inf"),
+    ]
 ] + [
     (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
       "--set", f"train.{value}"], message)
@@ -441,7 +454,9 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
         ("clip_norm=Infinity", "clip_norm must be null or a finite number > 0"),
         ("checkpoint_every=-1", "checkpoint_every must be >= 0"),
     ]
-], ids=["shard-size-0", "log-every-0", "peak-lr-negative", "peak-lr-nan", "weight-decay-negative",
+], ids=["shard-size-0", "log-every-0", "seed-negative", "grad-check-seed-negative",
+        "grad-check-eps-0", "grad-check-eps-negative", "grad-check-eps-nan", "grad-check-tol-0",
+        "grad-check-tol-inf", "peak-lr-negative", "peak-lr-nan", "weight-decay-negative",
         "weight-decay-inf", "clip-norm-0", "clip-norm-negative", "clip-norm-inf",
         "checkpoint-every-negative"])
 def test_value_the_run_cannot_honour_exits_1_before_reading_input(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadsum import checkpoint, training
-from threadsum.autodiff import ComputationTape, NumericsError, Parameter, Tensor
+from threadsum.autodiff import ComputationTape, NumericsError, Parameter
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -399,18 +399,6 @@ class TestTrainStep:
             TrainRunConfig(total_steps=0)
 
 
-def _zero_fill_accumulate(self, g, owned=False):
-    if self.grad is None:
-        self.grad = np.zeros_like(self.data)
-    self.grad += g
-
-
-def _zero_fill_buffer(self):
-    if self.grad is None:
-        self.grad = np.zeros_like(self.data)
-    return self.grad
-
-
 @pytest.mark.parametrize("shape", ["toy", "bench"])
 class TestGradientBuffers:
     """Gradients of two accumulated micro-batches on the toy model and on a
@@ -439,14 +427,11 @@ class TestGradientBuffers:
             for q in params[i + 1:]:
                 assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
 
-    def test_matches_zero_fill_accumulation(self, shape, tiny_inputs, monkeypatch):
+    def test_matches_zero_fill_accumulation(self, shape, tiny_inputs, zero_fill_reference):
         cfg, inputs = tiny_inputs
         got = {k: p.grad for k, p in self._grads(shape, inputs, cfg.vocab_size).items()}
-        # the reference zero-fills every first gradient and owns every buffer
-        monkeypatch.setattr(Tensor, "accumulate_grad", _zero_fill_accumulate)
-        monkeypatch.setattr(Parameter, "accumulate_grad", _zero_fill_accumulate)
-        monkeypatch.setattr(Tensor, "grad_buffer", _zero_fill_buffer)
-        ref = {k: p.grad for k, p in self._grads(shape, inputs, cfg.vocab_size).items()}
+        with zero_fill_reference():
+            ref = {k: p.grad for k, p in self._grads(shape, inputs, cfg.vocab_size).items()}
         scale = {}  # largest reference gradient per stack: embed, tok, utt, dec, thread, tp
         for name, g in ref.items():
             stack = name.split(".")[0]
