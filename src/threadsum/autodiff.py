@@ -10,17 +10,18 @@ There is no broadcasting between operands: ``add`` and ``mul`` take two
 arrays of one shape, and ``matmul`` equal batch axes, so no backward rule
 has to sum a gradient back down to a smaller operand.  A product against a
 transposed operand is ``matmul_transposed``, whose right operand has the
-left's batch axes or is 2-d; a 2-d one's gradient is a single product over
-all the left's rows.  The one constant that broadcasts, an attention mask,
-enters through ``attention``'s ``bias``, outside the graph.
+left's batch axes or is 2-d; a 2-d one's gradient is summed over all the
+left's rows.  The one constant that broadcasts, an attention mask, enters
+through ``attention``'s ``bias``, outside the graph.
 
 What a node keeps for its backward is what the training step holds between
 forward and backward, so the large ops keep little: ``attention`` (scale,
 bias, softmax, dropout and the product with the values as one node) keeps
 only its probabilities and a bool keep mask, and recomputes the dropped
 probabilities; ``dropout`` keeps a bool mask (1 byte an entry); and
-``cross_entropy`` keeps only each row's max and exponential sum, and
-recomputes the [S, V] probabilities from its logits.
+``cross_entropy`` keeps only each row's max and exponential sum, formed
+through one [S, V] scratch, and recomputes the [S, V] probabilities from
+its logits.
 
 Gradients change hands: an array a backward rule passes to
 ``accumulate_grad`` belongs to the receiver from then on, and the rule
@@ -28,8 +29,11 @@ never touches it again.  A tensor keeps its first gradient as is and adds
 later ones into it in place.  So no two tensors ever hold one array:
 ``add`` hands ``g`` to one operand and a copy to the other when both need
 it, and ``concat_rows`` hands each part its own rows of ``g``.  Indexing,
-and ``split_heads`` of some of the rows, add into the parent's gradient
-(``Tensor.grad_buffer``).  A ``Parameter`` copies a strided first gradient,
+``split_heads`` of some of the rows and a 2-d right operand of
+``matmul_transposed`` add into the operand's gradient in place
+(``Tensor.grad_buffer``); the last does so GRAD_BLOCK_ROWS rows at a time,
+so the tied embedding table's gradient never has a table-sized scratch
+beside it.  A ``Parameter`` copies a strided first gradient,
 so every parameter gradient is C-contiguous: clipping may scale it in place
 and micro-batches accumulate into it.
 """
@@ -65,6 +69,10 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# rows of a 2-d matmul_transposed right operand whose gradient one product
+# forms: 4 MiB of scratch at d = 128 in float64
+GRAD_BLOCK_ROWS = 4096
 
 
 class ShapeError(ValueError):
@@ -129,8 +137,9 @@ class Tensor:
             self.grad += g
 
     def grad_buffer(self) -> np.ndarray:
-        """The gradient, created as zeros on first use, for the in-place
-        scatter-add of indexing."""
+        """The gradient, created as zeros on first use, for the rules that
+        add into some of its entries in place: the scatter-add of indexing
+        and of ``split_heads``, and ``matmul_transposed``'s blocks of rows."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, self.data.dtype)
         return self.grad
@@ -246,8 +255,11 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     attention scores, the thread-relation projections and the tied output
     projection onto the embedding table.
 
-    ``b``'s gradient is formed as g^T a in ``b``'s own layout; a 2-d
-    ``b``'s is one product over all of ``a``'s rows.
+    ``b``'s gradient is g^T a in ``b``'s own layout.  A 2-d ``b``'s sums
+    over all of ``a``'s rows and is added into ``b``'s gradient buffer
+    GRAD_BLOCK_ROWS rows of ``b`` at a time, so a table-sized ``b`` (the
+    tied projection) gets no table-sized scratch, on its first gradient or
+    on a later one.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-1]:
@@ -259,12 +271,14 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g, a=a, b=b):
         if a.requires_grad:
             a.accumulate_grad(g @ bd)
-        if b.requires_grad:
-            if bd.ndim == 2:
-                gb = g.reshape(-1, g.shape[-1]).T @ ad.reshape(-1, ad.shape[-1])
-            else:
-                gb = np.swapaxes(g, -1, -2) @ ad
-            b.accumulate_grad(gb)
+        if b.requires_grad and bd.ndim > 2:
+            b.accumulate_grad(np.swapaxes(g, -1, -2) @ ad)
+        elif b.requires_grad:
+            g2, a2 = g.reshape(-1, g.shape[-1]), ad.reshape(-1, ad.shape[-1])
+            buf = b.grad_buffer()
+            for start in range(0, len(buf), GRAD_BLOCK_ROWS):
+                rows = slice(start, start + GRAD_BLOCK_ROWS)
+                buf[rows] += g2[:, rows].T @ a2
 
     return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), bwd)
 
@@ -464,7 +478,9 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean next-token negative log-likelihood over a [T, V] logit matrix.
 
-    Only each row's max and exponential sum are kept for the backward."""
+    The forward's one [T, V] scratch holds the shifted logits and then
+    their exponentials; only each row's max and exponential sum are kept
+    for the backward."""
     targets = np.asarray(targets, dtype=np.int64)
     t, v = logits.shape
     if targets.shape != (t,):
@@ -472,7 +488,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of vocabulary of size {v}")
     m = logits.data.max(axis=-1, keepdims=True)
-    z = np.exp(logits.data - m).sum(axis=-1, keepdims=True)
+    e = logits.data - m
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     nll = lse - logits.data[np.arange(t), targets]
 

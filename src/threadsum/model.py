@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
@@ -240,7 +240,10 @@ def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     whose temporaries peak at several times the table, and re-derives the
     ppf's two constants for every entry; here they are derived once and the
     same uniforms are mapped INIT_BLOCK_ROWS rows at a time, in place, by the
-    same formula: Phi^-1(exp(logsumexp(log Phi(a), log u + log mass))).
+    same formula: Phi^-1(exp(logsumexp(log Phi(a), log u + log mass))).  The
+    two-term logsumexp is written out in scipy's order, hi + log1p(exp(lo -
+    hi)) with hi the larger term (a tie gives log1p(1) + hi, which is scipy's
+    log 2 + hi).
     """
     u = rng.uniform(size=shape)
     rows = u.reshape(len(u), -1)
@@ -248,8 +251,13 @@ def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
         block = rows[start:start + INIT_BLOCK_ROWS]
         np.log(block, out=block)
         block += _LOG_MASS
-        log_cdf = logsumexp([np.full_like(block, _LOG_PHI_A), block], axis=0)
-        block[...] = ndtri_exp(log_cdf)
+        hi = np.maximum(block, _LOG_PHI_A)
+        np.minimum(block, _LOG_PHI_A, out=block)
+        block -= hi
+        np.exp(block, out=block)
+        np.log1p(block, out=block)
+        block += hi
+        ndtri_exp(block, out=block)
         block *= 0.02
     return u
 

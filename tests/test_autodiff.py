@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,61 @@ class TestMatmulAndShapes:
         np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)
         backward(ad.tensor_sum(ad.matmul_transposed(a, b)))
         assert b.grad.flags.c_contiguous
+
+
+class TestTableGradient:
+    """A 2-d right operand of ``matmul_transposed`` takes its gradient in
+    blocks of GRAD_BLOCK_ROWS rows added into its buffer, and the tied
+    projection's loss adds no table-sized scratch."""
+
+    B = ad.GRAD_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [B - 1, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("existing", [False, True], ids=["empty", "existing"])
+    def test_blocks_equal_one_product(self, rows, existing):
+        rng = np.random.default_rng(rows)
+        a = Tensor(rng.normal(size=(2, 3, 5)))
+        table = Parameter("table", rng.normal(size=(rows, 5)))
+        w = rng.normal(size=(2, 3, rows))
+        held = rng.normal(size=table.shape) if existing else None
+        expected = w.reshape(-1, rows).T @ a.data.reshape(-1, 5)
+        if existing:
+            expected += held
+        table.grad = held
+        backward(ad.tensor_sum(ad.mul(ad.matmul_transposed(a, table), Tensor(w))))
+        if existing:
+            assert table.grad is held
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
+        assert table.grad.flags.c_contiguous
+
+    @staticmethod
+    def _traced_peak(fn):
+        """Bytes fn allocates at its peak above what was live before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_second_backward_keeps_no_table_sized_scratch(self):
+        rng = np.random.default_rng(0)
+        table = Parameter("embed", rng.normal(size=(3 * self.B + 5, 64)))
+        x = Parameter("x", rng.normal(size=(2, 64)))
+
+        def loss():
+            return ad.cross_entropy(ad.matmul_transposed(x, table), [1, 2])
+
+        backward(loss())
+        second = loss()
+        assert self._traced_peak(lambda: backward(second)) < table.data.nbytes
+
+    def test_cross_entropy_forward_keeps_one_logit_sized_scratch(self):
+        logits = Tensor(np.random.default_rng(0).normal(size=(8, 5000)))
+        peak = self._traced_peak(lambda: ad.cross_entropy(logits, np.arange(8)))
+        assert logits.data.nbytes <= peak < 1.5 * logits.data.nbytes
 
 
 class TestGathers:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, softmax
+from scipy.special import erf, logsumexp, ndtri_exp, softmax
 from scipy.stats import truncnorm
 
 from threadsum import autodiff as ad
@@ -13,6 +13,8 @@ from threadsum.autodiff import ComputationTape, Tensor, backward, no_grad
 from threadsum.conversation import ConversationTree, Utterance, relation_index
 from threadsum.corpus import TrainingInstance
 from threadsum.model import (
+    _LOG_MASS,
+    _LOG_PHI_A,
     INIT_BLOCK_ROWS,
     Model,
     ModelConfig,
@@ -182,6 +184,29 @@ class TestInit:
         expected = truncnorm.rvs(-2.0, 2.0, scale=0.02, size=shape,
                                  random_state=np.random.default_rng(seed))
         assert truncated_normal(np.random.default_rng(seed), shape).tobytes() == expected.tobytes()
+
+    def test_written_out_logsumexp_at_edge_uniforms(self):
+        # u = 0 makes log u = -inf; near u_tie both terms of the logsumexp
+        # are equal, where scipy forms log 2 + hi and the draw log1p(1) + hi
+        u0 = np.exp(_LOG_PHI_A - _LOG_MASS)
+        near = u0 + np.arange(-200, 201) * np.spacing(u0)
+        ties = near[np.log(near) + _LOG_MASS == _LOG_PHI_A]
+        assert ties.size
+        u = np.concatenate([[0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)], ties,
+                            [np.nextafter(ties[0], 0.0), np.nextafter(ties[-1], 1.0)]])
+
+        class Uniforms:
+            def uniform(self, size):
+                return u.copy().reshape(size)
+
+        with np.errstate(divide="ignore"):
+            x = np.log(u) + _LOG_MASS
+            # the formula scipy's truncnorm ppf evaluates, as the oracle
+            log_cdf = logsumexp([np.full_like(x, _LOG_PHI_A), x], axis=0)
+            expected = ndtri_exp(log_cdf) * 0.02
+            drawn = truncated_normal(Uniforms(), u.shape)
+        assert drawn.tobytes() == expected.tobytes()
+        assert drawn[0] == pytest.approx(-0.04)  # u = 0 is the lower cut
 
     def test_decay_flags(self):
         params = init_parameters(toy_config(), seed=0)
