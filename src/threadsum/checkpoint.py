@@ -79,8 +79,11 @@ def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
 def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
     """Restore config, parameters, and (if saved) optimizer moments.
 
-    Every parameter named by the config must be present with its exact shape;
-    anything else is a CheckpointError.
+    Every parameter the config names, and with the optimizer its two moments,
+    must be present, the parameter with its exact shape, or it is a
+    CheckpointError.  Arrays the config does not name are ignored, so a
+    checkpoint that still holds the dead token-encoder and decoder key
+    biases of older versions loads without them.
     """
     npz_path, manifest_path = _paths(prefix)
     try:

@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "Utterance",
     "ConversationTree",
-    "ThreadRelation",
-    "clip",
     "relation_index",
     "num_relation_buckets",
 ]
@@ -47,26 +45,6 @@ class Utterance:
     role: Optional[str] = None
     score: Optional[int] = None
     meta: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class ThreadRelation:
-    """Relation between two utterances: on one root-to-leaf path, or not.
-
-    For a same-path pair the payload is the signed depth difference
-    ``depth(u_i) - depth(u_j)``; unrelated pairs carry no payload.
-    """
-
-    on_same_path: bool
-    delta: int = 0
-
-    @classmethod
-    def same_path(cls, delta: int) -> "ThreadRelation":
-        return cls(True, delta)
-
-    @classmethod
-    def unrelated(cls) -> "ThreadRelation":
-        return cls(False, 0)
 
 
 class ConversationTree:
@@ -163,20 +141,6 @@ class ConversationTree:
             node = self.utterances[node].parent_id
         return node == j
 
-    def relation(self, i: int, j: int) -> ThreadRelation:
-        """Path relation between utterances ``i`` and ``j``.
-
-        Same-path means one is an ancestor of the other (or i == j); the
-        payload is ``depth(i) - depth(j)``.  Everything else is unrelated.
-        """
-        self._check_index(i)
-        self._check_index(j)
-        if i == j:
-            return ThreadRelation.same_path(0)
-        if self.is_ancestor(j, i) or self.is_ancestor(i, j):
-            return ThreadRelation.same_path(self._depths[i] - self._depths[j])
-        return ThreadRelation.unrelated()
-
     def ancestor_matrix(self) -> np.ndarray:
         """Boolean [n, n] matrix with entry (i, j) true iff j is a strict ancestor of i."""
         n = len(self)
@@ -193,13 +157,6 @@ class ConversationTree:
             raise IndexError(f"utterance index {i} out of range for tree of size {len(self)}")
 
 
-def clip(x: int, k: int) -> int:
-    """Clamp ``x`` into [-k, k]."""
-    if k < 1:
-        raise ValueError(f"clip bound must be >= 1, got {k}")
-    return max(-k, min(k, x))
-
-
 def num_relation_buckets(k: int) -> int:
     """Size of the learnable relation table: one off-path bucket plus 2k+1 depth deltas."""
     return 2 * k + 2
@@ -209,7 +166,9 @@ def relation_index(tree: ConversationTree, k: int) -> np.ndarray:
     """Integer [n, n] matrix of relation-embedding indices for a tree.
 
     Bucket 0 holds off-path pairs; buckets 1..2k+1 hold same-path pairs,
-    indexed by the clipped depth difference (bucket ``1 + k + clip(delta, k)``).
+    indexed by the depth difference ``depth(i) - depth(j)`` clamped into
+    [-k, k] (bucket ``1 + k + delta``).  Same-path means one is an ancestor of
+    the other, or i == j.
     """
     n = len(tree)
     anc = tree.ancestor_matrix()

@@ -19,6 +19,12 @@ product with the values.  The token encoder runs with its utterances sorted
 by length, so that its attention core pads each of at most three length
 buckets only to the bucket's own longest utterance.
 
+Only the utterance encoder's attention has a key bias (``utt.*.attn.bk``):
+anywhere else a key bias adds one value to all of a query's scores, which
+softmax cancels, so it could never learn; there it also meets the relation
+vectors in the k·r term of ``thread_attention_scores``.  A projection
+without a bias is a plain ``ad.matmul``.
+
 The output projection is the transpose of the embedding table (weight
 tying).  All forwards are pure functions of (parameters, inputs, rng), and
 the rng is also the train/eval switch: a forward given a dropout generator
@@ -170,51 +176,30 @@ def sinusoidal_pe(length: int, d_hidden: int) -> np.ndarray:
 # parameters
 
 
-def _layer_names(prefix: str, attn_blocks: Sequence[str]) -> List[Tuple[str, str]]:
-    names = []
-    ln = 1
-    for blk in attn_blocks:
-        names.append((f"{prefix}ln{ln}.g", "ln_g"))
-        names.append((f"{prefix}ln{ln}.b", "ln_b"))
-        ln += 1
-        for wn in ("wq", "wk", "wv", "wo"):
-            names.append((f"{prefix}{blk}.{wn}", "square"))
-            names.append((f"{prefix}{blk}.b{wn[1]}", "bias_d"))
-    names.append((f"{prefix}ln{ln}.g", "ln_g"))
-    names.append((f"{prefix}ln{ln}.b", "ln_b"))
-    names.append((f"{prefix}ff.w1", "ff1"))
-    names.append((f"{prefix}ff.b1", "bias_ff"))
-    names.append((f"{prefix}ff.w2", "ff2"))
-    names.append((f"{prefix}ff.b2", "bias_d"))
-    return names
-
-
-def _stack_names(stack: str, n_layers: int, attn_blocks: Sequence[str]) -> List[Tuple[str, str]]:
-    names = []
-    for layer in range(n_layers):
-        names.extend(_layer_names(f"{stack}.{layer}.", attn_blocks))
-    names.append((f"{stack}.final_ln.g", "ln_g"))
-    names.append((f"{stack}.final_ln.b", "ln_b"))
-    return names
-
-
 def _parameter_spec(config: ModelConfig) -> List[Tuple[str, Tuple[int, ...], str]]:
-    """Every parameter's (name, shape, init kind), in a fixed order."""
-    d, ff, v = config.d_hidden, config.d_ff, config.vocab_size
-    shapes = {
-        "square": (d, d), "bias_d": (d,), "ln_g": (d,), "ln_b": (d,),
-        "ff1": (d, ff), "bias_ff": (ff,), "ff2": (ff, d),
-    }
-    spec: List[Tuple[str, Tuple[int, ...], str]] = [("embed.tokens", (v, d), "normal")]
-    spec.append(("thread.rel", (num_relation_buckets(config.clip_k), config.d_head), "normal"))
-    for name, kind in _stack_names("tok", config.num_layers, ("attn",)):
-        spec.append((name, shapes[kind], kind))
-    for name, kind in _stack_names("utt", config.num_layers, ("attn",)):
-        spec.append((name, shapes[kind], kind))
-    for name, kind in _stack_names("dec", config.num_layers, ("self", "cross")):
-        spec.append((name, shapes[kind], kind))
-    spec.append(("tp.wa", (d, d), "normal"))
-    spec.append(("tp.wb", (d, d), "normal"))
+    """Every parameter's (name, shape, init kind), in a fixed order; only the
+    utterance encoder's attention has a key bias (see the module docstring)."""
+    d, ff = config.d_hidden, config.d_ff
+    spec = [("embed.tokens", (config.vocab_size, d), "normal"),
+            ("thread.rel", (num_relation_buckets(config.clip_k), config.d_head), "normal")]
+
+    def norm(name: str) -> None:
+        spec.extend([(f"{name}.g", (d,), "ones"), (f"{name}.b", (d,), "zeros")])
+
+    for stack, blocks in (("tok", ("attn",)), ("utt", ("attn",)), ("dec", ("self", "cross"))):
+        for layer in range(config.num_layers):
+            pre = f"{stack}.{layer}"
+            for ln, block in enumerate(blocks, start=1):
+                norm(f"{pre}.ln{ln}")
+                for c in "qkvo":
+                    spec.append((f"{pre}.{block}.w{c}", (d, d), "normal"))
+                    if c != "k" or stack == "utt":
+                        spec.append((f"{pre}.{block}.b{c}", (d,), "zeros"))
+            norm(f"{pre}.ln{len(blocks) + 1}")
+            spec.extend([(f"{pre}.ff.w1", (d, ff), "normal"), (f"{pre}.ff.b1", (ff,), "zeros"),
+                         (f"{pre}.ff.w2", (ff, d), "normal"), (f"{pre}.ff.b2", (d,), "zeros")])
+        norm(f"{stack}.final_ln")
+    spec.extend([("tp.wa", (d, d), "normal"), ("tp.wb", (d, d), "normal")])
     return spec
 
 
@@ -222,8 +207,8 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in _parameter_spec(config))
 
 
-# parameter kinds that start at one or zero and are excluded from weight decay
-NO_DECAY_KINDS = ("ln_g", "ln_b", "bias_d", "bias_ff")
+# the init kinds that are excluded from weight decay (norm gains and biases)
+NO_DECAY_KINDS = ("ones", "zeros")
 
 
 INIT_BLOCK_ROWS = 4096
@@ -267,12 +252,10 @@ def init_parameters(config: ModelConfig, seed: int) -> Dict[str, Parameter]:
     rng = np.random.default_rng(seed)
     params: Dict[str, Parameter] = {}
     for name, shape, kind in _parameter_spec(config):
-        if kind == "ln_g":
-            data = np.ones(shape)
-        elif kind in NO_DECAY_KINDS:
-            data = np.zeros(shape)
-        else:
+        if kind == "normal":
             data = truncated_normal(rng, shape)
+        else:
+            data = np.ones(shape) if kind == "ones" else np.zeros(shape)
         params[name] = Parameter(name, data, decay=kind not in NO_DECAY_KINDS)
     return params
 
@@ -371,8 +354,8 @@ class Model:
     # -- shared blocks ------------------------------------------------------
 
     def _proj(self, x: Tensor, prefix: str, which: str) -> Tensor:
-        p = self.params
-        return ad.linear(x, p[f"{prefix}.w{which}"], p[f"{prefix}.b{which}"])
+        w, b = self.params[f"{prefix}.w{which}"], self.params.get(f"{prefix}.b{which}")
+        return ad.matmul(x, w) if b is None else ad.linear(x, w, b)
 
     def _keys_values(self, prefix: str, x: Tensor, valid: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Key and value heads [n, h, T, dz] of the packed rows ``x``."""

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from threadsum.conversation import (
     ConversationTree,
-    ThreadRelation,
     TreeError,
     Utterance,
-    clip,
     num_relation_buckets,
     relation_index,
 )
@@ -43,25 +41,6 @@ class TestTreeInvariants:
         assert not t.is_ancestor(4, 4)
         assert not t.is_ancestor(4, 1)
         assert not t.is_ancestor(2, 4)
-
-    def test_relation_same_path_and_off_path(self):
-        t = small_tree()
-        assert t.relation(4, 1) == ThreadRelation.same_path(1)
-        assert t.relation(1, 4) == ThreadRelation.same_path(-1)
-        assert t.relation(4, 0) == ThreadRelation.same_path(2)
-        assert t.relation(2, 3) == ThreadRelation.unrelated()
-        assert t.relation(2, 4) == ThreadRelation.unrelated()
-
-    def test_relation_self_is_same_path_zero(self):
-        t = small_tree()
-        assert t.relation(3, 3) == ThreadRelation.same_path(0)
-
-    def test_relation_flip_symmetry(self):
-        t = small_tree()
-        for i in range(5):
-            for j in range(5):
-                rel = t.relation(j, i)
-                assert t.relation(i, j) == ThreadRelation(rel.on_same_path, -rel.delta)
 
     def test_ancestor_matrix_matches_pointwise(self):
         t = small_tree()
@@ -113,14 +92,6 @@ class TestRelationBuckets:
         assert num_relation_buckets(3) == 8
         assert num_relation_buckets(1) == 4
 
-    def test_clip_clamps_both_sides(self):
-        assert clip(5, 3) == 3
-        assert clip(-5, 3) == -3
-        assert clip(2, 3) == 2
-        assert clip(0, 3) == 0
-        with pytest.raises(ValueError):
-            clip(1, 0)
-
     def test_relation_index_small_tree(self):
         t = small_tree()
         k = 3
@@ -132,6 +103,14 @@ class TestRelationBuckets:
         assert idx[2, 2] == 1 + k
         assert idx[2, 3] == 0
         assert idx[3, 2] == 0
+        # swapping a pair negates its depth delta: same-path buckets mirror
+        # around 1 + k, and off-path pairs are 0 both ways
+        for i in range(len(t)):
+            for j in range(len(t)):
+                if idx[i, j] == 0:
+                    assert idx[j, i] == 0, (i, j)
+                else:
+                    assert idx[i, j] - (1 + k) == (1 + k) - idx[j, i], (i, j)
 
     def test_relation_index_clips_deep_chains(self):
         utts = [u(0, None, 0)] + [u(i, i - 1, i) for i in range(1, 8)]
@@ -234,8 +213,9 @@ class TestRelationIndexProperties:
         assert idx.shape == (n, n) and idx.dtype == np.int64
         for i in range(n):
             for j in range(n):
-                rel = tree.relation(i, j)
-                assert tree.relation(j, i) == ThreadRelation(rel.on_same_path, -rel.delta)
-                want = 1 + k + clip(rel.delta, k) if rel.on_same_path else 0
-                assert idx[i, j] == want, (i, j, rel)
+                # the pair's relation, walked up the reply links one pair at a time
+                same_path = i == j or tree.is_ancestor(j, i) or tree.is_ancestor(i, j)
+                delta = tree.depth(i) - tree.depth(j)
+                want = 1 + k + max(-k, min(k, delta)) if same_path else 0
+                assert idx[i, j] == want, (i, j, same_path, delta)
         assert 0 <= idx.min() and idx.max() < num_relation_buckets(k)

@@ -110,15 +110,16 @@ class TestSinusoidalPE:
 class TestParameterCounting:
     @staticmethod
     def closed_form(n_layers, heads, d, ff, v, k):
-        attn = 4 * (d * d + d)
+        attn = 4 * d * d + 3 * d  # no key bias: softmax cancels it
+        utt_attn = attn + d  # whose key bias reaches the scores through k·r
         ln = 2 * d
         ff_block = d * ff + ff + ff * d + d
-        enc_layer = attn + ff_block + 2 * ln
+        enc_layer = ff_block + 2 * ln
         dec_layer = 2 * attn + ff_block + 3 * ln
         return (
             v * d  # shared embedding
             + (2 * k + 2) * (d // heads)  # thread-relation table
-            + 2 * (n_layers * enc_layer + ln)  # token + utterance encoders
+            + n_layers * (2 * enc_layer + attn + utt_attn) + 2 * ln  # token + utterance encoders
             + n_layers * dec_layer + ln  # decoder
             + 2 * d * d  # thread-prediction bilinear maps
         )
@@ -126,7 +127,7 @@ class TestParameterCounting:
     def test_matches_closed_form_toy(self):
         cfg = toy_config()
         want = self.closed_form(2, 2, 16, 32, 50, 3)
-        assert count_parameters(cfg) == want == 17056
+        assert count_parameters(cfg) == want == 16960
 
     def test_paper_config_near_180m(self):
         n = count_parameters(paper_config())
@@ -245,15 +246,17 @@ def _feed_forward(params, p, h):
 
 def reference_token_encoder(params, ids, num_layers, num_heads):
     """One utterance through the token encoder on its own, in plain numpy:
-    [L, d] rows, with no batch and no padding anywhere."""
+    [L, d] rows, with no batch and no padding anywhere.  Its keys carry a
+    random key bias, which the model has none of: softmax cancels it."""
     d = params["embed.tokens"].data.shape[1]
     dz = d // num_heads
     h = params["embed.tokens"].data[ids] + sinusoidal_pe(len(ids), d)
     for layer in range(num_layers):
         p = f"tok.{layer}."
         y = _layer_norm(h, params[p + "ln1.g"].data, params[p + "ln1.b"].data)
-        q, k, v = (y @ params[p + f"attn.w{c}"].data + params[p + f"attn.b{c}"].data
-                   for c in "qkv")
+        key_bias = np.random.default_rng(layer).normal(size=d)
+        q, v = (y @ params[p + f"attn.w{c}"].data + params[p + f"attn.b{c}"].data for c in "qv")
+        k = y @ params[p + "attn.wk"].data + key_bias
         heads = [_softmax_rows(q[:, s] @ k[:, s].T / np.sqrt(dz)) @ v[:, s]
                  for s in (slice(i * dz, (i + 1) * dz) for i in range(num_heads))]
         h = h + np.concatenate(heads, axis=-1) @ params[p + "attn.wo"].data + params[p + "attn.bo"].data
@@ -566,6 +569,56 @@ class TestDecoder:
         # saw the bumped input embedding) and the input path at positions > 1
         assert np.abs(bumped[0, tid] - base[0, tid]).max() > 0
         assert np.abs(bumped[2:] - base[2:]).max() > 1e-6
+
+
+def _shift_keys(monkeypatch, stack, shift):
+    """Add the vector ``shift`` to every key that ``stack``'s attention projects."""
+    proj = Model._proj
+
+    def shifted(self, x, prefix, which):
+        out = proj(self, x, prefix, which)
+        if which != "k" or not prefix.startswith(stack + "."):
+            return out
+        return ad.add(out, Tensor(np.tile(shift, (out.shape[0], 1))))
+
+    monkeypatch.setattr(Model, "_proj", shifted)
+
+
+class TestKeyBias:
+    """A key bias adds q·b to all of a query's scores, which softmax cancels,
+    except in the utterance encoder, whose scores also hold k·r."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decoder_keys_shifted_move_no_logit(self, toy_model, toy_input, monkeypatch, seed):
+        with no_grad():
+            before = toy_model.forward(toy_input).logits.data
+            shift = np.random.default_rng(seed).normal(size=toy_model.config.d_hidden)
+            _shift_keys(monkeypatch, "dec", shift)
+            after = toy_model.forward(toy_input).logits.data
+        assert np.abs(after - before).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_utterance_keys_shifted_move_the_output(self, toy_model, monkeypatch, seed):
+        cfg = toy_model.config
+        x = Tensor(np.random.default_rng(77).normal(size=(7, cfg.d_hidden)))
+        buckets = relation_index(chain_tree(7), cfg.clip_k)
+        with no_grad():
+            before = toy_model.utterance_encode(x, buckets).data
+            _shift_keys(monkeypatch, "utt", np.random.default_rng(seed).normal(size=cfg.d_hidden))
+            after = toy_model.utterance_encode(x, buckets).data
+        assert np.abs(after - before).max() > 1e-6
+
+    @pytest.mark.parametrize("seed", [11, 3, 5])
+    def test_every_parameter_can_move(self, tiny_tokenizer, seed):
+        cfg = toy_config(vocab_size=tiny_tokenizer.vocab_size, dropout=0.0, lambda_thread_pred=1.0)
+        model = Model.init(cfg, seed=seed)
+        mi = encode_instance(cfg, tiny_tokenizer, small_instance(tiny_tokenizer))
+        loss, _ = instance_loss(model, mi, pair_rng=seed)
+        backward(loss)
+        largest = {p.name: 0.0 if p.grad is None else np.abs(p.grad).max()
+                   for p in model.parameters()}
+        floor = 1e-14 * max(largest.values())
+        assert not [name for name, g in largest.items() if not g > floor]
 
 
 class TestTrainingTapeMemory:

@@ -549,6 +549,44 @@ class TestCheckpoint:
         opt = load_checkpoint(tmp_path / "ck").optimizer
         assert (opt.peak_lr, opt.total_steps, opt.weight_decay) == (1e-3, 20, state.weight_decay)
 
+    def test_dead_key_biases_of_older_checkpoints_are_dropped(self, tiny_inputs, tmp_path):
+        # older versions also kept a key bias in the token encoder and in the
+        # decoder's self- and cross-attention; such a checkpoint loads to the
+        # spec's parameters and moments and resumes as one without them
+        cfg, inputs = tiny_inputs
+        model = Model.init(cfg, seed=11)
+        state = OptimizerState.init(model.params, peak_lr=1e-3, total_steps=2)
+        first, resume = (TrainRunConfig(total_steps=n, accumulation=1, peak_lr=1e-3, seed=12)
+                         for n in (1, 2))
+        run_training(model, inputs, state, first)
+        save_checkpoint(tmp_path / "new", cfg, model.params, state)
+        params, rng = dict(model.params), np.random.default_rng(0)
+        dead = [f"tok.{i}.attn.bk" for i in range(cfg.num_layers)]
+        dead += [f"dec.{i}.{b}.bk" for i in range(cfg.num_layers) for b in ("self", "cross")]
+        for name in dead:
+            assert name not in params
+            params[name] = Parameter(name, rng.normal(size=cfg.d_hidden), decay=False)
+            state.m[name] = rng.normal(size=cfg.d_hidden)
+            state.v[name] = rng.random(cfg.d_hidden)
+        save_checkpoint(tmp_path / "old", cfg, params, state)
+        with np.load(tmp_path / "old.npz") as archive:
+            assert all(slot + name in archive.files
+                       for slot in ("param.", "opt.m.", "opt.v.") for name in dead)
+        resumed = {}
+        for prefix in ("old", "new"):
+            ck = load_checkpoint(tmp_path / prefix)
+            assert set(ck.params) == set(model.params)
+            assert set(ck.optimizer.m) == set(ck.optimizer.v) == set(model.params)
+            resumed_model = Model(cfg, ck.params)
+            records = run_training(resumed_model, inputs, ck.optimizer, resume)
+            resumed[prefix] = (resumed_model, ck.optimizer, records)
+        (old_model, old_state, old_records), (new_model, new_state, new_records) = resumed.values()
+        assert len(old_records) == 1 and old_records == new_records
+        for name in model.params:
+            np.testing.assert_array_equal(old_model.params[name].data, new_model.params[name].data)
+            np.testing.assert_array_equal(old_state.m[name], new_state.m[name])
+            np.testing.assert_array_equal(old_state.v[name], new_state.v[name])
+
     def test_missing_parameter_detected(self, tiny_inputs, tmp_path):
         cfg, inputs = tiny_inputs
         model = Model.init(cfg, seed=13)
