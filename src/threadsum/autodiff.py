@@ -14,28 +14,33 @@ left's batch axes or is 2-d; a 2-d one's gradient is summed over all the
 left's rows.  The one constant that broadcasts, an attention mask, enters
 through ``attention``'s ``bias``, outside the graph.
 
-What a node keeps for its backward is what the training step holds between
-forward and backward, so the large ops keep little: ``attention`` (scale,
-bias, softmax, dropout and the product with the values as one node) keeps
-only its probabilities and a bool keep mask, and recomputes the dropped
-probabilities; ``dropout`` keeps a bool mask (1 byte an entry); and
-``cross_entropy`` keeps only each row's max and exponential sum, formed
-through one [S, V] scratch, and recomputes the [S, V] probabilities from
-its logits.
+A tensor's value is apart from its place in the graph.  An op's output
+points at a ``Node`` holding the gradient, the parent nodes, the backward
+rule, and the value's shape and dtype; a ``Parameter`` is its own node and
+a constant has none.  Rules reference nodes, never tensors, and close over
+just the arrays they read, so a value lives only while forward code or a
+rule holds it, and attention scores, dropout outputs, residual sums and the
+projections split into heads are freed during forward.  The large ops'
+rules read little: ``attention`` (scale, bias, softmax, dropout and the
+product with the values as one node) its probabilities, a bool keep mask
+and the values; ``dropout`` a bool mask; ``gelu`` its derivative;
+``split_heads`` and ``merge_heads`` only shapes; and ``cross_entropy`` its
+logits and each row's max and exponential sum, formed through one [S, V]
+scratch.
 
 Gradients change hands: an array a backward rule passes to
 ``accumulate_grad`` belongs to the receiver from then on, and the rule
-never touches it again.  A tensor keeps its first gradient as is and adds
-later ones into it in place.  So no two tensors ever hold one array:
-``add`` hands ``g`` to one operand and a copy to the other when both need
-it, and ``concat_rows`` hands each part its own rows of ``g``.  Indexing,
+never touches it again.  A node keeps its first gradient as is and adds
+later ones into it in place.  So no two nodes ever hold one array: ``add``
+hands ``g`` to one operand and a copy to the other when both need it, and
+``concat_rows`` hands each part its own rows of ``g``.  Indexing,
 ``split_heads`` of some of the rows and a 2-d right operand of
 ``matmul_transposed`` add into the operand's gradient in place
-(``Tensor.grad_buffer``); the last does so GRAD_BLOCK_ROWS rows at a time,
+(``Node.grad_buffer``); the last does so GRAD_BLOCK_ROWS rows at a time,
 so the tied embedding table's gradient never has a table-sized scratch
-beside it.  A ``Parameter`` copies a strided first gradient,
-so every parameter gradient is C-contiguous: clipping may scale it in place
-and micro-batches accumulate into it.
+beside it.  A ``Parameter`` copies a strided first gradient, so every
+parameter gradient is C-contiguous: clipping may scale it in place and
+micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 __all__ = [
+    "Node",
     "Tensor",
     "Parameter",
     "ComputationTape",
@@ -95,41 +101,25 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """Dense array with optional gradient tracking.
+class Node:
+    """A place in the recorded graph: the gradient, the parent nodes, the
+    backward rule, and the shape and dtype of a value it does not hold.
 
     ``grad`` accumulates additively across backward passes; call sites that
     want fresh gradients zero it explicitly.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "rule", "shape", "dtype", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=data.dtype if isinstance(data, np.ndarray) else np.float64)
+    def __init__(self, shape: tuple, dtype, parents: tuple = (), rule: Optional[Callable] = None):
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
+        self.parents = parents
+        self.rule = rule
+        self.shape = shape
+        self.dtype = dtype
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Take ``g``, which from now on belongs to this tensor: keep it as
+        """Take ``g``, which from now on belongs to this node: keep it as
         the gradient if there is none yet, else add it into the gradient."""
         if self.grad is None:
             self.grad = g
@@ -141,8 +131,38 @@ class Tensor:
         add into some of its entries in place: the scatter-add of indexing
         and of ``split_heads``, and ``matmul_transposed``'s blocks of rows."""
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, self.data.dtype)
+            self.grad = np.zeros(self.shape, self.dtype)
         return self.grad
+
+
+class Tensor(Node):
+    """A dense array and, when a tape recorded the op that made it, that
+    op's ``node``; a constant has none.  ``data`` may be rebound only to an
+    array of the same shape and dtype."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, node: Optional[Node] = None):
+        self.data = np.asarray(data, dtype=data.dtype if isinstance(data, np.ndarray) else np.float64)
+        super().__init__(self.data.shape, self.data.dtype)
+        self._node = node
+
+    @property
+    def node(self) -> Optional[Node]:
+        return self._node
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def size(self):
+        return self.data.size
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
+        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -151,24 +171,31 @@ class Tensor:
         """``data[key]`` for any numpy key: slices, integer arrays, index
         tuples.  The backward scatter-adds, so repeated entries accumulate."""
 
-        def bwd(g, a=self, key=key):
-            np.add.at(a.grad_buffer(), key, g)
+        def rule(g, node=self.node):
+            np.add.at(node.grad_buffer(), key, g)
 
-        return _make(self.data[key], (self,), bwd)
+        return _make(self.data[key], (self,), rule)
 
 
 class Parameter(Tensor):
-    """Named learnable tensor; ``decay`` marks eligibility for weight decay."""
+    """Named learnable tensor, its own graph node; ``decay`` marks
+    eligibility for weight decay."""
 
     __slots__ = ("name", "decay")
 
     def __init__(self, name: str, data, decay: bool = True):
-        super().__init__(np.asarray(data), requires_grad=True)
+        super().__init__(np.asarray(data))
         self.name = name
         self.decay = decay
 
+    @property
+    def node(self) -> Node:
+        # not an attribute: a tensor that referenced itself would be freed
+        # only by the cyclic garbage collector
+        return self
+
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """As ``Tensor.accumulate_grad``, but a strided first gradient is
+        """As ``Node.accumulate_grad``, but a strided first gradient is
         copied, so the gradient is always C-contiguous."""
         if self.grad is None and not g.flags.c_contiguous:
             g = np.array(g, order="C")
@@ -181,13 +208,13 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    """Build a graph node; records only parents that require gradients."""
-    tracked = tuple(p for p in parents if p.requires_grad)
-    out = Tensor(data, requires_grad=bool(tracked) and _GRAD_ENABLED)
-    if out.requires_grad:
-        out._parents = tracked
-        out._backward = backward
+def _make(data: np.ndarray, operands: Sequence[Tensor], rule: Callable) -> Tensor:
+    """An op's output, with a node over the operands' nodes when a tape
+    records; else ``rule`` is dropped."""
+    out = Tensor(data)
+    parents = _GRAD_ENABLED and tuple(t.node for t in operands if t.node is not None)
+    if parents:
+        out._node = Node(out.shape, out.dtype, parents, rule)
     return out
 
 
@@ -203,33 +230,33 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
 
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.copy() if a.requires_grad else g)
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g)
+        if bn is not None:
+            bn.accumulate_grad(g.copy() if an is not None else g)
 
-    return _make(a.data + b.data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
 
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(g * bd)
-        if b.requires_grad:
-            b.accumulate_grad(g * ad)
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g * bd)
+        if bn is not None:
+            bn.accumulate_grad(g * ad)
 
-    return _make(ad * bd, (a, b), bwd)
+    return _make(ad * bd, (a, b), rule)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def bwd(g, a=a, s=s):
-        a.accumulate_grad(g * s)
+    def rule(g, an=a.node):
+        an.accumulate_grad(g * s)
 
-    return _make(a.data * s, (a,), bwd)
+    return _make(a.data * s, (a,), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -240,13 +267,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} differ")
 
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
-        if b.requires_grad:
-            b.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
+        if bn is not None:
+            bn.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
 
-    return _make(ad @ bd, (a, b), bwd)
+    return _make(ad @ bd, (a, b), rule)
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
@@ -268,19 +295,19 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul_transposed batch dims of {ad.shape} and {bd.shape} differ "
                          f"(and the right operand is not 2-d)")
 
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate_grad(g @ bd)
-        if b.requires_grad and bd.ndim > 2:
-            b.accumulate_grad(np.swapaxes(g, -1, -2) @ ad)
-        elif b.requires_grad:
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g @ bd)
+        if bn is not None and bd.ndim > 2:
+            bn.accumulate_grad(np.swapaxes(g, -1, -2) @ ad)
+        elif bn is not None:
             g2, a2 = g.reshape(-1, g.shape[-1]), ad.reshape(-1, ad.shape[-1])
-            buf = b.grad_buffer()
+            buf = bn.grad_buffer()
             for start in range(0, len(buf), GRAD_BLOCK_ROWS):
                 rows = slice(start, start + GRAD_BLOCK_ROWS)
                 buf[rows] += g2[:, rows].T @ a2
 
-    return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), bwd)
+    return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), rule)
 
 
 def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(None)) -> Tensor:
@@ -295,29 +322,28 @@ def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(No
     out = np.zeros((valid.shape[0], heads, valid.shape[1], xd.shape[1] // heads), xd.dtype)
     np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, out.shape[3])
 
-    def bwd(g, x=x):
-        gx = np.swapaxes(g, 1, 2)[valid].reshape(xd.shape)
-        if xd.shape == x.shape:
-            x.accumulate_grad(gx)
+    def rule(g, xn=x.node, part=xd.shape, whole=x.shape):
+        gx = np.swapaxes(g, 1, 2)[valid].reshape(part)
+        if part == whole:
+            xn.accumulate_grad(gx)
         else:
-            x.grad_buffer()[rows] += gx
+            xn.grad_buffer()[rows] += gx
 
-    return _make(out, (x,), bwd)
+    return _make(out, (x,), rule)
 
 
 def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
     """The inverse of ``split_heads``: the marked slots of [n, h, T, dz]
     heads as packed rows [N, h * dz], the unmarked ones dropped with a zero
     gradient."""
-    xd = x.data
-    h, dz = xd.shape[1], xd.shape[3]
+    h, dz = x.shape[1], x.shape[3]
 
-    def bwd(g, x=x):
-        gx = np.zeros(xd.shape, g.dtype)
+    def rule(g, xn=x.node, shape=x.shape):
+        gx = np.zeros(shape, g.dtype)
         np.swapaxes(gx, 1, 2)[valid] = g.reshape(-1, h, dz)
-        x.accumulate_grad(gx)
+        xn.accumulate_grad(gx)
 
-    return _make(np.swapaxes(xd, 1, 2)[valid].reshape(-1, h * dz), (x,), bwd)
+    return _make(np.swapaxes(x.data, 1, 2)[valid].reshape(-1, h * dz), (x,), rule)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -325,12 +351,12 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     rows of the gradient, as a view."""
     bounds = np.cumsum([0] + [p.shape[0] for p in parts])
 
-    def bwd(g, parts=parts):
-        for p, start, stop in zip(parts, bounds[:-1], bounds[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[start:stop])
+    def rule(g, nodes=[p.node for p in parts]):
+        for n, start, stop in zip(nodes, bounds[:-1], bounds[1:]):
+            if n is not None:
+                n.accumulate_grad(g[start:stop])
 
-    return _make(np.concatenate([p.data for p in parts]), parts, bwd)
+    return _make(np.concatenate([p.data for p in parts]), parts, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +378,9 @@ def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray
     constant ``bias``, such as an attention mask of -1e9 entries, broadcasts
     against the scores as numpy broadcasts and carries no gradient.  Dropout
     is drawn as ``dropout`` draws it and is off without an ``rng``.  The
-    backward is the softmax Jacobian-vector product written out; besides
-    the operands' own values it saves only the probabilities and the keep
-    mask, and recomputes the dropped probabilities.
+    backward is the softmax Jacobian-vector product written out; it reads
+    the values, the probabilities and the keep mask, and recomputes the
+    dropped probabilities.
     """
     sd, vd = scores.data, v.data
     if sd.ndim < 2 or sd.shape[:-2] != vd.shape[:-2] or sd.shape[-1] != vd.shape[-2]:
@@ -368,11 +394,11 @@ def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray
     keep = None if rng is None or p <= 0.0 else rng.random(y.shape) >= p
     c = 1.0 / (1.0 - p)
 
-    def bwd(g, scores=scores, v=v, y=y, keep=keep):
-        if v.requires_grad:
+    def rule(g, sn=scores.node, vn=v.node):
+        if vn is not None:
             att = y if keep is None else _dropped(y, c, keep)
-            v.accumulate_grad(np.swapaxes(att, -1, -2) @ g)
-        if scores.requires_grad:
+            vn.accumulate_grad(np.swapaxes(att, -1, -2) @ g)
+        if sn is not None:
             ga = g @ np.swapaxes(vd, -1, -2)
             if keep is not None:
                 ga *= c
@@ -381,10 +407,10 @@ def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray
             ga *= y
             if scale != 1.0:
                 ga *= scale
-            scores.accumulate_grad(ga)
+            sn.accumulate_grad(ga)
 
     att = y if keep is None else _dropped(y, c, keep)
-    return _make(att @ vd, (scores, v), bwd)
+    return _make(att @ vd, (scores, v), rule)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -397,19 +423,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    gd = gain.data
 
-    def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gxhat = g * gain.data
+    def rule(g, xn=x.node, gn=gain.node, bn=bias.node):
+        if gn is not None:
+            gn.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+        if bn is not None:
+            bn.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+        if xn is not None:
+            gxhat = g * gd
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+            xn.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return _make(xhat * gd + bias.data, (x, gain, bias), rule)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -420,35 +447,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = xd @ wd
     y += b.data
 
-    def bwd(g, x=x, w=w, b=b):
-        if x.requires_grad:
-            x.accumulate_grad(g @ wd.T)
-        if w.requires_grad:
-            w.accumulate_grad(xd.T @ g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+    def rule(g, xn=x.node, wn=w.node, bn=b.node):
+        if xn is not None:
+            xn.accumulate_grad(g @ wd.T)
+        if wn is not None:
+            wn.accumulate_grad(xd.T @ g)
+        if bn is not None:
+            bn.accumulate_grad(g.sum(axis=0))
 
-    return _make(y, (x, w, b), bwd)
+    return _make(y, (x, w, b), rule)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact Gaussian-error-linear unit: x * Phi(x).  Only a recording op
+    forms its derivative Phi(x) + x phi(x), the one array its rule keeps."""
+    xd = x.data
+    y = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    if _GRAD_ENABLED and x.node is not None:
+        dy = y + xd * (_INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
+    y *= xd
 
-    def bwd(g, x=x, cdf=cdf):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf))
+    def rule(g, xn=x.node):
+        xn.accumulate_grad(g * dy)
 
-    return _make(x.data * cdf, (x,), bwd)
+    return _make(y, (x,), rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = expit(x.data)
 
-    def bwd(g, x=x, y=y):
-        x.accumulate_grad(g * y * (1.0 - y))
+    def rule(g, xn=x.node):
+        xn.accumulate_grad(g * y * (1.0 - y))
 
-    return _make(y, (x,), bwd)
+    return _make(y, (x,), rule)
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -460,50 +491,50 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     keep = rng.random(x.shape) >= p
     c = 1.0 / (1.0 - p)
 
-    def bwd(g, x=x, keep=keep):
-        x.accumulate_grad(_dropped(g, c, keep))
+    def rule(g, xn=x.node):
+        xn.accumulate_grad(_dropped(g, c, keep))
 
-    return _make(_dropped(x.data, c, keep), (x,), bwd)
+    return _make(_dropped(x.data, c, keep), (x,), rule)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def bwd(g, x=x):
+    def rule(g, xn=x.node):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
+        xn.accumulate_grad(np.broadcast_to(g, xn.shape).copy())
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), rule)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean next-token negative log-likelihood over a [T, V] logit matrix.
 
     The forward's one [T, V] scratch holds the shifted logits and then
-    their exponentials; only each row's max and exponential sum are kept
-    for the backward."""
+    their exponentials; the rule keeps the logits and each row's max and
+    exponential sum, and recomputes the probabilities from them."""
     targets = np.asarray(targets, dtype=np.int64)
-    t, v = logits.shape
+    ld = logits.data
+    t, v = ld.shape
     if targets.shape != (t,):
         raise ShapeError(f"cross_entropy targets must have shape ({t},); got {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of vocabulary of size {v}")
-    m = logits.data.max(axis=-1, keepdims=True)
-    e = logits.data - m
+    m = ld.max(axis=-1, keepdims=True)
+    e = ld - m
     np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - logits.data[np.arange(t), targets]
+    nll = lse - ld[np.arange(t), targets]
 
-    def bwd(g, logits=logits, m=m, z=z):
-        # the probabilities again, from the logits the tape holds anyway
-        p = logits.data - m
+    def rule(g, ln=logits.node):
+        p = ld - m
         np.exp(p, out=p)
         p /= z
         p[np.arange(t), targets] -= 1.0
         p *= g / t
-        logits.accumulate_grad(p)
+        ln.accumulate_grad(p)
 
-    return _make(np.asarray(nll.mean()), (logits,), bwd)
+    return _make(np.asarray(nll.mean()), (logits,), rule)
 
 
 def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
@@ -520,12 +551,12 @@ def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
     pc = np.clip(p, clamp, 1.0 - clamp)
     losses = -(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc))
 
-    def bwd(g, probs=probs, pc=pc, clamped=clamped):
+    def rule(g, pn=probs.node):
         dp = -(labels / pc - (1.0 - labels) / (1.0 - pc))
         dp[clamped] = 0.0
-        probs.accumulate_grad(dp * g)
+        pn.accumulate_grad(dp * g)
 
-    return _make(np.asarray(losses.sum()), (probs,), bwd)
+    return _make(np.asarray(losses.sum()), (probs,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +564,12 @@ def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
 
 
 class ComputationTape:
-    """The recorded graph under a root, in topological order (inputs first)."""
+    """The recorded graph under a root tensor's node, in topological order
+    (inputs first)."""
 
     def __init__(self, root: Tensor):
-        order = []
-        visited = set()
-        stack = [(root, False)]
+        order, visited = [], set()
+        stack = [(root.node, False)]
         while stack:
             node, ready = stack.pop()
             if ready:
@@ -548,10 +579,10 @@ class ComputationTape:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.root = root
+        self.root = root.node
         self.nodes = order
 
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
@@ -559,19 +590,17 @@ class ComputationTape:
 
         Intermediate gradient buffers are dropped as soon as they are
         consumed; parameters keep accumulating across calls.  The root gets
-        a copy of ``seed``.  Every node's value and backward closure stay
-        alive after this returns, for as long as the root is referenced: a
-        caller that is done with the graph drops its last reference to the
-        root.
+        a copy of ``seed``.  The tape holds nodes, not values, so what stays
+        alive after this returns is each node's rule and the arrays it
+        reads, for as long as the tape or the root tensor is referenced: a
+        caller that is done with the graph drops both.
         """
-        self.root.grad = None
-        if seed is None:
-            self.root.accumulate_grad(np.ones_like(self.root.data))
-        else:
-            self.root.accumulate_grad(np.array(seed))
+        root = self.root
+        root.grad = None
+        root.accumulate_grad(np.ones(root.shape, root.dtype) if seed is None else np.array(seed))
         for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.rule is not None and node.grad is not None:
+                node.rule(node.grad)
             if not isinstance(node, Parameter):
                 node.grad = None
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .autodiff import no_grad
 from .conversation import ConversationTree
@@ -151,6 +150,17 @@ def conversation_input(config, tokenizer, tree: ConversationTree) -> ModelInput:
     return encode_instance(config, tokenizer, TrainingInstance(tree, ""))
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis in ``scipy.special.log_softmax``'s
+    order, so bit for bit its result, without its array-API dispatch."""
+    top = x.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0
+    out = x - top
+    with np.errstate(divide="ignore"):
+        out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    return out
+
+
 def model_decode_fn(model: Model, memory) -> DecodeFn:
     if memory.shape[0] == 0:
         raise ValueError("decoder memory is empty")
@@ -179,7 +189,7 @@ def cached_step(model: Model, memory) -> BatchStep:
         ids = np.array([p[cache.length:] for p in prefixes], dtype=np.int64)
         with no_grad():
             logits = model.decoder_forward(ids, memory, cache=cache)
-        return log_softmax(logits.data[:, -1], axis=-1)
+        return log_softmax(logits.data[:, -1])
 
     return step
 

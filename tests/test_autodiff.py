@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -61,12 +62,13 @@ def softmax(a, bias=None):
     x = a.data if bias is None else a.data + bias
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
+    an = a.node
 
-    def bwd(g, a=a, y=y):
+    def rule(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        a.accumulate_grad((g - inner) * y)
+        an.accumulate_grad((g - inner) * y)
 
-    return ad._make(y, (a,), bwd)
+    return ad._make(y, (a,), rule)
 
 
 def composite_attention(scores, v, scale, bias, rng, p):
@@ -75,13 +77,12 @@ def composite_attention(scores, v, scale, bias, rng, p):
 
 
 def held_arrays(*nodes):
-    """The arrays the nodes keep for their backward: their values and what
-    their backward rules close over or take as defaults, one per buffer."""
+    """The arrays the nodes keep for their backward: what their rules close
+    over or take as defaults, one per buffer.  A node holds no value."""
     found = []
     for node in nodes:
-        fn = node._backward
-        found += [node.data] + list(fn.__defaults__ or ())
-        found += [cell.cell_contents for cell in fn.__closure__ or ()]
+        found += list(node.rule.__defaults__ or ())
+        found += [cell.cell_contents for cell in node.rule.__closure__ or ()]
     seen, out = set(), []
     for a in found:
         if isinstance(a, np.ndarray):
@@ -129,6 +130,26 @@ class TestElementwiseOps:
         y = ad.gelu(Tensor(x))
         np.testing.assert_allclose(y.data, x * 0.5 * (1 + erf(x / np.sqrt(2))), atol=1e-15)
         check_op(ad.gelu, RNG.normal(size=(7,)))
+
+    def test_gelu_gradient_is_the_derivative_formula_bit_for_bit(self):
+        from scipy.special import erf
+        x = Parameter("x", RNG.normal(size=(4, 6)) * 3)
+        g = RNG.normal(size=(4, 6))
+        ComputationTape(ad.gelu(x)).backward(g)
+        xd = x.data
+        cdf = 0.5 * (1.0 + erf(xd * (1.0 / math.sqrt(2.0))))
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * xd * xd)
+        np.testing.assert_array_equal(x.grad, g * (cdf + xd * pdf))
+
+    def test_gelu_under_no_grad_builds_no_node_and_takes_no_exp(self, monkeypatch):
+        x = Parameter("x", RNG.normal(size=(3, 5)))
+        recorded = ad.gelu(x)
+        assert len(held_arrays(recorded.node)) == 1  # the derivative alone
+        with no_grad(), monkeypatch.context() as mp:
+            mp.setattr(np, "exp", None)  # a call would raise
+            y = ad.gelu(x)
+        assert y.node is None
+        np.testing.assert_array_equal(y.data, recorded.data)
 
     def test_sigmoid_log(self):
         # the log-likelihood of a sigmoid, as the thread-prediction head forms it
@@ -452,8 +473,10 @@ class TestReductionsAndLosses:
         want[np.arange(t), targets] -= 1.0
         want *= 0.37 / t
         np.testing.assert_array_equal(logits.grad, want)
-        # and it keeps no [T, V] array of its own
-        assert [a.shape for a in held_arrays(loss)] == [(), (t, 1), (t, 1), (t,)]
+        # and it keeps no [T, V] array but the logits
+        held = held_arrays(loss.node)
+        assert sorted(a.shape for a in held) == [(t,), (t, 1), (t, 1), (t, v)]
+        assert any(a is logits.data for a in held)
 
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(IndexError):
@@ -528,7 +551,7 @@ class TestAttention:
         scores = Parameter("s", RNG.normal(size=(2, 2, 4, 5)))
         v = Parameter("v", RNG.normal(size=(2, 2, 5, 3)))
         out = ad.attention(scores, v, 0.5, self.PADDING, np.random.default_rng(0), 0.3)
-        saved = held_arrays(out)[1:]  # besides the output
+        saved = held_arrays(out.node)
         by_kind = sorted((a.dtype.kind, a.shape) for a in saved)
         # the probabilities, the keep mask, and v's own values
         assert by_kind == [("b", (2, 2, 4, 5)), ("f", (2, 2, 4, 5)), ("f", (2, 2, 5, 3))]
@@ -603,14 +626,14 @@ class TestGraphMechanics:
         tape = ComputationTape(c)
         pos = {id(n): i for i, n in enumerate(tape.nodes)}
         for node in tape.nodes:
-            for p in node._parents:
+            for p in node.parents:
                 assert pos[id(p)] < pos[id(node)]
 
     def test_no_grad_builds_no_graph(self):
         x = Parameter("x", np.ones(3))
         with no_grad():
             y = ad.mul(x, x)
-        assert not y.requires_grad and y._parents == ()
+        assert not y.requires_grad and y.node is None
         with pytest.raises(RuntimeError):
             backward(ad.tensor_sum(y))
 
@@ -623,7 +646,7 @@ class TestGraphMechanics:
         x = Parameter("x", np.ones((2, 2)))
         c = Tensor(np.ones((2, 2)))
         y = ad.add(x, c)
-        assert y._parents == (x,)
+        assert c.node is None and y.node.parents == (x,)
         backward(ad.tensor_sum(y))
         assert c.grad is None
 
@@ -648,7 +671,7 @@ class TestGraphMechanics:
     def test_dropout_keeps_a_bool_mask(self):
         x = Parameter("x", RNG.normal(size=(3, 5, 7)))
         y = ad.dropout(x, 0.3, np.random.default_rng(0))
-        saved = held_arrays(y)[1:]  # besides the output
+        saved = held_arrays(y.node)
         assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(bool), x.shape)]
 
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
@@ -746,9 +769,11 @@ class TestGradChecker:
         x = Tensor(RNG.normal(size=(3, 2)))
 
         def bad_square(t):
-            def bwd(g, t=t):
-                t.accumulate_grad(g * t.data)  # wrong: missing factor 2
-            return ad._make(t.data * t.data, (t,), bwd)
+            td, tn = t.data, t.node
+
+            def rule(g):
+                tn.accumulate_grad(g * td)  # wrong: missing factor 2
+            return ad._make(td * td, (t,), rule)
 
         def f():
             return ad.tensor_sum(bad_square(ad.matmul(x, w)))

@@ -8,6 +8,7 @@ from scipy.special import log_softmax
 
 from threadsum.autodiff import Tensor
 from threadsum.conversation import ConversationTree, Utterance
+from threadsum import decoding
 from threadsum.decoding import (
     BeamHypothesis,
     banned_continuations,
@@ -421,6 +422,26 @@ class TestBeamSearch:
             beam_search(fn, BOS, EOS, max_len=5, beam_size=0)
         with pytest.raises(ValueError):
             beam_search(fn, BOS, EOS, max_len=0)
+
+
+class TestLogSoftmax:
+    """The decode step's log-softmax is scipy's, bit for bit: scipy is the oracle."""
+
+    ROWS = {
+        "random": np.random.default_rng(3).normal(size=(4, 3, 301)) * 8,
+        "some -inf": np.array([[0.5, -np.inf, 2.0, -np.inf], [-np.inf, 1.0, 1.0, 0.0]]),
+        "all -inf": np.full((2, 5), -np.inf),
+        "+inf": np.array([[1.0, np.inf, -3.0], [0.0, 1.0, 2.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROWS))
+    def test_matches_scipy_bit_for_bit(self, case):
+        x = self.ROWS[case]
+        with np.errstate(invalid="ignore"):
+            # a strided view, as the cached step's last positions are, and one row
+            for rows in (x[..., -1, :] if x.ndim == 3 else x, x.reshape(-1, x.shape[-1])[0]):
+                got, want = decoding.log_softmax(rows), log_softmax(rows, axis=-1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestModelDecoding:

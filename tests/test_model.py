@@ -1,4 +1,7 @@
 import copy
+import gc
+import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -621,13 +624,66 @@ class TestKeyBias:
         assert not [name for name, g in largest.items() if not g > floor]
 
 
+@contextmanager
+def gc_off():
+    """What frees an array inside is its last reference going away."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestTrainingTapeMemory:
     """What a training forward holds until its backward runs."""
+
+    def test_forward_frees_what_no_rule_reads(self, toy_model, toy_input, monkeypatch):
+        # no backward rule reads these values, so forward code dropping them frees them
+        model = Model(replace(toy_model.config, dropout=0.1), toy_model.params)
+        made = {"dropout output": [], "attention scores": [], "projection": [], "residual sum": []}
+
+        def watch(owner, name, kind, pick):
+            real = getattr(owner, name)
+
+            def watched(*args, **kwargs):
+                out = real(*args, **kwargs)
+                made[kind].append(weakref.ref(pick(args, out).data))
+                return out
+
+            monkeypatch.setattr(owner, name, watched)
+
+        watch(ad, "dropout", "dropout output", lambda args, out: out)
+        watch(ad, "attention", "attention scores", lambda args, out: args[0])
+        watch(Model, "_proj", "projection", lambda args, out: out)
+        watch(Model, "_sublayer", "residual sum", lambda args, out: out)
+        with gc_off():
+            loss, _ = instance_loss(model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
+            alive = {kind: sum(ref() is not None for ref in refs) for kind, refs in made.items()}
+        assert loss.requires_grad and all(made.values())
+        assert alive == dict.fromkeys(made, 0)
+
+    def test_no_grad_forward_frees_every_intermediate(self, toy_model, toy_input, monkeypatch):
+        made = []
+        real = ad._make
+
+        def recording(*args):
+            out = real(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording)
+        with gc_off(), no_grad():
+            res = toy_model.forward(toy_input)
+            alive = [ref() for ref in made if ref() is not None]
+        assert len(made) > 100
+        assert sorted(map(id, alive)) == sorted([id(res.logits), id(res.token_bos)])
 
     def test_no_second_logit_matrix_and_no_float_dropout_mask(self, toy_model, toy_input):
         model = Model(replace(toy_model.config, dropout=0.1), toy_model.params)
         loss, _ = instance_loss(model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
-        held = held_arrays(*(n for n in ComputationTape(loss).nodes if n._backward is not None))
+        held = held_arrays(*(n for n in ComputationTape(loss).nodes if n.rule is not None))
         s, v = len(toy_input.summary_input), model.config.vocab_size
         # the logits alone: cross-entropy keeps no [S, V] probabilities of its own
         assert sum(a.dtype == np.float64 and a.shape == (s, v) for a in held) == 1

@@ -36,6 +36,8 @@ from threadsum.training import (
     truncate_instance,
 )
 
+from test_autodiff import held_arrays
+
 PEAK = 5e-5
 
 
@@ -441,8 +443,9 @@ class TestGradientBuffers:
 
 
 class TestGraphLifetime:
-    """A micro-batch's graph is freed when its backward ends: no array of it
-    is alive in the next micro-batch's forward, nor in clipping, the apply,
+    """A micro-batch's graph is freed when its backward ends: no node of it,
+    nor any array its rules read, is alive in the next micro-batch's
+    forward, nor in clipping, the apply,
     ``on_step`` or the checkpoint.  The garbage collector is off, so what
     frees a graph is its last reference going away, not a collection."""
 
@@ -455,12 +458,12 @@ class TestGraphLifetime:
                              checkpoint_every=1)
         state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                     total_steps=run.total_steps)
-        held = []  # weakrefs to the arrays of every graph backward has run over
+        held = []  # weakrefs to the nodes and arrays of every graph backward has run over
         checked = []
 
         def assert_graphs_freed(where):
             live = sum(ref() is not None for ref in held)
-            assert live == 0, f"{live} of {len(held)} graph arrays alive in {where}"
+            assert live == 0, f"{live} of {len(held)} graph nodes and arrays alive in {where}"
             checked.append(where)
 
         def wrap(owner, name):
@@ -475,8 +478,13 @@ class TestGraphLifetime:
         real_backward = training.backward
 
         def recording_backward(loss):
-            nodes = ComputationTape(loss).nodes
-            held.extend(weakref.ref(n.data) for n in nodes if not isinstance(n, Parameter))
+            # every node but the parameters, and every array a rule reads
+            # but the parameters' values and the inputs' own arrays
+            nodes = [n for n in ComputationTape(loss).nodes if not isinstance(n, Parameter)]
+            outside = ({id(p.data) for p in model.params.values()}
+                       | {id(a) for mi in inputs for a in vars(mi).values()})
+            held.extend(weakref.ref(n) for n in nodes)
+            held.extend(weakref.ref(a) for a in held_arrays(*nodes) if id(a) not in outside)
             del nodes
             real_backward(loss)
 
