@@ -12,35 +12,36 @@ has to sum a gradient back down to a smaller operand.  A product against a
 transposed operand is ``matmul_transposed``, whose right operand has the
 left's batch axes or is 2-d; a 2-d one's gradient is summed over all the
 left's rows.  The one constant that broadcasts, an attention mask, enters
-through ``attention``'s ``bias``, outside the graph.
+through ``attention``'s layout, outside the graph.
+
+``attention`` is all of multi-head attention between the projections: from
+packed [N, d] query rows to packed key and value rows, laying buckets of
+rows out as heads, with the optional thread-relation terms, scale, mask,
+softmax, dropout and the product with the values, back to packed rows.
 
 A tensor's value is apart from its place in the graph.  An op's output
 points at a ``Node`` holding the gradient, the parent nodes, the backward
 rule, and the value's shape and dtype; a ``Parameter`` is its own node and
 a constant has none.  Rules reference nodes, never tensors, and close over
 just the arrays they read, so a value lives only while forward code or a
-rule holds it, and attention scores, dropout outputs, residual sums and the
-projections split into heads are freed during forward.  The large ops'
-rules read little: ``attention`` (scale, bias, softmax, dropout and the
-product with the values as one node) its probabilities, a bool keep mask
-and the values; ``dropout`` a bool mask; ``gelu`` its derivative;
-``split_heads`` and ``merge_heads`` only shapes; and ``cross_entropy`` its
-logits and each row's max and exponential sum, formed through one [S, V]
-scratch.
+rule holds it, and dropout outputs and residual sums are freed during
+forward.  The large ops' rules read little: ``attention`` its q, k and v
+rows as given and each bucket's probabilities and bool keep mask, never
+the scores or a head copy; ``dropout`` a bool mask; ``gelu`` its
+derivative; and ``cross_entropy`` its logits and each row's max and
+exponential sum, formed through one [S, V] scratch.
 
 Gradients change hands: an array a backward rule passes to
 ``accumulate_grad`` belongs to the receiver from then on, and the rule
 never touches it again.  A node keeps its first gradient as is and adds
 later ones into it in place.  So no two nodes ever hold one array: ``add``
-hands ``g`` to one operand and a copy to the other when both need it, and
-``concat_rows`` hands each part its own rows of ``g``.  Indexing,
-``split_heads`` of some of the rows and a 2-d right operand of
-``matmul_transposed`` add into the operand's gradient in place
-(``Node.grad_buffer``); the last does so GRAD_BLOCK_ROWS rows at a time,
-so the tied embedding table's gradient never has a table-sized scratch
-beside it.  A ``Parameter`` copies a strided first gradient, so every
-parameter gradient is C-contiguous: clipping may scale it in place and
-micro-batches accumulate into it.
+hands ``g`` to one operand and a copy to the other when both need it.
+Indexing and a 2-d right operand of ``matmul_transposed`` add into the
+operand's gradient in place (``Node.grad_buffer``); the latter does so
+GRAD_BLOCK_ROWS rows at a time, so the tied embedding table's gradient
+never has a table-sized scratch beside it.  A ``Parameter`` copies a
+strided first gradient, so every parameter gradient is C-contiguous:
+clipping may scale it in place and micro-batches accumulate into it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -66,9 +67,9 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "mul", "scale", "matmul", "matmul_transposed", "split_heads",
-    "merge_heads", "concat_rows", "attention", "layer_norm", "linear", "gelu", "sigmoid",
-    "dropout", "tensor_sum", "cross_entropy", "binary_cross_entropy",
+    "add", "mul", "scale", "matmul", "matmul_transposed", "attention", "attention_scores",
+    "layer_norm", "linear", "gelu", "sigmoid", "dropout", "tensor_sum", "cross_entropy",
+    "binary_cross_entropy",
 ]
 
 _GRAD_ENABLED = True
@@ -129,7 +130,7 @@ class Node:
     def grad_buffer(self) -> np.ndarray:
         """The gradient, created as zeros on first use, for the rules that
         add into some of its entries in place: the scatter-add of indexing
-        and of ``split_heads``, and ``matmul_transposed``'s blocks of rows."""
+        and ``matmul_transposed``'s blocks of rows."""
         if self.grad is None:
             self.grad = np.zeros(self.shape, self.dtype)
         return self.grad
@@ -278,9 +279,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b^T`` over the last two axes, where ``b`` is 2-d ([..., s, k]
-    by [t, k]) or has ``a``'s batch axes ([..., s, k] by [..., t, k]):
-    attention scores, the thread-relation projections and the tied output
-    projection onto the embedding table.
+    by [t, k]) or has ``a``'s batch axes ([..., s, k] by [..., t, k]), such
+    as the tied output projection onto the embedding table.
 
     ``b``'s gradient is g^T a in ``b``'s own layout.  A 2-d ``b``'s sums
     over all of ``a``'s rows and is added into ``b``'s gradient buffer
@@ -310,55 +310,6 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), rule)
 
 
-def split_heads(x: Tensor, heads: int, valid: np.ndarray, rows: slice = slice(None)) -> Tensor:
-    """Packed rows [N, heads * dz] as zero-padded heads [n, heads, T, dz].
-
-    ``valid`` [n, T] marks the slots that hold a row: the r-th of ``x``'s
-    ``rows`` (all of them by default) goes to the r-th marked slot in
-    row-major order.  The scatter into the padded layout and the head split
-    are one op, and the backward is the gather of the marked slots.
-    """
-    xd = x.data[rows]
-    out = np.zeros((valid.shape[0], heads, valid.shape[1], xd.shape[1] // heads), xd.dtype)
-    np.swapaxes(out, 1, 2)[valid] = xd.reshape(-1, heads, out.shape[3])
-
-    def rule(g, xn=x.node, part=xd.shape, whole=x.shape):
-        gx = np.swapaxes(g, 1, 2)[valid].reshape(part)
-        if part == whole:
-            xn.accumulate_grad(gx)
-        else:
-            xn.grad_buffer()[rows] += gx
-
-    return _make(out, (x,), rule)
-
-
-def merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
-    """The inverse of ``split_heads``: the marked slots of [n, h, T, dz]
-    heads as packed rows [N, h * dz], the unmarked ones dropped with a zero
-    gradient."""
-    h, dz = x.shape[1], x.shape[3]
-
-    def rule(g, xn=x.node, shape=x.shape):
-        gx = np.zeros(shape, g.dtype)
-        np.swapaxes(gx, 1, 2)[valid] = g.reshape(-1, h, dz)
-        xn.accumulate_grad(gx)
-
-    return _make(np.swapaxes(x.data, 1, 2)[valid].reshape(-1, h * dz), (x,), rule)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """The rows of 2-d tensors stacked in order; each part is handed its own
-    rows of the gradient, as a view."""
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def rule(g, nodes=[p.node for p in parts]):
-        for n, start, stop in zip(nodes, bounds[:-1], bounds[1:]):
-            if n is not None:
-                n.accumulate_grad(g[start:stop])
-
-    return _make(np.concatenate([p.data for p in parts]), parts, rule)
-
-
 # ---------------------------------------------------------------------------
 # neural-net ops
 
@@ -370,47 +321,124 @@ def _dropped(a: np.ndarray, c: float, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention(scores: Tensor, v: Tensor, scale: float, bias: Optional[np.ndarray],
-              rng: Optional[np.random.Generator], p: float) -> Tensor:
-    """``dropout(softmax(scores * scale + bias)) @ v`` as one node.
+Layout = Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
 
-    ``scores`` [..., s, t] and ``v`` [..., t, dz] have equal batch axes.  The
-    constant ``bias``, such as an attention mask of -1e9 entries, broadcasts
-    against the scores as numpy broadcasts and carries no gradient.  Dropout
-    is drawn as ``dropout`` draws it and is off without an ``rng``.  The
-    backward is the softmax Jacobian-vector product written out; it reads
-    the values, the probabilities and the keep mask, and recomputes the
-    dropped probabilities.
+
+def _heads(x: np.ndarray, valid: np.ndarray, heads: int) -> np.ndarray:
+    """Packed rows [N, heads * dz] as heads [n, heads, T, dz]: the r-th row
+    goes to the r-th slot that ``valid`` [n, T] marks, in row-major order.
+    A view when every slot is marked, else a zero-padded copy."""
+    n, t = valid.shape
+    if valid.all():
+        return np.swapaxes(x.reshape(n, t, heads, -1), 1, 2)
+    out = np.zeros((n, heads, t, x.shape[1] // heads), x.dtype)
+    np.swapaxes(out, 1, 2)[valid] = x.reshape(-1, heads, out.shape[3])
+    return out
+
+
+def _rows(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The inverse of ``_heads``: the marked slots of heads [n, h, T, dz] as
+    fresh packed rows [N, h * dz]."""
+    return np.swapaxes(x, 1, 2)[valid].reshape(-1, x.shape[1] * x.shape[3])
+
+
+def attention_scores(qh: np.ndarray, kh: np.ndarray, scale: float,
+                     rel: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """Pre-softmax scores of query heads [..., s, dz] against key heads
+    [..., t, dz], as arrays: (q·k + q·r + k·r) * scale, where r, the row of
+    ``rel`` = (table [B, dz], buckets [s, t]) for the pair's bucket, comes
+    only with ``rel``.  That is ((q + r)(k + r)^T - r r^T) * scale, with q·r
+    and k·r gathered per pair from table projections: O(s t dz + (s + t) B dz)."""
+    y = qh @ np.swapaxes(kh, -1, -2)
+    if rel is not None:
+        table, buckets = rel
+        rows = np.arange(buckets.shape[0])[:, None]
+        y += (qh @ table.T)[..., rows, buckets]
+        y += (kh @ table.T)[..., rows.T, buckets]
+    y *= scale
+    return y
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, layout: Layout,
+              rng: Optional[np.random.Generator], p: float,
+              rel: Optional[Tuple[Tensor, np.ndarray]] = None) -> Tensor:
+    """Multi-head attention from packed query rows ``q`` [Nq, d] to packed
+    key and value rows ``k`` and ``v`` [Nk, d], as one node returning packed
+    rows [Nq, d].
+
+    ``layout`` lists buckets (q_valid [n, Tq], kv_valid [n, Tk], bias), each
+    taking the next run of q's rows and of k's and v's rows as ``_heads``,
+    so its rows attend only within it.  Per bucket: ``attention_scores`` at
+    scale 1/sqrt(d / heads), with the terms of ``rel`` = (table, buckets)
+    if given; plus the constant ``bias`` (such as a -1e9 mask), broadcast as
+    numpy broadcasts; softmax; dropout, drawn as ``dropout`` draws it and
+    off without an ``rng``; and the product with the values.
+
+    The rule keeps q, k and v as given and each bucket's probabilities and
+    bool keep mask, and lays the heads out again in backward.
     """
-    sd, vd = scores.data, v.data
-    if sd.ndim < 2 or sd.shape[:-2] != vd.shape[:-2] or sd.shape[-1] != vd.shape[-2]:
-        raise ShapeError(f"attention scores {sd.shape} and values {vd.shape} do not align")
-    y = sd * scale
-    if bias is not None:
-        y += bias
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    keep = None if rng is None or p <= 0.0 else rng.random(y.shape) >= p
+    qd, kd, vd = q.data, k.data, v.data
+    runs, q_stop, kv_stop = [], 0, 0
+    for q_valid, kv_valid, _ in layout:
+        qr = slice(q_stop, q_stop + int(q_valid.sum()))
+        kr = slice(kv_stop, kv_stop + int(kv_valid.sum()))
+        q_stop, kv_stop = qr.stop, kr.stop
+        runs.append((q_valid, kv_valid, qr, kr))
+    if (qd.ndim != 2 or kd.shape != vd.shape or kd.shape[1:] != qd.shape[1:] or qd.shape[1] % heads
+            or (q_stop, kv_stop) != (len(qd), len(kd))
+            or any(len(q_valid) != len(kv_valid) for q_valid, kv_valid, _, _ in runs)):
+        raise ShapeError(f"attention rows q {qd.shape}, k {kd.shape} and v {vd.shape} do not fit "
+                         f"{heads} heads and a layout of {q_stop} query and {kv_stop} key rows "
+                         f"with as many key as query sequences in each bucket")
+    scale = 1.0 / math.sqrt(qd.shape[1] // heads)
+    table = None if rel is None else rel[0]
+    rel_data = None if rel is None else (table.data, rel[1])
     c = 1.0 / (1.0 - p)
 
-    def rule(g, sn=scores.node, vn=v.node):
-        if vn is not None:
+    out, saved = np.empty(qd.shape, qd.dtype), []
+    for (q_valid, kv_valid, qr, kr), (_, _, bias) in zip(runs, layout):
+        kh, vh = _heads(kd[kr], kv_valid, heads), _heads(vd[kr], kv_valid, heads)
+        y = attention_scores(_heads(qd[qr], q_valid, heads), kh, scale, rel_data)
+        if bias is not None:
+            y += bias
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        keep = None if rng is None or p <= 0.0 else rng.random(y.shape) >= p
+        att = y if keep is None else _dropped(y, c, keep)
+        out[qr] = _rows(att @ vh, q_valid)
+        saved.append((y, keep))
+
+    def rule(g, qn=q.node, kn=k.node, vn=v.node, tn=None if table is None else table.node):
+        gq, gk, gv = (np.empty(x.shape, g.dtype) for x in (qd, kd, vd))
+        for (q_valid, kv_valid, qr, kr), (y, keep) in zip(runs, saved):
+            qh, gh = _heads(qd[qr], q_valid, heads), _heads(g[qr], q_valid, heads)
+            kh, vh = _heads(kd[kr], kv_valid, heads), _heads(vd[kr], kv_valid, heads)
             att = y if keep is None else _dropped(y, c, keep)
-            vn.accumulate_grad(np.swapaxes(att, -1, -2) @ g)
-        if sn is not None:
-            ga = g @ np.swapaxes(vd, -1, -2)
+            gv[kr] = _rows(np.swapaxes(att, -1, -2) @ gh, kv_valid)
+            ga = gh @ np.swapaxes(vh, -1, -2)
             if keep is not None:
                 ga *= c
                 ga *= keep
             ga -= (ga * y).sum(axis=-1, keepdims=True)
             ga *= y
-            if scale != 1.0:
-                ga *= scale
-            sn.accumulate_grad(ga)
+            ga *= scale
+            gqh, gkh = ga @ kh, np.swapaxes(ga, -1, -2) @ qh
+            if rel_data is not None:
+                tbl, buckets = rel_data
+                rows = np.arange(buckets.shape[0])[:, None]
+                for xh, gxh, pairs in ((qh, gqh, (..., rows, buckets)), (kh, gkh, (..., rows.T, buckets))):
+                    gproj = np.zeros(xh.shape[:-1] + (len(tbl),), g.dtype)
+                    np.add.at(gproj, pairs, ga)
+                    gxh += gproj @ tbl
+                    if tn is not None:
+                        tn.accumulate_grad(gproj.reshape(-1, len(tbl)).T @ xh.reshape(-1, xh.shape[-1]))
+            gq[qr], gk[kr] = _rows(gqh, q_valid), _rows(gkh, kv_valid)
+        for node, grad in ((qn, gq), (kn, gk), (vn, gv)):
+            if node is not None:
+                node.accumulate_grad(grad)
 
-    att = y if keep is None else _dropped(y, c, keep)
-    return _make(att @ vd, (scores, v), rule)
+    return _make(out, (q, k, v) + (() if table is None else (table,)), rule)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -418,9 +446,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},); got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     gd = gain.data
@@ -432,8 +460,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bn.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if xn is not None:
             gxhat = g * gd
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = gxhat.sum(axis=-1, keepdims=True) / d
+            m2 = (gxhat * xhat).sum(axis=-1, keepdims=True) / d
             xn.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
 
     return _make(xhat * gd + bias.data, (x, gain, bias), rule)

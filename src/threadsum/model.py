@@ -12,18 +12,19 @@ Three pre-LN transformer stacks share one token embedding table:
   generation.
 
 Every stack runs on packed [N, d] rows (the tokens of all utterances, the
-utterances, or the summary positions of one or b beams); only attention
-lays them out as zero-padded [n, h, T, dz] heads (``ad.split_heads``), and
-one ``ad.attention`` node per bucket forms the probabilities and their
-product with the values.  The token encoder runs with its utterances sorted
-by length, so that its attention core pads each of at most three length
-buckets only to the bucket's own longest utterance.
+utterances, or the summary positions of one or b beams), and each attention
+is its projections plus one ``ad.attention`` call from packed query rows to
+packed key and value rows; only inside that op are rows laid out as heads.
+The token encoder runs with its utterances sorted by length, so that the op
+pads each of at most three length buckets only to the bucket's own longest
+utterance.  The utterance encoder's call adds the ``thread.rel`` terms, by
+the formula that ``thread_attention_scores`` also gives.
 
 Only the utterance encoder's attention has a key bias (``utt.*.attn.bk``):
 anywhere else a key bias adds one value to all of a query's scores, which
 softmax cancels, so it could never learn; there it also meets the relation
-vectors in the k·r term of ``thread_attention_scores``.  A projection
-without a bias is a plain ``ad.matmul``.
+vectors in the k·r term.  A projection without a bias is a plain
+``ad.matmul``.
 
 The output projection is the transpose of the embedding table (weight
 tying).  All forwards are pure functions of (parameters, inputs, rng), and
@@ -119,22 +120,12 @@ def toy_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def thread_attention_scores(q: Tensor, k: Tensor, rel_table, rel_buckets: np.ndarray,
+def thread_attention_scores(q: Tensor, k: Tensor, rel_table: Tensor, rel_buckets: np.ndarray,
                             d_head: int) -> Tensor:
-    """Attention scores with thread-relation terms, pre-softmax.
-
-    Implements ((q_i + r_ij)(k_j + r_ij)^T - r_ij r_ij^T) / sqrt(d_head)
-    through its expansion (q_i k_j + q_i r_ij + k_j r_ij) / sqrt(d_head):
-    both relation dot-product terms are table projections gathered per pair,
-    so the cost stays O(n^2 d + n B d) instead of materializing r_ij.
-    """
-    scores = ad.matmul_transposed(q, k)
-    proj_q = ad.matmul_transposed(q, rel_table)  # [..., n, buckets]
-    proj_k = ad.matmul_transposed(k, rel_table)
-    rows = np.arange(rel_buckets.shape[0])[:, None]
-    term_q = proj_q[..., rows, rel_buckets]
-    term_k = proj_k[..., rows.T, rel_buckets]
-    return ad.scale(ad.add(ad.add(scores, term_q), term_k), 1.0 / math.sqrt(d_head))
+    """Pre-softmax scores with thread-relation terms, as a constant, by
+    ``ad.attention``'s own formula: ``ad.attention_scores``."""
+    return Tensor(ad.attention_scores(q.data, k.data, 1.0 / math.sqrt(d_head),
+                                      (rel_table.data, rel_buckets)))
 
 
 def _length_buckets(lengths: np.ndarray) -> List[Tuple[int, int]]:
@@ -279,8 +270,7 @@ class ForwardResult:
     token_bos: Tensor  # [n, d] token-encoder output at each utterance's bos
 
 
-KeysValues = Tuple[np.ndarray, np.ndarray]  # (K, V), each [..., h, T, dz]
-Layout = Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]  # (valid [n_b, T_b], bias) per bucket
+KeysValues = Tuple[np.ndarray, np.ndarray]  # (K, V), packed rows
 
 
 @dataclass
@@ -288,9 +278,9 @@ class DecoderCache:
     """What an incremental ``decoder_forward`` keeps per decoder layer.
 
     ``cross`` holds the keys and values of the memory, projected once
-    (``[1, h, M, dz]``) and shared by every beam; ``self_kv`` those of the
+    (``[M, d]``) and shared by every beam; ``self_kv`` those of the
     ``length`` summary positions decoded so far, one row per beam
-    (``[b, h, T, dz]``).  Neither a forward nor ``reorder`` writes into a
+    (``[b, T, d]``).  Neither a forward nor ``reorder`` writes into a
     held array: both rebind ``self_kv`` entries.
     """
 
@@ -357,45 +347,19 @@ class Model:
         w, b = self.params[f"{prefix}.w{which}"], self.params.get(f"{prefix}.b{which}")
         return ad.matmul(x, w) if b is None else ad.linear(x, w, b)
 
-    def _keys_values(self, prefix: str, x: Tensor, valid: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Key and value heads [n, h, T, dz] of the packed rows ``x``."""
-        h = self.config.num_heads
-        return (ad.split_heads(self._proj(x, prefix, "k"), h, valid),
-                ad.split_heads(self._proj(x, prefix, "v"), h, valid))
-
-    def _attention(self, prefix: str, x: Tensor, layout: Layout, rng,
+    def _attention(self, prefix: str, x: Tensor, layout: ad.Layout, rng,
                    kv: Optional[Tuple[Tensor, Tensor]] = None,
                    rel_buckets: Optional[np.ndarray] = None) -> Tensor:
-        """Multi-head attention from the packed rows ``x`` to ``kv``'s key and
-        value heads or, without it, to ``x``'s own; plus, for ``rel_buckets``,
-        the ``thread.rel`` terms of ``thread_attention_scores``.
-
-        ``layout`` lists buckets (valid [n_b, T_b], bias): each lays out the
-        next run of ``x``'s rows as heads, and its rows attend only within
-        it, with the constant mask ``bias`` added inside the softmax.  The
-        projections run once over all rows; with ``kv`` there is one bucket.
-        """
-        cfg = self.config
-        h = cfg.num_heads
-        q = self._proj(x, prefix, "q")
+        """Multi-head attention from the packed rows ``x`` to the packed key
+        and value rows ``kv`` or, without it, to ``x``'s own projections;
+        ``layout`` and ``rel_buckets`` (the ``thread.rel`` terms) are
+        ``ad.attention``'s."""
         if kv is None:
-            k, v = self._proj(x, prefix, "k"), self._proj(x, prefix, "v")
-        ctx, start = [], 0
-        for valid, bias in layout:
-            rows = slice(start, start + int(valid.sum()))
-            start = rows.stop
-            qh = ad.split_heads(q, h, valid, rows)
-            kh, vh = kv if kv is not None else (ad.split_heads(k, h, valid, rows),
-                                                ad.split_heads(v, h, valid, rows))
-            if rel_buckets is not None:
-                scores = thread_attention_scores(qh, kh, self.params["thread.rel"], rel_buckets,
-                                                 cfg.d_head)
-                scale = 1.0
-            else:
-                scores, scale = ad.matmul_transposed(qh, kh), 1.0 / math.sqrt(cfg.d_head)
-            att = ad.attention(scores, vh, scale, bias, rng, cfg.dropout)
-            ctx.append(ad.merge_heads(att, valid))
-        return self._proj(ctx[0] if len(ctx) == 1 else ad.concat_rows(ctx), prefix, "o")
+            kv = (self._proj(x, prefix, "k"), self._proj(x, prefix, "v"))
+        rel = None if rel_buckets is None else (self.params["thread.rel"], rel_buckets)
+        out = ad.attention(self._proj(x, prefix, "q"), *kv, self.config.num_heads, layout, rng,
+                           self.config.dropout, rel)
+        return self._proj(out, prefix, "o")
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
@@ -410,7 +374,7 @@ class Model:
 
     # -- encoder stacks -----------------------------------------------------
 
-    def _encoder_stack(self, stack: str, x: Tensor, layout: Layout, rng,
+    def _encoder_stack(self, stack: str, x: Tensor, layout: ad.Layout, rng,
                        rel_buckets: Optional[np.ndarray] = None) -> Tensor:
         """The layers and final norm of encoder ``stack`` over the packed rows
         ``x``, whose attention runs on the buckets of ``layout``."""
@@ -446,8 +410,8 @@ class Model:
         layout = []
         for first, stop in _length_buckets(sorted_lengths):
             valid = np.arange(sorted_lengths[stop - 1]) < sorted_lengths[first:stop, None]
-            layout.append((valid, np.where(valid, 0.0, -1e9)[:, None, None, :]))
-        positions = np.concatenate([np.nonzero(valid)[1] for valid, _ in layout])
+            layout.append((valid, valid, np.where(valid, 0.0, -1e9)[:, None, None, :]))
+        positions = np.concatenate([np.nonzero(valid)[1] for valid, _, _ in layout])
 
         x = self.params["embed.tokens"][ids]
         x = ad.add(x, Tensor(sinusoidal_pe(int(lengths.max()), cfg.d_hidden)[positions]))
@@ -461,7 +425,8 @@ class Model:
 
     def utterance_encode(self, utt_repr: Tensor, relation_buckets: np.ndarray, rng=None) -> Tensor:
         """The thread-aware stack over the [n, d] utterance rows, one unpadded sequence."""
-        layout = [(np.ones((1, utt_repr.shape[0]), dtype=bool), None)]
+        valid = np.ones((1, utt_repr.shape[0]), dtype=bool)
+        layout = [(valid, valid, None)]
         return self._encoder_stack("utt", utt_repr, layout, rng, rel_buckets=relation_buckets)
 
     def build_decoder_memory(self, token_states: Tensor, lengths: np.ndarray,
@@ -473,11 +438,10 @@ class Model:
     def decoder_cache(self, memory: Tensor) -> DecoderCache:
         """An empty one-beam cache for incremental decoding against ``memory``."""
         cfg = self.config
-        memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
         with ad.no_grad():
-            cross = [tuple(t.data for t in self._keys_values(f"dec.{i}.cross", memory, memory_valid))
+            cross = [tuple(self._proj(memory, f"dec.{i}.cross", c).data for c in "kv")
                      for i in range(cfg.num_layers)]
-        empty = np.empty((1, cfg.num_heads, 0, cfg.d_head))
+        empty = np.empty((1, 0, cfg.d_hidden))
         return DecoderCache(cross, [(empty, empty)] * cfg.num_layers)
 
     def decoder_forward(self, summary_input: np.ndarray, memory: Tensor, rng=None,
@@ -502,11 +466,12 @@ class Model:
             raise ValueError(f"summary length {start + s} exceeds max {cfg.max_summary_tokens}")
         _check_ids(summary_input, cfg.vocab_size)
         valid = np.ones(np.atleast_2d(summary_input).shape, dtype=bool)  # [b, s]
-        memory_valid = np.ones((1, memory.shape[0]), dtype=bool)
+        b = len(valid)
         # each query row attends to the memory on its own, so every beam's
         # rows meet the one memory projection as a single sequence
-        cross_valid = valid.reshape(1, -1)
-        causal = np.triu(np.full((s, start + s), -1e9), k=1 + start)
+        cross_layout = [(valid.reshape(1, -1), np.ones((1, memory.shape[0]), dtype=bool), None)]
+        self_layout = [(valid, np.ones((b, start + s), dtype=bool),
+                        np.triu(np.full((s, start + s), -1e9), k=1 + start))]
         positions = start + np.nonzero(valid)[1]
 
         x = self.params["embed.tokens"][summary_input.reshape(-1)]
@@ -516,17 +481,18 @@ class Model:
             pre = f"dec.{layer}"
             normed = self._layer_norm(x, f"{pre}.ln1")
             if cache is None:
-                self_kv, cross_kv = None, self._keys_values(f"{pre}.cross", memory, memory_valid)
+                self_kv = None
+                cross_kv = tuple(self._proj(memory, f"{pre}.cross", c) for c in "kv")
             else:
-                new = self._keys_values(f"{pre}.self", normed, valid)
-                cache.self_kv[layer] = tuple(np.concatenate([past, t.data], axis=2)
-                                             for past, t in zip(cache.self_kv[layer], new))
-                self_kv, cross_kv = (tuple(map(Tensor, kv))
-                                     for kv in (cache.self_kv[layer], cache.cross[layer]))
-            a = self._attention(f"{pre}.self", normed, [(valid, causal)], rng, kv=self_kv)
+                new = (self._proj(normed, f"{pre}.self", c).data.reshape(b, s, -1) for c in "kv")
+                cache.self_kv[layer] = tuple(np.concatenate([past, rows], axis=1)
+                                             for past, rows in zip(cache.self_kv[layer], new))
+                self_kv = tuple(Tensor(t.reshape(-1, cfg.d_hidden)) for t in cache.self_kv[layer])
+                cross_kv = tuple(map(Tensor, cache.cross[layer]))
+            a = self._attention(f"{pre}.self", normed, self_layout, rng, kv=self_kv)
             x = self._sublayer(x, a, rng)
-            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"),
-                                [(cross_valid, None)], rng, kv=cross_kv)
+            c = self._attention(f"{pre}.cross", self._layer_norm(x, f"{pre}.ln2"), cross_layout, rng,
+                                kv=cross_kv)
             x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)

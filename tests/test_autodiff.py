@@ -49,16 +49,20 @@ def check_op(build, *arrays, eps=1e-6, tol=1e-7):
         np.testing.assert_allclose(p.grad, num, rtol=tol, atol=tol)
 
 
-def probabilities(scores, bias=None):
-    """The softmax inside ``attention``, read out against identity values."""
+def probabilities(scores, bias=None, n=1):
+    """The softmax inside ``attention``, read out with one head of width T:
+    the query rows are the scores [N, T], as n sequences of N / n queries,
+    the keys are sqrt(T)·I and the values I, so each output row is one
+    query's probabilities."""
     t = scores.shape[-1]
-    eye = np.broadcast_to(np.eye(t), scores.shape[:-2] + (t, t))
-    return ad.attention(scores, Tensor(eye), 1.0, bias, None, 0.0)
+    keys, values = (Tensor(np.tile(np.eye(t) * c, (n, 1))) for c in (math.sqrt(t), 1.0))
+    layout = [(np.ones((n, scores.shape[0] // n), dtype=bool), np.ones((n, t), dtype=bool), bias)]
+    return ad.attention(scores, keys, values, 1, layout, None, 0.0)
 
 
 def softmax(a, bias=None):
-    """Softmax over the last axis plus a constant ``bias``: the op that
-    ``attention`` replaced, kept as the middle step of its oracle."""
+    """Softmax over the last axis plus a constant ``bias``, one node: the
+    middle step of ``composite_attention``."""
     x = a.data if bias is None else a.data + bias
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
@@ -71,21 +75,52 @@ def softmax(a, bias=None):
     return ad._make(y, (a,), rule)
 
 
-def composite_attention(scores, v, scale, bias, rng, p):
-    """Scale, softmax, dropout and the product with ``v``, one node each."""
-    return ad.matmul(ad.dropout(softmax(ad.scale(scores, scale), bias), p, rng), v)
+def head_slots(valid, heads, dz):
+    """Index arrays (rows, columns) [n, heads, T, dz] that gather packed
+    rows [N, heads * dz] into heads; a slot ``valid`` leaves unmarked reads
+    row 0."""
+    row = np.zeros(valid.shape, dtype=np.int64)
+    row[valid] = np.arange(valid.sum())
+    rows = np.broadcast_to(row[:, None, :, None], (valid.shape[0], heads, valid.shape[1], dz))
+    cols = np.arange(heads)[:, None, None] * dz + np.arange(dz)
+    return rows, np.broadcast_to(cols, rows.shape)
+
+
+def composite_attention(q, k, v, heads, layout, rng, p, rel=None):
+    """``attention`` over a layout of one bucket from the ops it fuses, one
+    node each: gathers into heads, the score product, the relation terms,
+    scale, softmax, dropout, the product with the values and a gather back
+    to rows."""
+    (q_valid, kv_valid, bias), = layout
+    dz = q.shape[1] // heads
+    kv_slots = head_slots(kv_valid, heads, dz)
+    qh, kh, vh = q[head_slots(q_valid, heads, dz)], k[kv_slots], v[kv_slots]
+    scores = ad.matmul_transposed(qh, kh)
+    if rel is not None:
+        table, buckets = rel
+        rows = np.arange(len(buckets))[:, None]
+        scores = ad.add(ad.add(scores, ad.matmul_transposed(qh, table)[..., rows, buckets]),
+                        ad.matmul_transposed(kh, table)[..., rows.T, buckets])
+    att = ad.dropout(softmax(ad.scale(scores, 1.0 / math.sqrt(dz)), bias), p, rng)
+    seq, pos = np.nonzero(q_valid)
+    cols = np.arange(heads * dz)
+    return ad.matmul(att, vh)[seq[:, None], cols // dz, pos[:, None], cols % dz]
 
 
 def held_arrays(*nodes):
     """The arrays the nodes keep for their backward: what their rules close
-    over or take as defaults, one per buffer.  A node holds no value."""
+    over or take as defaults, in lists and tuples too, one per buffer.  A
+    node holds no value."""
     found = []
     for node in nodes:
         found += list(node.rule.__defaults__ or ())
         found += [cell.cell_contents for cell in node.rule.__closure__ or ()]
     seen, out = set(), []
-    for a in found:
-        if isinstance(a, np.ndarray):
+    while found:
+        a = found.pop(0)
+        if isinstance(a, (list, tuple)):
+            found += a
+        elif isinstance(a, np.ndarray):
             root = a
             while root.base is not None:
                 root = root.base
@@ -199,58 +234,56 @@ class TestMatmulAndShapes:
         with pytest.raises(ShapeError):
             ad.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
-    # lengths 2 and 3 in a batch padded to 3 slots; all-true masks are the
-    # unpadded layouts of one sequence and of b beams of equal length
+    # the head layouts inside ``attention``: lengths 2 and 3 padded to 3 slots
     VALID = np.array([[True, True, False], [True, True, True]])
-    MASKS = {"padded": VALID, "one-sequence": np.ones((1, 3), dtype=bool),
-             "beams": np.ones((2, 3), dtype=bool)}
 
-    @staticmethod
-    def dense_heads(x):
-        """Rows [..., T, h * dz] as heads [..., h, T, dz] by reshape, h = 2."""
-        return np.swapaxes(x.reshape(x.shape[:-1] + (2, -1)), -2, -3)
-
-    def test_split_heads_layouts_and_inverse(self):
-        for valid in self.MASKS.values():
-            x = RNG.normal(size=valid.shape + (4,))
-            packed = x[valid]
-            padded = ad.split_heads(Tensor(packed), 2, valid).data
-            np.testing.assert_array_equal(padded, self.dense_heads(np.where(valid[:, :, None], x, 0.0)))
-            np.testing.assert_array_equal(ad.merge_heads(Tensor(padded), valid).data, packed)
-
-    @pytest.mark.parametrize("valid", [MASKS["beams"], VALID], ids=["dense", "packed"])
+    @pytest.mark.parametrize("valid", [np.ones((2, 3), dtype=bool), VALID], ids=["dense", "packed"])
     def test_split_and_merge_heads_gradients(self, valid):
-        # weighted sums, so that a misplaced slot shows in the gradient
-        rows = (int(valid.sum()),)
-        w = Tensor(RNG.normal(size=(2, 2, 3, 2)))
-        check_op(lambda a: ad.mul(ad.split_heads(a, 2, valid), w), RNG.normal(size=rows + (4,)))
-        v = Tensor(RNG.normal(size=rows + (4,)))
-        check_op(lambda a: ad.mul(ad.merge_heads(a, valid), v), RNG.normal(size=(2, 2, 3, 2)))
+        # backward lays gradients out by the same two maps, so each must be
+        # the other's adjoint: <heads(x), w> = <x, rows(w)> for any w, its
+        # padded slots too
+        x = RNG.normal(size=(int(valid.sum()), 4))
+        w = RNG.normal(size=(len(valid), 2, valid.shape[1], 2))
+        np.testing.assert_allclose(np.vdot(ad._heads(x, valid, 2), w), np.vdot(x, ad._rows(w, valid)),
+                                   rtol=1e-12)
+        # weighted, so that a misplaced slot shows in the gradient
+        layout = [(valid, valid, key_padding(valid))]
+        weights = Tensor(RNG.normal(size=x.shape))
+        check_op(lambda q, k, v: ad.mul(ad.attention(q, k, v, 2, layout, None, 0.0), weights),
+                 x, *RNG.normal(size=(2,) + x.shape))
 
     def test_split_heads_of_some_rows(self):
-        # rows 1..5 of 7 laid out by VALID; the other rows get a zero gradient
-        w = Tensor(RNG.normal(size=(2, 2, 3, 2)))
-        x = RNG.normal(size=(7, 4))
-        heads = ad.split_heads(Tensor(x), 2, self.VALID, slice(1, 6))
-        np.testing.assert_array_equal(heads.data, ad.split_heads(Tensor(x[1:6]), 2, self.VALID).data)
-        check_op(lambda a: ad.mul(ad.split_heads(a, 2, self.VALID, slice(1, 6)), w), x)
+        # rows 1..5 of 7 laid out by VALID, between buckets of one row each:
+        # they attend as they would alone, and the other rows get a zero
+        # gradient from their outputs
+        one = np.ones((1, 1), dtype=bool)
+        layout = [(one, one, None), (self.VALID, self.VALID, key_padding(self.VALID)), (one, one, None)]
+        q, k, v = RNG.normal(size=(3, 7, 4))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, layout, None, 0.0).data
+        alone = ad.attention(*(Tensor(a[1:6]) for a in (q, k, v)), 2, layout[1:2], None, 0.0).data
+        np.testing.assert_array_equal(out[1:6], alone)
+        np.testing.assert_array_equal(out[[0, 6]], v[[0, 6]])  # one key takes all the weight
+        w = np.zeros((7, 4))
+        w[1:6] = RNG.normal(size=(5, 4))
+        params = [Parameter(n, a) for n, a in zip("qkv", (q, k, v))]
+        backward(ad.tensor_sum(ad.mul(ad.attention(*params, 2, layout, None, 0.0), Tensor(w))))
+        for p in params:
+            assert not p.grad[[0, 6]].any()
+        check_op(lambda *a: ad.mul(ad.attention(*a, 2, layout, None, 0.0), Tensor(w)), q, k, v)
 
     def test_buckets_of_rows_round_trip(self):
-        # two runs of rows, each laid out as its own heads, merged and stacked
-        # back in order: the identity, forward and backward
-        long = np.ones((2, 4), dtype=bool)
-
-        def buckets(a):
-            return ad.concat_rows([
-                ad.merge_heads(ad.split_heads(a, 2, self.VALID, slice(0, 5)), self.VALID),
-                ad.merge_heads(ad.split_heads(a, 2, long, slice(5, 13)), long)])
-
-        x = RNG.normal(size=(13, 4))
-        np.testing.assert_array_equal(buckets(Tensor(x)).data, x)
-        w = Tensor(RNG.normal(size=(13, 4)))
-        check_op(lambda a: ad.mul(buckets(a), w), x)
-        check_op(lambda a, b: ad.mul(ad.concat_rows([a, b]), w),
-                 RNG.normal(size=(6, 4)), RNG.normal(size=(7, 4)))
+        # two runs of rows, each laid out as its own heads and back to rows
+        # in order; with each query on its own key alone, attention is the
+        # identity on v, forward and backward, and q and k get no gradient
+        layout = [(m, m, np.where(np.eye(m.shape[1], dtype=bool), 0.0, -1e9))
+                  for m in (self.VALID, np.ones((2, 4), dtype=bool))]
+        q, k, v = (Parameter(n, RNG.normal(size=(13, 4))) for n in "qkv")
+        out = ad.attention(q, k, v, 2, layout, None, 0.0)
+        np.testing.assert_array_equal(out.data, v.data)
+        w = RNG.normal(size=(13, 4))
+        backward(ad.tensor_sum(ad.mul(out, Tensor(w))))
+        np.testing.assert_array_equal(v.grad, w)
+        assert not q.grad.any() and not k.grad.any()
 
     def test_matmul_transposed(self):
         check_op(ad.matmul_transposed, RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4)))
@@ -429,13 +462,14 @@ class TestReductionsAndLosses:
         assert y.data[0, 2] == 0.0
 
     def test_softmax_bias_is_added_before_the_max(self):
-        # a [n, 1, 1, T] padding mask and an [s, T] causal mask, as attention passes them
-        x = RNG.normal(size=(2, 3, 4, 5)) * 10
-        for bias in (np.where(np.arange(5) < np.array([5, 3]).reshape(2, 1, 1, 1), 0.0, -1e9),
-                     np.triu(np.full((4, 5), -1e9), k=2)):
-            np.testing.assert_array_equal(probabilities(Tensor(x), bias).data,
-                                          probabilities(Tensor(x + bias)).data)
-            check_op(lambda a, bias=bias: ad.mul(probabilities(a, bias), Tensor(x)), x)
+        # 6 sequences of 4 queries against 5 keys, with a [n, 1, 1, T]
+        # padding mask and an [s, T] causal mask, as attention takes them
+        x = RNG.normal(size=(24, 5)) * 10
+        for bias in (key_padding(lengths_mask([5, 3] * 3, 5)), np.triu(np.full((4, 5), -1e9), k=2)):
+            added = x + np.broadcast_to(bias, (6, 1, 4, 5)).reshape(24, 5)
+            np.testing.assert_array_equal(probabilities(Tensor(x), bias, 6).data,
+                                          probabilities(Tensor(added), None, 6).data)
+            check_op(lambda a, bias=bias: ad.mul(probabilities(a, bias, 6), Tensor(x)), x)
 
     def test_layer_norm(self):
         check_op(ad.layer_norm, RNG.normal(size=(2, 3, 6)),
@@ -509,61 +543,158 @@ class TestReductionsAndLosses:
         assert p.grad[0] == 0.0  # clamped entry gets no gradient
 
 
-class TestAttention:
-    """``attention`` against the four ops it replaced, and finite differences."""
+def lengths_mask(lengths, t):
+    """valid [n, t] for sequences of the given lengths padded to t slots."""
+    return np.arange(t) < np.asarray(lengths)[:, None]
 
-    PADDING = np.where(np.arange(5) < np.array([5, 3]).reshape(2, 1, 1, 1), 0.0, -1e9)
-    CAUSAL = np.triu(np.full((4, 5), -1e9), k=2)  # 4 queries after 1 cached position
-    CASES = {"no-bias": (None, 0.0), "padding": (PADDING, 0.0), "causal": (CAUSAL, 0.0),
-             "dropout": (PADDING, 0.3)}
+
+def key_padding(kv_valid):
+    """-1e9 at every unmarked key of kv_valid [n, T], for all heads and queries."""
+    return np.where(kv_valid, 0.0, -1e9)[:, None, None, :]
+
+
+def attention_arrays(layout, d, relation):
+    """Random q, k and v rows for ``layout``, and a relation table of 4
+    buckets for 2 heads when ``relation``."""
+    nq, nk = (sum(int(bucket[i].sum()) for bucket in layout) for i in (0, 1))
+    arrays = [RNG.normal(size=(nq, d)), RNG.normal(size=(nk, d)), RNG.normal(size=(nk, d))]
+    return arrays + [RNG.normal(size=(4, d // 2))] * relation
+
+
+class TestAttention:
+    """``attention`` against the ops it fuses, finite differences, and what
+    its rule keeps.  A case is (layout, dropout p, relation bucket ids)."""
+
+    ONES = (np.ones((2, 4), dtype=bool), np.ones((2, 5), dtype=bool))
+    PADDED = (lengths_mask([4, 3], 4), lengths_mask([5, 3], 5))
+    RELATION = np.random.default_rng(3).integers(0, 4, size=(5, 5))
+    # one bucket each, as the composite takes
+    CASES = {
+        "no-bias": ([(*ONES, None)], 0.0, None),
+        "padding": ([(*PADDED, key_padding(PADDED[1]))], 0.0, None),
+        # 4 queries after 1 cached position
+        "causal": ([(*ONES, np.triu(np.full((4, 5), -1e9), k=2))], 0.0, None),
+        "dropout": ([(*PADDED, key_padding(PADDED[1]))], 0.3, None),
+        "relation": ([(ONES[1], ONES[1], None)], 0.0, RELATION),
+    }
+    BUCKETS = [lengths_mask([2, 1], 2), lengths_mask([3, 3, 2], 3), np.ones((1, 4), dtype=bool)]
+    LAYOUTS = {
+        # the token encoder's: runs of rows, each padded to its own longest
+        "buckets": ([(m, m, key_padding(m)) for m in BUCKETS], 0.3, None),
+        # every query row against one memory
+        "cross": ([(np.ones((1, 6), dtype=bool), np.ones((1, 5), dtype=bool), None)], 0.0, None),
+        # 2 beams, 2 new positions after 3 cached ones, keys beam-major
+        "cached": ([(np.ones((2, 2), dtype=bool), np.ones((2, 5), dtype=bool),
+                     np.triu(np.full((2, 5), -1e9), k=4))], 0.0, None),
+    }
+
+    @staticmethod
+    def run(op, layout, p, relation, arrays, rng):
+        """Parameters for ``arrays`` and their gradients under ``op``'s
+        output, weighted so that a misplaced row shows."""
+        params = [Parameter(n, a.copy()) for n, a in zip("qkvt", arrays)]
+        rel = None if relation is None else (params[3], relation)
+        out = op(*params[:3], 2, layout, rng, p, rel)
+        weights = np.random.default_rng(1).normal(size=out.shape)
+        backward(ad.tensor_sum(ad.mul(out, Tensor(weights))))
+        return [out.data] + [x.grad for x in params]
 
     @pytest.mark.parametrize("scale", [0.5, 1.0])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_composite_bit_for_bit(self, case, scale):
-        bias, p = self.CASES[case]
-        arrays = [RNG.normal(size=s) for s in ((2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3))]
-        w = Tensor(RNG.normal(size=(2, 2, 4, 3)))
+        # the scale is 1 / sqrt(dz), so dz is 4 or 1
+        layout, p, relation = self.CASES[case]
+        arrays = attention_arrays(layout, 2 * round(scale ** -2), relation is not None)
         rng = np.random.default_rng(11)
         clone = copy.deepcopy(rng)
-        results = []
-        for op, gen in ((ad.attention, rng), (composite_attention, clone)):
-            q, k, v = (Parameter(n, a.copy()) for n, a in zip("qkv", arrays))
-            out = op(ad.matmul_transposed(q, k), v, scale, bias, gen, p)
-            backward(ad.tensor_sum(ad.mul(out, w)))
-            results.append([out.data, q.grad, k.grad, v.grad])
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        got = self.run(ad.attention, layout, p, relation, arrays, rng)
+        want = self.run(composite_attention, layout, p, relation, arrays, clone)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
         assert rng.random() == clone.random()  # the same draws
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(CASES) + sorted(LAYOUTS))
     def test_finite_differences(self, case):
-        bias, p = self.CASES[case]
+        layout, p, relation = {**self.CASES, **self.LAYOUTS}[case]
+        weights = Tensor(RNG.normal(size=(sum(int(b[0].sum()) for b in layout), 6)))
 
-        def op(q, k, v):
+        def op(q, k, v, *table):
             # a fresh generator per call keeps the dropout draw fixed
-            return ad.attention(ad.matmul_transposed(q, k), v, 0.7, bias,
-                                np.random.default_rng(5), p)
+            rel = None if relation is None else (table[0], relation)
+            return ad.mul(ad.attention(q, k, v, 2, layout, np.random.default_rng(5), p, rel), weights)
 
-        check_op(op, RNG.normal(size=(2, 2, 4, 3)), RNG.normal(size=(2, 2, 5, 3)),
-                 RNG.normal(size=(2, 2, 5, 3)))
+        check_op(op, *attention_arrays(layout, 6, relation is not None))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_constant_relation_table(self, scale):
+        # a table without a node still adds its q·r and k·r terms to the
+        # gradients of q and k, as the composite's gathers do
+        layout, p, relation = self.CASES["relation"]
+        arrays = attention_arrays(layout, 2 * round(scale ** -2), True)
+        weights = np.random.default_rng(1).normal(size=arrays[0].shape)
+        grads = []
+        for op in (ad.attention, composite_attention):
+            q, k, v = (Parameter(n, a.copy()) for n, a in zip("qkv", arrays))
+            out = op(q, k, v, 2, layout, None, p, (Tensor(arrays[3]), relation))
+            backward(ad.tensor_sum(ad.mul(out, Tensor(weights))))
+            grads.append([out.data, q.grad, k.grad, v.grad])
+        for g, w in zip(*grads):
+            np.testing.assert_array_equal(g, w)
+        # and the same as with the table as a parameter
+        with_table = self.run(ad.attention, layout, p, relation, arrays, None)
+        for g, w in zip(grads[0], with_table):
+            np.testing.assert_array_equal(g, w)
+
+    # lengths 2 and 3 in a batch padded to 3 slots; all-true masks are the
+    # unpadded layouts of one sequence and of b beams of equal length
+    MASKS = {"padded": lengths_mask([2, 3], 3), "one-sequence": np.ones((1, 3), dtype=bool),
+             "beams": np.ones((2, 3), dtype=bool)}
+
+    def test_head_layouts_and_inverse(self):
+        for valid in self.MASKS.values():
+            x = RNG.normal(size=valid.shape + (4,))
+            packed = x[valid]
+            heads = ad._heads(packed, valid, 2)
+            dense = np.where(valid[:, :, None], x, 0.0).reshape(valid.shape + (2, 2))
+            np.testing.assert_array_equal(heads, np.swapaxes(dense, 1, 2))
+            np.testing.assert_array_equal(ad._rows(heads, valid), packed)
+            # unpadded heads are a view of the rows
+            assert np.shares_memory(heads, packed) == valid.all()
 
     def test_keeps_probabilities_and_a_bool_mask(self):
-        scores = Parameter("s", RNG.normal(size=(2, 2, 4, 5)))
-        v = Parameter("v", RNG.normal(size=(2, 2, 5, 3)))
-        out = ad.attention(scores, v, 0.5, self.PADDING, np.random.default_rng(0), 0.3)
-        saved = held_arrays(out.node)
-        by_kind = sorted((a.dtype.kind, a.shape) for a in saved)
-        # the probabilities, the keep mask, and v's own values
-        assert by_kind == [("b", (2, 2, 4, 5)), ("f", (2, 2, 4, 5)), ("f", (2, 2, 5, 3))]
-        probs = next(a for a in saved if a.dtype.kind == "f" and a.shape == scores.shape)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        assert any(a is v.data for a in saved)
+        for case in ("buckets", "relation"):
+            layout, _, relation = {**self.CASES, **self.LAYOUTS}[case]
+            q, k, v, *table = (Parameter(n, a) for n, a in
+                               zip("qkvt", attention_arrays(layout, 6, relation is not None)))
+            rel = None if relation is None else (table[0], relation)
+            out = ad.attention(q, k, v, 2, layout, np.random.default_rng(0), 0.3, rel)
+            held = held_arrays(out.node)
+            given = [x.data for x in (q, k, v, *table)] + ([] if relation is None else [relation])
+            # the rows as given, and the relation table and bucket ids
+            assert all(any(a is x for a in held) for x in given)
+            rest = [a for a in held if not any(a is x for x in given)]
+            # then per bucket the probabilities and the keep mask, and the
+            # layout's valid masks: no scores, no head copies
+            probs = sorted(a.shape for a in rest if a.dtype.kind == "f")
+            assert probs == sorted((len(b[0]), 2) + b[0].shape[1:] + b[1].shape[1:] for b in layout)
+            assert all(a.dtype == bool for a in rest if a.dtype.kind != "f")
+            assert sorted(a.shape for a in rest if a.dtype == bool and a.ndim == 4) == probs
+            for a in rest:
+                if a.dtype.kind == "f":
+                    np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_rejects_misaligned(self):
-        with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((2, 4, 3))), 1.0, None, None, 0)
-        with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((1, 5, 3))), 1.0, None, None, 0)
+        one = [(np.ones((1, 4), dtype=bool), np.ones((1, 4), dtype=bool), None)]
+        rows = Tensor(np.zeros((4, 6)))
+        for q, k, v, heads, layout in (
+                (Tensor(np.zeros((4, 4))), rows, rows, 2, one),  # q width differs
+                (rows, rows, Tensor(np.zeros((4, 4))), 2, one),  # v width differs
+                (rows, rows, rows, 4, one),  # 6 is not 4 heads
+                (rows, rows, rows, 2, [(np.ones((1, 3), dtype=bool),) * 2 + (None,)]),  # 3 rows of 4
+                # two query sequences against one key sequence
+                (rows, rows, rows, 2, [(np.ones((2, 2), dtype=bool), np.ones((1, 4), dtype=bool), None)])):
+            with pytest.raises(ShapeError):
+                ad.attention(q, k, v, heads, layout, None, 0.0)
 
 
 class TestGraphMechanics:
@@ -689,9 +820,11 @@ class TestHandOver:
     """A gradient handed to ``accumulate_grad`` belongs to its receiver
     alone, so adding later gradients into it in place changes no other."""
 
-    MOTIFS = ("add-self", "add-pair", "concat-self", "gather-and-split", "2-d-right",
-              "batched-right")
+    MOTIFS = ("add-self", "add-pair", "gather-and-2-d-right", "2-d-right", "batched-right",
+              "attention", "attention-relation")
     HEADS = np.ones((2, 2), dtype=bool)  # 4 rows as 2 sequences of 2, 2 heads
+    PAIRS = np.array([[0, 1], [2, 3]])
+    RELATION = np.array([[0, 3], [3, 1]])
 
     def _graph(self, motifs, seed):
         """Parameter gradients of a weighted sum over the motifs.  An operand
@@ -700,6 +833,7 @@ class TestHandOver:
         rng = np.random.default_rng(seed)
         params = [Parameter(f"p{i}", rng.normal(size=(4, 4))) for i in range(3)]
         operands = params + [ad.scale(p, 0.5) for p in params]
+        layout = [(self.HEADS, self.HEADS, None)]
         outs = []
         for motif, i, j in motifs:
             x, y = operands[i], operands[j]
@@ -707,17 +841,19 @@ class TestHandOver:
                 outs.append(ad.add(x, x))
             elif motif == "add-pair":
                 outs.append(ad.add(x, y))
-            elif motif == "concat-self":
-                outs.append(ad.concat_rows([x, x]))
-            elif motif == "gather-and-split":
-                # both scatter into x's one gradient buffer
-                outs += [x[np.array([3, 0, 3])], ad.split_heads(x, 2, self.HEADS[:1], slice(1, 3))]
+            elif motif == "gather-and-2-d-right":
+                # both add into x's one gradient buffer
+                outs += [x[np.array([3, 0, 3])], ad.matmul_transposed(y, x)]
             elif motif == "2-d-right":
-                outs += [ad.matmul_transposed(x, y),
-                         ad.matmul_transposed(ad.split_heads(x, 2, self.HEADS), y[:, :2])]
+                outs += [ad.matmul_transposed(x, y), ad.matmul_transposed(x[self.PAIRS], y)]
+            elif motif == "batched-right":
+                outs.append(ad.matmul_transposed(x[self.PAIRS], y[self.PAIRS]))
+            elif motif == "attention":
+                # q and v are one operand, and with i == j k is too
+                outs.append(ad.attention(x, y, x, 2, layout, None, 0.0))
             else:
-                outs.append(ad.matmul_transposed(ad.split_heads(x, 2, self.HEADS),
-                                                 ad.split_heads(y, 2, self.HEADS)))
+                # the relation table is a third operand's rows
+                outs.append(ad.attention(x, y, y, 2, layout, None, 0.0, rel=(x[:, :2], self.RELATION)))
         losses = [ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))) for out in outs]
         total = losses[0]
         for loss in losses[1:]:

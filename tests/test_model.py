@@ -574,6 +574,61 @@ class TestDecoder:
         assert np.abs(bumped[2:] - base[2:]).max() > 1e-6
 
 
+def reference_decoder(params, ids, memory, num_layers, num_heads):
+    """The decoder over one summary prefix in plain numpy, one position and
+    one head at a time: position i attends to positions 0..i, then to every
+    memory row.  Returns the logits [s, V]."""
+    w = {name: p.data for name, p in params.items()}
+    table = w["embed.tokens"]
+    d = table.shape[1]
+    dz = d // num_heads
+
+    def attend(pre, x, source, causal):
+        q = x @ w[f"{pre}.wq"] + w[f"{pre}.bq"]
+        k = source @ w[f"{pre}.wk"]
+        v = source @ w[f"{pre}.wv"] + w[f"{pre}.bv"]
+        out = np.zeros_like(q)
+        for i in range(len(q)):
+            seen = i + 1 if causal else len(k)
+            for head in range(num_heads):
+                c = slice(head * dz, (head + 1) * dz)
+                out[i, c] = _softmax_rows(k[:seen, c] @ q[i, c] / np.sqrt(dz)) @ v[:seen, c]
+        return out @ w[f"{pre}.wo"] + w[f"{pre}.bo"]
+
+    def norm(x, name):
+        return _layer_norm(x, w[f"{name}.g"], w[f"{name}.b"])
+
+    x = table[ids] + sinusoidal_pe(len(ids), d)
+    for layer in range(num_layers):
+        pre = f"dec.{layer}"
+        normed = norm(x, f"{pre}.ln1")
+        x = x + attend(f"{pre}.self", normed, normed, True)
+        x = x + attend(f"{pre}.cross", norm(x, f"{pre}.ln2"), memory, False)
+        mid = norm(x, f"{pre}.ln3") @ w[f"{pre}.ff.w1"] + w[f"{pre}.ff.b1"]
+        mid = mid * 0.5 * (1 + erf(mid / np.sqrt(2)))
+        x = x + mid @ w[f"{pre}.ff.w2"] + w[f"{pre}.ff.b2"]
+    return norm(x, "dec.final_ln") @ table.T
+
+
+class TestDecoderReference:
+    def test_full_prefix_and_cached_match_loop_reference(self, toy_model, toy_input):
+        cfg = toy_model.config
+        beams = np.random.default_rng(4).integers(cfg.vocab_size, size=(2, 7))
+        with no_grad():
+            memory = toy_model.encode_conversation(toy_input)[2]
+            cache = toy_model.decoder_cache(memory)
+            cache.reorder([0, 0])
+            chunks = [toy_model.decoder_forward(beams[:, a:b], memory, cache=cache).data
+                      for a, b in ((0, 3), (3, 4), (4, 7))]
+            cached = np.concatenate(chunks, axis=1)
+            for beam, ids in enumerate(beams):
+                want = reference_decoder(toy_model.params, ids, memory.data, cfg.num_layers,
+                                         cfg.num_heads)
+                full = toy_model.decoder_forward(ids, memory).data
+                np.testing.assert_allclose(full, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cached[beam], want, rtol=0, atol=1e-12)
+
+
 def _shift_keys(monkeypatch, stack, shift):
     """Add the vector ``shift`` to every key that ``stack``'s attention projects."""
     proj = Model._proj
@@ -642,27 +697,40 @@ class TestTrainingTapeMemory:
     def test_forward_frees_what_no_rule_reads(self, toy_model, toy_input, monkeypatch):
         # no backward rule reads these values, so forward code dropping them frees them
         model = Model(replace(toy_model.config, dropout=0.1), toy_model.params)
-        made = {"dropout output": [], "attention scores": [], "projection": [], "residual sum": []}
+        made = {"dropout output": [], "o-projection": [], "residual sum": []}
+        attention = []
 
-        def watch(owner, name, kind, pick):
+        def watch(owner, name, record):
             real = getattr(owner, name)
 
             def watched(*args, **kwargs):
                 out = real(*args, **kwargs)
-                made[kind].append(weakref.ref(pick(args, out).data))
+                record(args, out)
                 return out
 
             monkeypatch.setattr(owner, name, watched)
 
-        watch(ad, "dropout", "dropout output", lambda args, out: out)
-        watch(ad, "attention", "attention scores", lambda args, out: args[0])
-        watch(Model, "_proj", "projection", lambda args, out: out)
-        watch(Model, "_sublayer", "residual sum", lambda args, out: out)
+        def freed(kind):
+            return lambda args, out: made[kind].append(weakref.ref(out.data))
+
+        watch(ad, "dropout", freed("dropout output"))
+        watch(Model, "_proj", lambda args, out: args[3] == "o" and freed("o-projection")(args, out))
+        watch(Model, "_sublayer", freed("residual sum"))
+        watch(ad, "attention", lambda args, out: attention.append((out.node, [t.data for t in args[:3]])))
         with gc_off():
             loss, _ = instance_loss(model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
             alive = {kind: sum(ref() is not None for ref in refs) for kind, refs in made.items()}
-        assert loss.requires_grad and all(made.values())
+        assert loss.requires_grad and all(made.values()) and attention
         assert alive == dict.fromkeys(made, 0)
+        # attention keeps its q, k and v rows (and the relation table and
+        # bucket ids) by design; of what it forms, only probabilities and bool
+        # masks: scores are never kept
+        table = model.params["thread.rel"].data
+        for node, rows in attention:
+            formed = [a for a in held_arrays(node) if a.dtype.kind != "i"
+                      and not any(a is given for given in rows + [table])]
+            assert formed and all(a.dtype == bool or np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+                                  for a in formed)
 
     def test_no_grad_forward_frees_every_intermediate(self, toy_model, toy_input, monkeypatch):
         made = []
@@ -677,7 +745,7 @@ class TestTrainingTapeMemory:
         with gc_off(), no_grad():
             res = toy_model.forward(toy_input)
             alive = [ref() for ref in made if ref() is not None]
-        assert len(made) > 100
+        assert len(made) >= 99
         assert sorted(map(id, alive)) == sorted([id(res.logits), id(res.token_bos)])
 
     def test_no_second_logit_matrix_and_no_float_dropout_mask(self, toy_model, toy_input):
