@@ -6,18 +6,20 @@ wrapping an ndarray, fused forward ops with hand-written backward rules, a
 order, and a central-finite-difference gradient checker.  Ops are plain
 functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
-There is no broadcasting between operands: ``add`` and ``mul`` take two
-arrays of one shape, and ``matmul`` equal batch axes, so no backward rule
-has to sum a gradient back down to a smaller operand.  A product against a
-transposed operand is ``matmul_transposed``, whose right operand has the
-left's batch axes or is 2-d; a 2-d one's gradient is summed over all the
-left's rows.  The one constant that broadcasts, an attention mask, enters
-through ``attention``'s layout, outside the graph.
+There is no broadcasting between operands: ``add`` takes two arrays of one
+shape, and ``matmul`` equal batch axes, so no backward rule has to sum a
+gradient back down to a smaller operand.  A product against a transposed
+operand is ``matmul_transposed``, whose right operand is 2-d and whose
+gradient is summed over all the left's rows.  The one constant that
+broadcasts, an attention mask, enters through ``attention``'s layout,
+outside the graph.
 
 ``attention`` is all of multi-head attention between the projections: from
 packed [N, d] query rows to packed key and value rows, laying buckets of
 rows out as heads, with the optional thread-relation terms, scale, mask,
 softmax, dropout and the product with the values, back to packed rows.
+``cross_entropy`` with a table is the tied output projection and the loss
+in one op, so training holds no [S, V] array.
 
 A tensor's value is apart from its place in the graph.  An op's output
 points at a ``Node`` holding the gradient, the parent nodes, the backward
@@ -28,20 +30,21 @@ rule holds it, and dropout outputs and residual sums are freed during
 forward.  The large ops' rules read little: ``attention`` its q, k and v
 rows as given and each bucket's probabilities and bool keep mask, never
 the scores or a head copy; ``dropout`` a bool mask; ``gelu`` its
-derivative; and ``cross_entropy`` its logits and each row's max and
-exponential sum, formed through one [S, V] scratch.
+derivative; and ``cross_entropy`` its input rows and each row's max and
+exponential sum.  Backward frees each rule's arrays once the rule has run.
 
 Gradients change hands: an array a backward rule passes to
 ``accumulate_grad`` belongs to the receiver from then on, and the rule
 never touches it again.  A node keeps its first gradient as is and adds
 later ones into it in place.  So no two nodes ever hold one array: ``add``
 hands ``g`` to one operand and a copy to the other when both need it.
-Indexing and a 2-d right operand of ``matmul_transposed`` add into the
-operand's gradient in place (``Node.grad_buffer``); the latter does so
-GRAD_BLOCK_ROWS rows at a time, so the tied embedding table's gradient
-never has a table-sized scratch beside it.  A ``Parameter`` copies a
-strided first gradient, so every parameter gradient is C-contiguous:
-clipping may scale it in place and micro-batches accumulate into it.
+Indexing and a table (``matmul_transposed``'s right operand,
+``cross_entropy``'s ``table``) add into its gradient in place
+(``Node.grad_buffer``), a table GRAD_BLOCK_ROWS rows at a time, so the
+embedding table's gradient has no table-sized scratch beside it.  A
+``Parameter`` copies a strided first gradient, so every parameter gradient
+is C-contiguous: clipping may scale it in place and micro-batches
+accumulate into it.
 """
 
 from __future__ import annotations
@@ -67,9 +70,8 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "mul", "scale", "matmul", "matmul_transposed", "attention", "attention_scores",
-    "layer_norm", "linear", "gelu", "sigmoid", "dropout", "tensor_sum", "cross_entropy",
-    "binary_cross_entropy",
+    "add", "scale", "matmul", "matmul_transposed", "attention", "attention_scores",
+    "layer_norm", "linear", "gelu", "sigmoid", "dropout", "cross_entropy", "binary_cross_entropy",
 ]
 
 _GRAD_ENABLED = True
@@ -77,8 +79,8 @@ _GRAD_ENABLED = True
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# rows of a 2-d matmul_transposed right operand whose gradient one product
-# forms: 4 MiB of scratch at d = 128 in float64
+# table rows per block of a table's gradient (4 MiB of scratch at d = 128
+# in float64) and of cross_entropy's logits
 GRAD_BLOCK_ROWS = 4096
 
 
@@ -130,7 +132,7 @@ class Node:
     def grad_buffer(self) -> np.ndarray:
         """The gradient, created as zeros on first use, for the rules that
         add into some of its entries in place: the scatter-add of indexing
-        and ``matmul_transposed``'s blocks of rows."""
+        and the blocks of rows of a table's gradient."""
         if self.grad is None:
             self.grad = np.zeros(self.shape, self.dtype)
         return self.grad
@@ -240,19 +242,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), rule)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    ad, bd = a.data, b.data
-
-    def rule(g, an=a.node, bn=b.node):
-        if an is not None:
-            an.accumulate_grad(g * bd)
-        if bn is not None:
-            bn.accumulate_grad(g * ad)
-
-    return _make(ad * bd, (a, b), rule)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def rule(g, an=a.node):
         an.accumulate_grad(g * s)
@@ -278,36 +267,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b^T`` over the last two axes, where ``b`` is 2-d ([..., s, k]
-    by [t, k]) or has ``a``'s batch axes ([..., s, k] by [..., t, k]), such
-    as the tied output projection onto the embedding table.
+    """``a @ b^T`` for ``a`` [..., s, k] and a 2-d ``b`` [t, k].
 
-    ``b``'s gradient is g^T a in ``b``'s own layout.  A 2-d ``b``'s sums
-    over all of ``a``'s rows and is added into ``b``'s gradient buffer
-    GRAD_BLOCK_ROWS rows of ``b`` at a time, so a table-sized ``b`` (the
-    tied projection) gets no table-sized scratch, on its first gradient or
-    on a later one.
-    """
+    ``b``'s gradient g^T a, summed over all of ``a``'s rows, is added into
+    its gradient buffer GRAD_BLOCK_ROWS rows at a time, so a table-sized
+    ``b`` gets no table-sized scratch."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-1]:
-        raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul_transposed batch dims of {ad.shape} and {bd.shape} differ "
-                         f"(and the right operand is not 2-d)")
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[-1]:
+        raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align "
+                         f"(the right operand must be 2-d)")
 
     def rule(g, an=a.node, bn=b.node):
         if an is not None:
             an.accumulate_grad(g @ bd)
-        if bn is not None and bd.ndim > 2:
-            bn.accumulate_grad(np.swapaxes(g, -1, -2) @ ad)
-        elif bn is not None:
+        if bn is not None:
             g2, a2 = g.reshape(-1, g.shape[-1]), ad.reshape(-1, ad.shape[-1])
             buf = bn.grad_buffer()
             for start in range(0, len(buf), GRAD_BLOCK_ROWS):
                 rows = slice(start, start + GRAD_BLOCK_ROWS)
                 buf[rows] += g2[:, rows].T @ a2
 
-    return _make(ad @ np.swapaxes(bd, -1, -2), (a, b), rule)
+    return _make(ad @ bd.T, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -525,44 +505,71 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     return _make(_dropped(x.data, c, keep), (x,), rule)
 
 
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def rule(g, xn=x.node):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        xn.accumulate_grad(np.broadcast_to(g, xn.shape).copy())
-
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), rule)
+def _target_hits(targets: np.ndarray, cols: slice) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows whose target is in ``cols``, and the target's column there."""
+    rows = np.nonzero((targets >= cols.start) & (targets < cols.stop))[0]
+    return rows, targets[rows] - cols.start
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean next-token negative log-likelihood over a [T, V] logit matrix.
+def cross_entropy(x: Tensor, targets, table: Optional[Tensor] = None) -> Tensor:
+    """Mean next-token negative log-likelihood over the logits: ``x`` [S, V],
+    or with ``table`` [V, d] x [S, d] times its transpose, never formed whole.
 
-    The forward's one [T, V] scratch holds the shifted logits and then
-    their exponentials; the rule keeps the logits and each row's max and
-    exponential sum, and recomputes the probabilities from them."""
+    The logits are read GRAD_BLOCK_ROWS columns at a time: forward keeps a
+    running row max and exponential sum, from which backward forms each
+    block's probabilities p again, adding p^T x into the table's gradient
+    buffer and p @ table-block into x's gradient.  The rule keeps ``x``,
+    the targets and each row's max and sum."""
     targets = np.asarray(targets, dtype=np.int64)
-    ld = logits.data
-    t, v = ld.shape
+    xd = x.data
+    td = None if table is None else table.data
+    if xd.ndim != 2 or (td is not None and (td.ndim != 2 or td.shape[1] != xd.shape[1])):
+        raise ShapeError(f"cross_entropy rows {xd.shape} and table "
+                         f"{None if td is None else td.shape} do not align")
+    t, v = len(xd), xd.shape[1] if td is None else len(td)
     if targets.shape != (t,):
         raise ShapeError(f"cross_entropy targets must have shape ({t},); got {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of vocabulary of size {v}")
-    m = ld.max(axis=-1, keepdims=True)
-    e = ld - m
-    np.exp(e, out=e)
-    z = e.sum(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - ld[np.arange(t), targets]
+    blocks = [slice(start, min(start + GRAD_BLOCK_ROWS, v)) for start in range(0, v, GRAD_BLOCK_ROWS)]
 
-    def rule(g, ln=logits.node):
-        p = ld - m
-        np.exp(p, out=p)
-        p /= z
-        p[np.arange(t), targets] -= 1.0
-        p *= g / t
-        ln.accumulate_grad(p)
+    m = z = None
+    picked = np.empty(t, xd.dtype)
+    for cols in blocks:
+        b = xd[:, cols] if td is None else xd @ td[cols].T
+        hit = _target_hits(targets, cols)
+        picked[hit[0]] = b[hit]
+        bm = b.max(axis=-1, keepdims=True)
+        if m is not None:
+            bm = np.maximum(bm, m)
+            z *= np.exp(m - bm)
+        m = bm
+        e = np.subtract(b, m, out=None if td is None else b)
+        np.exp(e, out=e)
+        zb = e.sum(axis=-1, keepdims=True)
+        z = zb if z is None else z + zb
+        del b, e  # one block's scratch at a time
+    nll = m[:, 0] + np.log(z[:, 0]) - picked
 
-    return _make(np.asarray(nll.mean()), (logits,), rule)
+    def rule(g, xn=x.node, tn=None if table is None else table.node):
+        c = g / t
+        gx = np.empty(xd.shape, xd.dtype) if td is None else np.zeros(xd.shape, xd.dtype)
+        buf = None if tn is None else tn.grad_buffer()
+        for cols in blocks:
+            b = xd[:, cols] if td is None else xd @ td[cols].T
+            p = np.subtract(b, m, out=gx[:, cols] if td is None else b)
+            np.exp(p, out=p)
+            p /= z
+            p[_target_hits(targets, cols)] -= 1.0
+            p *= c
+            if td is not None and xn is not None:
+                gx += p @ td[cols]
+            if buf is not None:
+                buf[cols] += p.T @ xd
+        if xn is not None:
+            xn.accumulate_grad(gx)
+
+    return _make(np.asarray(nll.mean()), (x,) + (() if table is None else (table,)), rule)
 
 
 def binary_cross_entropy(probs: Tensor, labels, clamp: float = 1e-7) -> Tensor:
@@ -614,15 +621,15 @@ class ComputationTape:
         self.nodes = order
 
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
-        """Run every recorded backward rule once, children before parents.
+        """Run every recorded backward rule once, children before parents;
+        the root gets a copy of ``seed``.
 
-        Intermediate gradient buffers are dropped as soon as they are
-        consumed; parameters keep accumulating across calls.  The root gets
-        a copy of ``seed``.  The tape holds nodes, not values, so what stays
-        alive after this returns is each node's rule and the arrays it
-        reads, for as long as the tape or the root tensor is referenced: a
-        caller that is done with the graph drops both.
-        """
+        Each node but a parameter drops its gradient and its rule, and so
+        the arrays the rule reads, once the rule has run; the parent links
+        stay, so the graph can still be walked, but a second backward over
+        it raises ``RuntimeError``.  Parameters keep accumulating."""
+        if any(node.rule is None and not isinstance(node, Parameter) for node in self.nodes):
+            raise RuntimeError("backward has already run over this graph and released its rules")
         root = self.root
         root.grad = None
         root.accumulate_grad(np.ones(root.shape, root.dtype) if seed is None else np.array(seed))
@@ -630,7 +637,7 @@ class ComputationTape:
             if node.rule is not None and node.grad is not None:
                 node.rule(node.grad)
             if not isinstance(node, Parameter):
-                node.grad = None
+                node.grad = node.rule = None
 
 
 def backward(loss: Tensor) -> None:

@@ -27,7 +27,9 @@ vectors in the k·r term.  A projection without a bias is a plain
 ``ad.matmul``.
 
 The output projection is the transpose of the embedding table (weight
-tying).  All forwards are pure functions of (parameters, inputs, rng), and
+tying): ``decoder_forward`` applies it to ``decoder_states``, and a
+training loss hands both to ``ad.cross_entropy``, so it holds no [S, V]
+array.  All forwards are pure functions of (parameters, inputs, rng), and
 the rng is also the train/eval switch: a forward given a dropout generator
 is a training forward, one given none is an inference forward.  The one
 impure forward is an incremental decoder step, which appends its positions'
@@ -444,16 +446,16 @@ class Model:
         empty = np.empty((1, 0, cfg.d_hidden))
         return DecoderCache(cross, [(empty, empty)] * cfg.num_layers)
 
-    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor, rng=None,
-                        cache: Optional[DecoderCache] = None) -> Tensor:
-        """Next-token logits [s, V] for the s summary positions given.
+    def decoder_states(self, summary_input: np.ndarray, memory: Tensor, rng=None,
+                       cache: Optional[DecoderCache] = None) -> Tensor:
+        """Final-norm states [s, d] for the s summary positions given.
 
         With a ``cache`` (inference only), ``summary_input`` is [b, s]: for
         each of the cache's b beams, the s positions after the
         ``cache.length`` already decoded.  They run as b·s packed rows and
         attend to their beam's cached keys and values as well as their own,
         which are appended; in cross-attention they are one query sequence
-        against the cache's memory keys and values.  The logits are [b, s, V].
+        against the cache's memory keys and values.
         """
         cfg = self.config
         if cache is not None and rng is not None:
@@ -496,10 +498,17 @@ class Model:
             x = self._sublayer(x, c, rng)
             f = self._feed_forward(self._layer_norm(x, f"{pre}.ln3"), f"{pre}.ff")
             x = self._sublayer(x, f, rng)
-        logits = ad.matmul_transposed(self._layer_norm(x, "dec.final_ln"), self.params["embed.tokens"])
+        if cache is not None:
+            cache.length += s
+        return self._layer_norm(x, "dec.final_ln")
+
+    def decoder_forward(self, summary_input: np.ndarray, memory: Tensor, rng=None,
+                        cache: Optional[DecoderCache] = None) -> Tensor:
+        """Next-token logits [s, V] of ``decoder_states``, or [b, s, V] with a ``cache``."""
+        logits = ad.matmul_transposed(self.decoder_states(summary_input, memory, rng, cache),
+                                      self.params["embed.tokens"])
         if cache is None:
             return logits
-        cache.length += s
         return Tensor(logits.data.reshape(summary_input.shape + (-1,)))
 
     # -- full passes ----------------------------------------------------------

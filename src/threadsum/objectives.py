@@ -42,9 +42,10 @@ class ThreadPairBatch:
         return len(self.rows)
 
 
-def clm_loss(logits: Tensor, target_ids) -> Tensor:
-    """Mean next-token cross-entropy over the summary."""
-    return ad.cross_entropy(logits, target_ids)
+def clm_loss(x: Tensor, target_ids, table: Optional[Tensor] = None) -> Tensor:
+    """Mean next-token cross-entropy over the summary: of logits ``x``, or of
+    decoder states ``x`` under the tied projection onto ``table``."""
+    return ad.cross_entropy(x, target_ids, table)
 
 
 def sample_thread_pairs(tree: Union[ConversationTree, np.ndarray],
@@ -97,13 +98,15 @@ def instance_loss(model: Model, mi: ModelInput, rng=None,
     """Combined loss for one conversation; returns (loss, metrics dict).
 
     ``rng`` is the dropout generator of a training forward (see
-    ``Model.forward``).  Thread prediction reads the token-encoder bos
-    outputs and adds its summed loss scaled by lambda.  With lambda 0 the
-    thread term is skipped entirely (fine-tuning mode).
+    ``Model.forward``).  The CLM term forms no [S, V] logits.  Thread
+    prediction reads the token-encoder bos outputs and adds its summed loss
+    scaled by lambda.  With lambda 0 the thread term is skipped entirely
+    (fine-tuning mode).
     """
     cfg = model.config
-    result = model.forward(mi, rng=rng)
-    loss_clm = clm_loss(result.logits, mi.summary_target)
+    token_bos, _, memory = model.encode_conversation(mi, rng)
+    states = model.decoder_states(mi.summary_input, memory, rng)
+    loss_clm = clm_loss(states, mi.summary_target, model.params["embed.tokens"])
 
     lam = cfg.lambda_thread_pred
     if lam == 0.0:
@@ -113,7 +116,7 @@ def instance_loss(model: Model, mi: ModelInput, rng=None,
         if pair_rng is None:
             raise ValueError("need pair_batch or pair_rng when lambda_thread_pred != 0")
         pair_batch = sample_thread_pairs(mi.ancestors, pair_rng)
-    probs = pair_probabilities(result.token_bos, model.params["tp.wa"], model.params["tp.wb"],
+    probs = pair_probabilities(token_bos, model.params["tp.wa"], model.params["tp.wb"],
                                pair_batch)
     loss_tp = thread_pred_loss(probs, pair_batch)
     loss = total_loss(loss_clm, loss_tp, lam)

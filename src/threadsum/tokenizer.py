@@ -257,45 +257,3 @@ def tokenize_utterance(tok: Tokenizer, text: str, max_tokens: int) -> List[int]:
     if max_tokens < 2:
         raise ValueError(f"max_tokens must be >= 2, got {max_tokens}")
     return [tok.bos_id] + tok.encode(text)[:max_tokens - 1]
-
-
-def train_bpe(texts: Iterable[str], vocab_size: int) -> Tokenizer:
-    """Learn a small BPE vocabulary from raw texts (for fixtures and demos).
-
-    Specials come first, then every byte symbol observed in the corpus, then
-    merged symbols by descending pair frequency (lexicographic tie-break).
-    """
-    word_freq: Dict[Tuple[str, ...], int] = {}
-    alphabet = set()
-    for text in texts:
-        for piece in pre_tokenize(text):
-            mapped = tuple(_symbols(piece))
-            alphabet.update(mapped)
-            word_freq[mapped] = word_freq.get(mapped, 0) + 1
-
-    specials = list(REQUIRED_SPECIALS) + [UNK_TOKEN]
-    tokens: List[str] = specials + sorted(alphabet)
-    if len(tokens) > vocab_size:
-        raise ValueError(f"vocab_size {vocab_size} cannot hold {len(tokens)} base symbols")
-
-    merges: List[Tuple[str, str]] = []
-    words = dict(word_freq)
-    while len(tokens) < vocab_size:
-        pair_freq: Dict[Tuple[str, str], int] = {}
-        for word, freq in words.items():
-            for pair in zip(word, word[1:]):
-                pair_freq[pair] = pair_freq.get(pair, 0) + freq
-        if not pair_freq:
-            break
-        # deterministic: highest count, then shortest merged text, then lexicographic
-        best = min(pair_freq, key=lambda p: (-pair_freq[p], len(p[0] + p[1]), p))
-        merges.append(best)
-        tokens.append(best[0] + best[1])
-        rebuilt: Dict[Tuple[str, ...], int] = {}
-        for word, freq in words.items():
-            key = merge_pair(word, *best)
-            rebuilt[key] = rebuilt.get(key, 0) + freq
-        words = rebuilt
-
-    vocab = {tok: i for i, tok in enumerate(tokens)}
-    return Tokenizer(vocab, merges)

@@ -244,8 +244,9 @@ def train_step(model: Model, state: OptimizerState,
                loss_weight: float = 1.0) -> dict:
     """Accumulate summed gradients over the micro-batches, then apply once.
 
-    A micro-batch's graph lives only until its backward ends, so no two
-    graphs are alive at once, and clipping and the apply run with none.
+    Backward releases each rule of a micro-batch's graph, and the arrays
+    it reads, once the rule has run, so no two graphs' arrays are alive at
+    once, and clipping and the apply run with none.
     A non-finite loss or gradient norm raises ``NumericsError`` and leaves
     the parameters and the optimizer state as they were.
     """
@@ -261,7 +262,6 @@ def train_step(model: Model, state: OptimizerState,
         if loss_weight != 1.0:
             loss = ad.scale(loss, loss_weight)
         backward(loss)
-        del loss  # the last reference to this micro-batch's graph
         clm_sum += parts["loss_clm"]
         tp_sum += parts["loss_tp"]
     n = len(micro_batches)

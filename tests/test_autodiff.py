@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from threadsum import autodiff as ad
 from threadsum.autodiff import (
@@ -17,6 +18,8 @@ from threadsum.autodiff import (
     grad_check,
     no_grad,
 )
+
+from helpers import batched_matmul_transposed, mul, tensor_sum
 
 RNG = np.random.default_rng(7)
 
@@ -41,7 +44,7 @@ def check_op(build, *arrays, eps=1e-6, tol=1e-7):
     """Analytic grads of sum(build(*tensors)) vs finite differences."""
     params = [Parameter(f"p{i}", a.copy()) for i, a in enumerate(arrays)]
     out = build(*params)
-    loss = ad.tensor_sum(out) if out.size > 1 else out
+    loss = tensor_sum(out) if out.size > 1 else out
     backward(loss)
     for p in params:
         with no_grad():
@@ -95,7 +98,7 @@ def composite_attention(q, k, v, heads, layout, rng, p, rel=None):
     dz = q.shape[1] // heads
     kv_slots = head_slots(kv_valid, heads, dz)
     qh, kh, vh = q[head_slots(q_valid, heads, dz)], k[kv_slots], v[kv_slots]
-    scores = ad.matmul_transposed(qh, kh)
+    scores = batched_matmul_transposed(qh, kh)
     if rel is not None:
         table, buckets = rel
         rows = np.arange(len(buckets))[:, None]
@@ -134,7 +137,7 @@ class TestElementwiseOps:
     def test_add_equal_shapes(self):
         check_op(ad.add, RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("op", [ad.add, mul], ids=["add", "mul"])
     @pytest.mark.parametrize("shapes", [((2, 3, 4), (4,)), ((3, 1, 4), (3, 5, 1)),
                                         ((4, 3), (4,))], ids=["suffix", "size-one", "prefix"])
     def test_add_and_mul_take_one_shape(self, op, shapes):
@@ -154,7 +157,7 @@ class TestElementwiseOps:
     def test_sub_and_mul(self):
         # a difference is an add of a negated operand
         check_op(lambda a, b: ad.add(a, ad.scale(b, -1.0)), RNG.normal(size=(5,)), RNG.normal(size=(5,)))
-        check_op(ad.mul, RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3)))
+        check_op(mul, RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3)))
 
     def test_scale(self):
         check_op(lambda a: ad.scale(a, -2.5), RNG.normal(size=(4, 2)))
@@ -249,7 +252,7 @@ class TestMatmulAndShapes:
         # weighted, so that a misplaced slot shows in the gradient
         layout = [(valid, valid, key_padding(valid))]
         weights = Tensor(RNG.normal(size=x.shape))
-        check_op(lambda q, k, v: ad.mul(ad.attention(q, k, v, 2, layout, None, 0.0), weights),
+        check_op(lambda q, k, v: mul(ad.attention(q, k, v, 2, layout, None, 0.0), weights),
                  x, *RNG.normal(size=(2,) + x.shape))
 
     def test_split_heads_of_some_rows(self):
@@ -266,10 +269,10 @@ class TestMatmulAndShapes:
         w = np.zeros((7, 4))
         w[1:6] = RNG.normal(size=(5, 4))
         params = [Parameter(n, a) for n, a in zip("qkv", (q, k, v))]
-        backward(ad.tensor_sum(ad.mul(ad.attention(*params, 2, layout, None, 0.0), Tensor(w))))
+        backward(tensor_sum(mul(ad.attention(*params, 2, layout, None, 0.0), Tensor(w))))
         for p in params:
             assert not p.grad[[0, 6]].any()
-        check_op(lambda *a: ad.mul(ad.attention(*a, 2, layout, None, 0.0), Tensor(w)), q, k, v)
+        check_op(lambda *a: mul(ad.attention(*a, 2, layout, None, 0.0), Tensor(w)), q, k, v)
 
     def test_buckets_of_rows_round_trip(self):
         # two runs of rows, each laid out as its own heads and back to rows
@@ -281,7 +284,7 @@ class TestMatmulAndShapes:
         out = ad.attention(q, k, v, 2, layout, None, 0.0)
         np.testing.assert_array_equal(out.data, v.data)
         w = RNG.normal(size=(13, 4))
-        backward(ad.tensor_sum(ad.mul(out, Tensor(w))))
+        backward(tensor_sum(mul(out, Tensor(w))))
         np.testing.assert_array_equal(v.grad, w)
         assert not q.grad.any() and not k.grad.any()
 
@@ -290,23 +293,25 @@ class TestMatmulAndShapes:
         a = Tensor(RNG.normal(size=(3, 4)))
         b = Parameter("b", RNG.normal(size=(5, 4)))
         np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)
-        backward(ad.tensor_sum(ad.matmul_transposed(a, b)))
+        backward(tensor_sum(ad.matmul_transposed(a, b)))
         assert b.grad.flags.c_contiguous
         with pytest.raises(ShapeError):
             ad.matmul_transposed(a, Tensor(np.zeros((4, 5))))
-        # attention scores: the right operand has the left's batch axes
-        check_op(ad.matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 5, 4)))
+        # the right operand is 2-d; a batched one is the tests' own op,
+        # which needs the left's batch axes
+        for left in ((2, 3, 4), (3, 4)):
+            with pytest.raises(ShapeError):
+                ad.matmul_transposed(Tensor(np.zeros(left)), Tensor(np.zeros((2, 5, 4))))
+        check_op(batched_matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 5, 4)))
         with pytest.raises(ShapeError):
-            ad.matmul_transposed(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 5, 4))))
-        with pytest.raises(ShapeError):
-            ad.matmul_transposed(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 5, 4))))
+            batched_matmul_transposed(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 5, 4))))
         # a relation table projection: the 2-d right operand's gradient is
         # one product over all of the left's rows, in its own layout
         check_op(ad.matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(5, 4)))
         a = Tensor(RNG.normal(size=(2, 3, 4)))
         b = Parameter("b", RNG.normal(size=(5, 4)))
         np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)
-        backward(ad.tensor_sum(ad.matmul_transposed(a, b)))
+        backward(tensor_sum(ad.matmul_transposed(a, b)))
         assert b.grad.flags.c_contiguous
 
 
@@ -329,7 +334,7 @@ class TestTableGradient:
         if existing:
             expected += held
         table.grad = held
-        backward(ad.tensor_sum(ad.mul(ad.matmul_transposed(a, table), Tensor(w))))
+        backward(tensor_sum(mul(ad.matmul_transposed(a, table), Tensor(w))))
         if existing:
             assert table.grad is held
         np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
@@ -359,10 +364,131 @@ class TestTableGradient:
         second = loss()
         assert self._traced_peak(lambda: backward(second)) < table.data.nbytes
 
-    def test_cross_entropy_forward_keeps_one_logit_sized_scratch(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(8, 5000)))
-        peak = self._traced_peak(lambda: ad.cross_entropy(logits, np.arange(8)))
-        assert logits.data.nbytes <= peak < 1.5 * logits.data.nbytes
+    def test_tied_loss_second_backward_keeps_no_table_sized_scratch(self):
+        rng = np.random.default_rng(0)
+        table = Parameter("embed", rng.normal(size=(3 * self.B + 5, 64)))
+        x = Parameter("x", rng.normal(size=(2, 64)))
+        backward(ad.cross_entropy(x, [1, 2], table))
+        second = ad.cross_entropy(x, [1, 2], table)
+        assert self._traced_peak(lambda: backward(second)) < table.data.nbytes
+
+    def test_cross_entropy_forward_keeps_one_block_sized_scratch(self):
+        # the logits are read a block of GRAD_BLOCK_ROWS vocabulary entries
+        # at a time, whether given or formed against the table
+        rng = np.random.default_rng(0)
+        block = 8 * self.B * 8
+        logits = Tensor(rng.normal(size=(8, 5000)))
+        x, table = Tensor(rng.normal(size=(8, 64))), Tensor(rng.normal(size=(3 * self.B + 5, 64)))
+        for run in (lambda: ad.cross_entropy(logits, np.arange(8)),
+                    lambda: ad.cross_entropy(x, np.arange(8), table)):
+            assert block <= self._traced_peak(run) < 1.5 * block
+
+
+def logsumexp_reference(x, targets, table, seed=1.0):
+    """Plain-numpy loss and gradients of x and the table for the tied loss
+    ``seed`` * mean(logsumexp(x E^T) - (x E^T)[t])."""
+    logits = x @ table.T
+    rows = np.arange(len(x))
+    lse = logsumexp(logits, axis=1, keepdims=True)
+    loss = np.mean(lse[:, 0] - logits[rows, targets])
+    g = np.exp(logits - lse)
+    g[rows, targets] -= 1.0
+    g *= seed / len(x)
+    return loss, g @ table, g.T @ x
+
+
+def assert_close(got, want, tol=1e-12):
+    """|got - want| within ``tol`` of want's largest entry."""
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestTiedCrossEntropy:
+    """``cross_entropy`` with a table forms the logits x E^T a block of
+    GRAD_BLOCK_ROWS table rows at a time; its loss and gradients match a
+    logsumexp reference and the composite through ``matmul_transposed``."""
+
+    B = ad.GRAD_BLOCK_ROWS
+
+    @staticmethod
+    def _case(name):
+        """(x [S, d], table [V, d], targets) for one named case."""
+        rng = np.random.default_rng(len(name))
+        v, d = 2 * TestTiedCrossEntropy.B + 37, 6
+        table = rng.normal(size=(v, d))
+        if name == "several-blocks":
+            return rng.normal(size=(5, d)), table, rng.integers(0, v, size=5)
+        if name == "edge-and-repeated-targets":
+            return rng.normal(size=(7, d)), table, np.array([0, v - 1, 3, v - 1, 0, 4096, 4095])
+        # logits of about +-1e4: x's first coordinate meets a +-1 column
+        table[:, 0] = rng.choice([-1.0, 1.0], size=v)
+        table[:, 1:] *= 1e-3
+        x = np.zeros((4, d))
+        x[:, 0] = [1e4, -1e4, 1e4, -1e4]
+        return x, table, np.array([0, 1, v - 1, 2])
+
+    CASES = ["several-blocks", "edge-and-repeated-targets", "logits-1e4"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_logsumexp_reference(self, case):
+        xd, td, targets = self._case(case)
+        x, table = Parameter("x", xd.copy()), Parameter("table", td.copy())
+        loss = ad.cross_entropy(x, targets, table)
+        backward(ad.scale(loss, 0.37))
+        want_loss, want_x, want_table = logsumexp_reference(xd, targets, td, 0.37)
+        assert np.isfinite(loss.item())
+        assert abs(loss.item() - want_loss) <= 1e-12 * abs(want_loss)
+        assert_close(x.grad, want_x)
+        assert_close(table.grad, want_table)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_composite(self, case):
+        xd, td, targets = self._case(case)
+        got, ref = ([Parameter("x", xd.copy()), Parameter("table", td.copy())] for _ in range(2))
+        fused = ad.cross_entropy(got[0], targets, got[1])
+        composite = ad.cross_entropy(ad.matmul_transposed(*ref), targets)
+        assert abs(fused.item() - composite.item()) <= 1e-12 * abs(composite.item())
+        backward(fused)
+        backward(composite)
+        for p, r in zip(got, ref):
+            assert_close(p.grad, r.grad)
+            assert p.grad.flags.c_contiguous
+
+    def test_second_micro_batch_adds_into_the_table_gradient(self):
+        xd, td, targets = self._case("several-blocks")
+        x2 = np.random.default_rng(9).normal(size=(3, xd.shape[1]))
+        t2 = np.array([1, 2 * self.B + 36, 1])
+        table = Parameter("table", td.copy())
+        backward(ad.cross_entropy(Tensor(xd), targets, table))
+        buffer = table.grad
+        backward(ad.cross_entropy(Tensor(x2), t2, table))
+        assert table.grad is buffer
+        want = logsumexp_reference(xd, targets, td)[2] + logsumexp_reference(x2, t2, td)[2]
+        assert_close(table.grad, want)
+
+    def test_without_a_table_several_blocks_match_the_reference(self):
+        xd, td, targets = self._case("edge-and-repeated-targets")
+        logits = Parameter("logits", xd @ td.T)
+        loss = ad.cross_entropy(logits, targets)
+        backward(loss)
+        want_loss = logsumexp_reference(xd, targets, td)[0]
+        assert abs(loss.item() - want_loss) <= 1e-12 * abs(want_loss)
+        want = np.exp(logits.data - logsumexp(logits.data, axis=1, keepdims=True))
+        want[np.arange(len(xd)), targets] -= 1.0
+        assert_close(logits.grad, want / len(xd))
+
+    def test_keeps_no_logit_sized_array(self):
+        xd, td, targets = self._case("several-blocks")
+        x, table = Parameter("x", xd), Parameter("table", td)
+        held = held_arrays(ad.cross_entropy(x, targets, table).node)
+        s = len(xd)
+        assert sorted(a.shape for a in held) == sorted([(s,), (s, 1), (s, 1), xd.shape, td.shape])
+        assert any(a is xd for a in held) and any(a is td for a in held)
+
+    def test_rejects_misaligned(self):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(Tensor(np.zeros((2, 4))), [0, 1], Tensor(np.zeros((5, 3))))
+        with pytest.raises(IndexError):
+            ad.cross_entropy(Tensor(np.zeros((2, 4))), [0, 5], Tensor(np.zeros((5, 4))))
 
 
 class TestGathers:
@@ -393,7 +519,7 @@ class TestGathers:
         idx = np.array([[3, 0], [1, 1], [2, 3]])
         out = a[..., np.arange(3)[:, None], idx]
         np.testing.assert_array_equal(out.data, np.broadcast_to([[3, 0], [5, 5], [10, 11]], lead + (3, 2)))
-        backward(ad.tensor_sum(out))
+        backward(tensor_sum(out))
         counts = [np.bincount(row, minlength=4) for row in idx]
         np.testing.assert_array_equal(a.grad, np.broadcast_to(counts, lead + (3, 4)))
 
@@ -445,10 +571,10 @@ class TestGathers:
 
 class TestReductionsAndLosses:
     def test_sum_mean_axes(self):
-        check_op(lambda a: ad.tensor_sum(a), RNG.normal(size=(3, 4)))
-        check_op(lambda a: ad.tensor_sum(a, axis=1), RNG.normal(size=(3, 4)))
+        check_op(lambda a: tensor_sum(a), RNG.normal(size=(3, 4)))
+        check_op(lambda a: tensor_sum(a, axis=1), RNG.normal(size=(3, 4)))
         # a mean is a scaled sum
-        check_op(lambda a: ad.scale(ad.tensor_sum(a, axis=0), 1.0 / 3), RNG.normal(size=(3, 4)))
+        check_op(lambda a: ad.scale(tensor_sum(a, axis=0), 1.0 / 3), RNG.normal(size=(3, 4)))
 
     def test_softmax_rows_sum_to_one(self):
         x = RNG.normal(size=(4, 7)) * 30
@@ -469,7 +595,7 @@ class TestReductionsAndLosses:
             added = x + np.broadcast_to(bias, (6, 1, 4, 5)).reshape(24, 5)
             np.testing.assert_array_equal(probabilities(Tensor(x), bias, 6).data,
                                           probabilities(Tensor(added), None, 6).data)
-            check_op(lambda a, bias=bias: ad.mul(probabilities(a, bias, 6), Tensor(x)), x)
+            check_op(lambda a, bias=bias: mul(probabilities(a, bias, 6), Tensor(x)), x)
 
     def test_layer_norm(self):
         check_op(ad.layer_norm, RNG.normal(size=(2, 3, 6)),
@@ -501,16 +627,16 @@ class TestReductionsAndLosses:
         targets = RNG.integers(0, v, size=t)
         logits = Parameter("logits", x.copy())
         loss = ad.cross_entropy(logits, targets)
+        # it keeps no [T, V] array but the logits
+        held = held_arrays(loss.node)
+        assert sorted(a.shape for a in held) == [(t,), (t, 1), (t, 1), (t, v)]
+        assert any(a is logits.data for a in held)
         backward(ad.scale(loss, 0.37))
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
         want[np.arange(t), targets] -= 1.0
         want *= 0.37 / t
         np.testing.assert_array_equal(logits.grad, want)
-        # and it keeps no [T, V] array but the logits
-        held = held_arrays(loss.node)
-        assert sorted(a.shape for a in held) == [(t,), (t, 1), (t, 1), (t, v)]
-        assert any(a is logits.data for a in held)
 
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(IndexError):
@@ -596,7 +722,7 @@ class TestAttention:
         rel = None if relation is None else (params[3], relation)
         out = op(*params[:3], 2, layout, rng, p, rel)
         weights = np.random.default_rng(1).normal(size=out.shape)
-        backward(ad.tensor_sum(ad.mul(out, Tensor(weights))))
+        backward(tensor_sum(mul(out, Tensor(weights))))
         return [out.data] + [x.grad for x in params]
 
     @pytest.mark.parametrize("scale", [0.5, 1.0])
@@ -621,7 +747,7 @@ class TestAttention:
         def op(q, k, v, *table):
             # a fresh generator per call keeps the dropout draw fixed
             rel = None if relation is None else (table[0], relation)
-            return ad.mul(ad.attention(q, k, v, 2, layout, np.random.default_rng(5), p, rel), weights)
+            return mul(ad.attention(q, k, v, 2, layout, np.random.default_rng(5), p, rel), weights)
 
         check_op(op, *attention_arrays(layout, 6, relation is not None))
 
@@ -636,7 +762,7 @@ class TestAttention:
         for op in (ad.attention, composite_attention):
             q, k, v = (Parameter(n, a.copy()) for n, a in zip("qkv", arrays))
             out = op(q, k, v, 2, layout, None, p, (Tensor(arrays[3]), relation))
-            backward(ad.tensor_sum(ad.mul(out, Tensor(weights))))
+            backward(tensor_sum(mul(out, Tensor(weights))))
             grads.append([out.data, q.grad, k.grad, v.grad])
         for g, w in zip(*grads):
             np.testing.assert_array_equal(g, w)
@@ -700,25 +826,52 @@ class TestAttention:
 class TestGraphMechanics:
     def test_value_reused_twice_accumulates(self):
         x = Parameter("x", np.array([3.0]))
-        y = ad.mul(x, x)  # d/dx x^2 = 2x
-        backward(ad.tensor_sum(y))
+        y = mul(x, x)  # d/dx x^2 = 2x
+        backward(tensor_sum(y))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_diamond_graph(self):
         x = Parameter("x", np.array([2.0]))
         a = ad.scale(x, 3.0)
-        b = ad.mul(x, x)
-        out = ad.tensor_sum(ad.add(a, b))  # 3x + x^2 -> 3 + 2x = 7
+        b = mul(x, x)
+        out = tensor_sum(ad.add(a, b))  # 3x + x^2 -> 3 + 2x = 7
         backward(out)
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_backward_twice_doubles_param_grads(self):
         x = Parameter("x", RNG.normal(size=(3,)))
-        loss = ad.tensor_sum(ad.mul(x, x))
+        loss = tensor_sum(mul(x, x))
         backward(loss)
         first = x.grad.copy()
-        backward(ad.tensor_sum(ad.mul(x, x)))
+        backward(tensor_sum(mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * first)
+
+    def test_backward_releases_rules_and_keeps_parents(self):
+        x = Parameter("x", RNG.normal(size=(3, 4)))
+        y = ad.scale(x, 2.0)
+        loss = tensor_sum(ad.add(mul(y, y), y))
+        nodes = ComputationTape(loss).nodes
+        assert all(n.rule is not None for n in nodes if n is not x)
+        backward(loss)
+        after = ComputationTape(loss).nodes
+        assert [id(n) for n in after] == [id(n) for n in nodes]
+        assert all(n.rule is None and n.grad is None for n in after if n is not x)
+        np.testing.assert_allclose(x.grad, 2 * (2 * 2 * x.data + 1), rtol=1e-14)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["same-tape", "shared-graph"])
+    def test_second_backward_raises(self, shared):
+        x = Parameter("x", RNG.normal(size=(3,)))
+        y = mul(x, x)
+        loss = tensor_sum(y)
+        tape = ComputationTape(loss)
+        tape.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already run"):
+            if shared:
+                backward(tensor_sum(ad.scale(y, 2.0)))
+            else:
+                tape.backward()
+        np.testing.assert_array_equal(x.grad, first)
 
     @pytest.mark.parametrize("second_use", ["gather", "scale"])
     def test_seed_is_only_read(self, second_use):
@@ -753,7 +906,7 @@ class TestGraphMechanics:
         x = Parameter("x", np.array([1.0]))
         a = ad.scale(x, 2.0)
         b = ad.add(a, x)
-        c = ad.mul(b, a)
+        c = mul(b, a)
         tape = ComputationTape(c)
         pos = {id(n): i for i, n in enumerate(tape.nodes)}
         for node in tape.nodes:
@@ -763,22 +916,22 @@ class TestGraphMechanics:
     def test_no_grad_builds_no_graph(self):
         x = Parameter("x", np.ones(3))
         with no_grad():
-            y = ad.mul(x, x)
+            y = mul(x, x)
         assert not y.requires_grad and y.node is None
         with pytest.raises(RuntimeError):
-            backward(ad.tensor_sum(y))
+            backward(tensor_sum(y))
 
     def test_backward_needs_scalar(self):
         x = Parameter("x", np.ones(3))
         with pytest.raises(ShapeError):
-            backward(ad.mul(x, x))
+            backward(mul(x, x))
 
     def test_constants_are_not_tracked(self):
         x = Parameter("x", np.ones((2, 2)))
         c = Tensor(np.ones((2, 2)))
         y = ad.add(x, c)
         assert c.node is None and y.node.parents == (x,)
-        backward(ad.tensor_sum(y))
+        backward(tensor_sum(y))
         assert c.grad is None
 
     def test_dropout_eval_is_identity(self):
@@ -796,7 +949,7 @@ class TestGraphMechanics:
         kept = y.data != 0
         assert abs(kept.mean() - 0.75) < 0.02
         np.testing.assert_allclose(y.data[kept], 1 / 0.75)
-        backward(ad.tensor_sum(y))
+        backward(tensor_sum(y))
         np.testing.assert_array_equal(x.grad != 0, kept)
 
     def test_dropout_keeps_a_bool_mask(self):
@@ -847,14 +1000,14 @@ class TestHandOver:
             elif motif == "2-d-right":
                 outs += [ad.matmul_transposed(x, y), ad.matmul_transposed(x[self.PAIRS], y)]
             elif motif == "batched-right":
-                outs.append(ad.matmul_transposed(x[self.PAIRS], y[self.PAIRS]))
+                outs.append(batched_matmul_transposed(x[self.PAIRS], y[self.PAIRS]))
             elif motif == "attention":
                 # q and v are one operand, and with i == j k is too
                 outs.append(ad.attention(x, y, x, 2, layout, None, 0.0))
             else:
                 # the relation table is a third operand's rows
                 outs.append(ad.attention(x, y, y, 2, layout, None, 0.0, rel=(x[:, :2], self.RELATION)))
-        losses = [ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))) for out in outs]
+        losses = [tensor_sum(mul(out, Tensor(rng.normal(size=out.shape)))) for out in outs]
         total = losses[0]
         for loss in losses[1:]:
             total = ad.add(total, loss)
@@ -912,7 +1065,7 @@ class TestGradChecker:
             return ad._make(td * td, (t,), rule)
 
         def f():
-            return ad.tensor_sum(bad_square(ad.matmul(x, w)))
+            return tensor_sum(bad_square(ad.matmul(x, w)))
 
         report = grad_check(f, [w], eps=1e-5, tol=1e-6)
         assert not report.passed

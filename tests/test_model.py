@@ -33,6 +33,7 @@ from threadsum.model import (
 )
 from threadsum.objectives import instance_loss
 
+from helpers import mul, tensor_sum
 from test_autodiff import held_arrays
 
 
@@ -344,7 +345,7 @@ class TestTokenEncoder:
             toy_model.zero_grad()
             for start, batch in batches:
                 states, _ = toy_model.token_encode(batch)
-                backward(ad.tensor_sum(ad.mul(states, weights[start:start + states.shape[0]])))
+                backward(tensor_sum(mul(states, weights[start:start + states.shape[0]])))
             return [np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in params]
 
         together = grads([(0, token_ids)])
@@ -753,14 +754,27 @@ class TestTrainingTapeMemory:
         loss, _ = instance_loss(model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
         held = held_arrays(*(n for n in ComputationTape(loss).nodes if n.rule is not None))
         s, v = len(toy_input.summary_input), model.config.vocab_size
-        # the logits alone: cross-entropy keeps no [S, V] probabilities of its own
-        assert sum(a.dtype == np.float64 and a.shape == (s, v) for a in held) == 1
+        # no [S, V] array at all: the tied loss forms the logits a block at a
+        # time and keeps neither them nor their probabilities
+        assert sum(a.dtype == np.float64 and a.shape == (s, v) for a in held) == 0
         # dropout keeps bool masks: no float matrix of zeros and ones or
         # 1 / (1 - p) (every dropout site is a matrix; the pair labels are not)
         assert any(a.dtype == bool and a.size > 1 for a in held)
         mask_values = {0.0, 1.0, 1.0 / (1.0 - 0.1)}
         assert not [a.shape for a in held if a.dtype.kind == "f" and a.ndim > 1 and a.any()
                     and 0.0 in a and set(np.unique(a)) <= mask_values]
+        toy_model.zero_grad()
+
+    def test_backward_releases_every_rule_of_a_held_loss(self, toy_model, toy_input):
+        loss, _ = instance_loss(toy_model, toy_input, rng=np.random.default_rng(0), pair_rng=0)
+        before = ComputationTape(loss).nodes
+        ruled = [n for n in before if n.rule is not None]
+        assert len(ruled) > 50 and held_arrays(*ruled)
+        backward(loss)
+        after = ComputationTape(loss).nodes
+        assert [id(n) for n in after] == [id(n) for n in before]
+        assert not [n for n in after if n.rule is not None]
+        assert not [n for n in after if n.grad is not None and n not in toy_model.parameters()]
         toy_model.zero_grad()
 
 

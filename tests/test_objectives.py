@@ -16,6 +16,8 @@ from threadsum.objectives import (
     total_loss,
 )
 
+from helpers import tensor_sum
+
 
 def chain(n):
     utts = [Utterance(0, "a", "r", 0, None)]
@@ -232,7 +234,7 @@ class TestTotalLoss:
             return ad.cross_entropy(ad.matmul(x, w), t)
 
         def tp():
-            return ad.binary_cross_entropy(ad.sigmoid(ad.tensor_sum(ad.matmul(x, w), axis=1)), labels)
+            return ad.binary_cross_entropy(ad.sigmoid(tensor_sum(ad.matmul(x, w), axis=1)), labels)
 
         lam = 0.7
         w.zero_grad()
@@ -275,6 +277,31 @@ class TestInstanceLoss:
         loss, metrics = instance_loss(ft, mi)
         assert metrics["loss_tp"] == 0.0
         assert abs(loss.item() - metrics["loss_clm"]) < 1e-12
+
+    def test_tied_loss_matches_the_logit_path(self, setup, tiny_tokenizer):
+        # training's CLM term takes the decoder states and the table; the
+        # same draws through Model.forward's logits give the same loss and
+        # gradients
+        model, mi = setup
+        cfg = toy_config(vocab_size=tiny_tokenizer.vocab_size, lambda_thread_pred=0.0, dropout=0.1)
+        ft = Model(cfg, model.params)
+        results = []
+        for tied in (True, False):
+            ft.zero_grad()
+            rng = np.random.default_rng(4)
+            if tied:
+                loss, _ = instance_loss(ft, mi, rng=rng)
+            else:
+                loss = clm_loss(ft.forward(mi, rng=rng).logits, mi.summary_target)
+            backward(loss)
+            results.append((loss.item(), {p.name: p.grad.copy() for p in ft.parameters()
+                                          if p.grad is not None}))
+        (tied_loss, tied), (loss, ref) = results
+        assert abs(tied_loss - loss) <= 1e-12 * loss
+        assert tied.keys() == ref.keys() and "embed.tokens" in ref
+        for name, g in ref.items():
+            assert np.abs(tied[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+        ft.zero_grad()
 
     def test_joint_grad_check_fast(self, setup):
         # tiny end-to-end check on a few parameters; the exhaustive version

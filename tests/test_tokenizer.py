@@ -18,8 +18,9 @@ from threadsum.tokenizer import (
     merge_pair,
     pre_tokenize,
     tokenize_utterance,
-    train_bpe,
 )
+
+from helpers import train_bpe
 
 
 class TestPreTokenizer:

