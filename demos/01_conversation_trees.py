@@ -41,7 +41,7 @@ while node is not None:
     thread.append(node)
     node = tree[node].parent_id
 print("utterance 4's thread back to the root:", thread)
-assert all(tree.is_ancestor(j, 4) for j in thread[1:])
+assert anc[4, thread[1:]].all()
 
 # relation buckets drive thread-aware attention.  Bucket 0 means "not on the
 # same root-to-leaf path"; same-path pairs get 1 + k + clip(depth delta, k),

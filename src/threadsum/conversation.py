@@ -130,17 +130,6 @@ class ConversationTree:
         """Number of reply edges from utterance ``i`` up to the root."""
         return self._depths[i]
 
-    def is_ancestor(self, j: int, i: int) -> bool:
-        """True when utterance ``j`` is a strict ancestor of utterance ``i``."""
-        self._check_index(i)
-        self._check_index(j)
-        if self._depths[j] >= self._depths[i]:
-            return False
-        node = i
-        while self._depths[node] > self._depths[j]:
-            node = self.utterances[node].parent_id
-        return node == j
-
     def ancestor_matrix(self) -> np.ndarray:
         """Boolean [n, n] matrix with entry (i, j) true iff j is a strict ancestor of i."""
         n = len(self)
@@ -151,10 +140,6 @@ class ConversationTree:
                 out[i, node] = True
                 node = self.utterances[node].parent_id
         return out
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.utterances):
-            raise IndexError(f"utterance index {i} out of range for tree of size {len(self)}")
 
 
 def num_relation_buckets(k: int) -> int:

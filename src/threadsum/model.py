@@ -301,7 +301,7 @@ def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInsta
     """Tokenize a training instance and precompute its discrete structure."""
     tree = instance.tree
     token_ids = [tokenize_utterance(tok, u.text, config.max_utterance_tokens) for u in tree]
-    content = tok.encode(instance.pseudo_summary)[: config.max_summary_tokens - 2]
+    content = tok.encode(instance.pseudo_summary, config.max_summary_tokens - 2)
     full = [tok.bos_id] + content + [tok.eos_id]
     return ModelInput(
         token_ids=token_ids,

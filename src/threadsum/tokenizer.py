@@ -9,11 +9,16 @@ per character.  ASCII letters, the space and the apostrophe stay themselves
 other whitespace a tab and everything else ``!``.  One compiled pattern
 splits that class string, and each piece is the same span of the text.
 
-``encode`` memoizes the ids of each distinct piece, so a repeated word costs
-one dictionary lookup.  Special tokens are plain vocabulary entries with
-reserved surface forms; ``encode`` splits them out of the text with one
-compiled pattern (leftmost match, then longest) and maps each to its id
-instead of byte-splitting it.
+The merge loop keeps a list of the rank of each adjacent pair of symbols.
+Each round merges every left-to-right occurrence of the lowest-ranked pair
+and re-ranks only the two pairs beside each new symbol.  ``encode``
+memoizes the ids of each distinct piece, so a repeated word costs one
+dictionary lookup; with a ``limit`` it stops at the first piece that starts
+at or past it, so the text a truncation drops is never merged.
+
+Special tokens are plain vocabulary entries with reserved surface forms;
+``encode`` splits them out of the text with one compiled pattern (leftmost
+match, then longest) and maps each to its id instead of byte-splitting it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import unicodedata
 from itertools import islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -91,26 +97,6 @@ def pre_tokenize(text: str) -> List[str]:
     return [text[m.start():m.end()] for m in _PIECE.finditer(text.translate(_CLASSES))]
 
 
-def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:
-    """``word`` with each left-to-right occurrence of (first, second) fused into one symbol."""
-    merged: List[str] = []
-    i, last = 0, len(word) - 1
-    while i <= last:
-        try:
-            j = word.index(first, i)
-        except ValueError:
-            break
-        merged += word[i:j]
-        if j < last and word[j + 1] == second:
-            merged.append(first + second)
-            i = j + 2
-        else:
-            merged.append(first)
-            i = j + 1
-    merged += word[i:]
-    return tuple(merged)
-
-
 class Tokenizer:
     """Vocabulary + merge ranks; id space is [0, vocab_size).
 
@@ -154,16 +140,28 @@ class Tokenizer:
 
     # -- core BPE ----------------------------------------------------------
 
-    def _bpe(self, symbols: str) -> Tuple[str, ...]:
-        """Apply the merges to a piece's byte symbols, lowest rank first."""
+    def _bpe(self, symbols: str) -> List[str]:
+        """Apply the merges to a piece's byte symbols, lowest rank first;
+        ``pair_ranks[i]`` is the rank of ``(word[i], word[i + 1])``."""
         ranks, merges = self.ranks, self.merges
         unranked = len(merges)
-        word = tuple(symbols)
-        while len(word) > 1:
-            best = min(map(ranks.get, zip(word, word[1:]), repeat(unranked)))
+        word = list(symbols)
+        pair_ranks = list(map(ranks.get, zip(word, word[1:]), repeat(unranked)))
+        while pair_ranks:
+            best = min(pair_ranks)
             if best == unranked:
                 break
-            word = merge_pair(word, *merges[best])
+            merged = "".join(merges[best])
+            # a merge never re-forms its own pair, so the leftmost occurrence
+            # left is the next one left to right
+            while best in pair_ranks:
+                i = pair_ranks.index(best)
+                word[i] = merged
+                del word[i + 1], pair_ranks[i]
+                if i:
+                    pair_ranks[i - 1] = ranks.get((word[i - 1], merged), unranked)
+                if i < len(pair_ranks):
+                    pair_ranks[i] = ranks.get((merged, word[i + 1]), unranked)
         return word
 
     def _piece_ids(self, piece: str) -> Tuple[int, ...]:
@@ -180,21 +178,31 @@ class Tokenizer:
         cache[piece] = ids
         return ids
 
-    def _encode_plain(self, text: str) -> List[int]:
+    def encode(self, text: str, limit: Optional[int] = None) -> List[int]:
+        """The ids of ``text``; with ``limit``, exactly ``encode(text)[:limit]``.
+
+        A capped encode pre-tokenizes each run of plain text whole, as an
+        uncapped one does, but stops at the first piece that starts at or
+        past the limit: no piece there is merged or cached.  So a piece past
+        the limit that the vocabulary cannot encode, with no ``<unk>``,
+        raises nothing.
+        """
+        if limit is None:
+            limit = sys.maxsize
+        elif limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         get = self._bpe_cache.get
         ids: List[int] = []
-        for piece in pre_tokenize(text):
-            ids += get(piece) or self._piece_ids(piece)
-        return ids
-
-    def encode(self, text: str) -> List[int]:
         # split with a capture group: plain text at even indices, specials at odd
-        parts = self._special_re.split(text)
-        ids = self._encode_plain(parts[0])
-        for special, plain in zip(parts[1::2], parts[2::2]):
-            ids.append(self.vocab[special])
-            ids += self._encode_plain(plain)
-        return ids
+        for k, part in enumerate(self._special_re.split(text)):
+            if k % 2:
+                ids.append(self.vocab[part])
+                continue
+            for piece in pre_tokenize(part):
+                if len(ids) >= limit:
+                    return ids[:limit]
+                ids += get(piece) or self._piece_ids(piece)
+        return ids[:limit]
 
     def decode(self, ids: Iterable[int]) -> str:
         out: List[str] = []
@@ -256,4 +264,4 @@ def tokenize_utterance(tok: Tokenizer, text: str, max_tokens: int) -> List[int]:
     """bos followed by at most max_tokens - 1 content ids (tail truncated)."""
     if max_tokens < 2:
         raise ValueError(f"max_tokens must be >= 2, got {max_tokens}")
-    return [tok.bos_id] + tok.encode(text)[:max_tokens - 1]
+    return [tok.bos_id] + tok.encode(text, max_tokens - 1)

@@ -82,18 +82,20 @@ def truncate_instance(instance: TrainingInstance, config: ModelConfig,
     utterances = instance.tree.utterances
     changed = len(utterances) > config.max_utterances
     per_utt = config.max_utterance_tokens - 1
+    per_summary = config.max_summary_tokens - 2
     trimmed = []
     for u in utterances[: config.max_utterances]:
-        ids = tokenizer.encode(u.text)
+        # one id past the cap, since _cut_text reads the id at the cut
+        ids = tokenizer.encode(u.text, per_utt + 1)
         if len(ids) > per_utt:
             trimmed.append(replace(u, text=_cut_text(tokenizer, ids, per_utt)))
             changed = True
         else:
             trimmed.append(u)
     summary = instance.pseudo_summary
-    ids = tokenizer.encode(summary)
-    if len(ids) > config.max_summary_tokens - 2:
-        summary = _cut_text(tokenizer, ids, config.max_summary_tokens - 2)
+    ids = tokenizer.encode(summary, per_summary + 1)
+    if len(ids) > per_summary:
+        summary = _cut_text(tokenizer, ids, per_summary)
         changed = True
 
     if not changed:

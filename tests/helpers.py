@@ -3,8 +3,9 @@
 Graph ops the tests build losses and oracles with: an elementwise product,
 a sum, and ``a @ b^T`` against a right operand with the left's batch axes.
 They follow ``threadsum.autodiff``'s rules: operands of one shape, no
-broadcasting, and every gradient handed over to its receiver.  And a BPE
-trainer for small fixture vocabularies.
+broadcasting, and every gradient handed over to its receiver.  A pointwise
+ancestry test for conversation trees.  And a BPE trainer for small fixture
+vocabularies, with the pair merge it applies to each word.
 """
 
 from typing import Dict, Iterable, List, Tuple
@@ -13,12 +14,12 @@ import numpy as np
 
 from threadsum import autodiff as ad
 from threadsum.autodiff import ShapeError, Tensor
+from threadsum.conversation import ConversationTree
 from threadsum.tokenizer import (
     REQUIRED_SPECIALS,
     UNK_TOKEN,
     Tokenizer,
     _symbols,
-    merge_pair,
     pre_tokenize,
 )
 
@@ -60,6 +61,39 @@ def batched_matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
             bn.accumulate_grad(np.swapaxes(g, -1, -2) @ x)
 
     return ad._make(x @ np.swapaxes(y, -1, -2), (a, b), rule)
+
+
+def is_ancestor(tree: ConversationTree, j: int, i: int) -> bool:
+    """True when utterance ``j`` is a strict ancestor of utterance ``i``."""
+    for k in (i, j):
+        if not 0 <= k < len(tree):
+            raise IndexError(f"utterance index {k} out of range for tree of size {len(tree)}")
+    if tree.depth(j) >= tree.depth(i):
+        return False
+    node = i
+    while tree.depth(node) > tree.depth(j):
+        node = tree[node].parent_id
+    return node == j
+
+
+def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:
+    """``word`` with each left-to-right occurrence of (first, second) fused into one symbol."""
+    merged: List[str] = []
+    i, last = 0, len(word) - 1
+    while i <= last:
+        try:
+            j = word.index(first, i)
+        except ValueError:
+            break
+        merged += word[i:j]
+        if j < last and word[j + 1] == second:
+            merged.append(first + second)
+            i = j + 2
+        else:
+            merged.append(first)
+            i = j + 1
+    merged += word[i:]
+    return tuple(merged)
 
 
 def train_bpe(texts: Iterable[str], vocab_size: int) -> Tokenizer:

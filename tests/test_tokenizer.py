@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadsum.fileio import CorpusError
 from threadsum.tokenizer import (
     BOS_TOKEN,
     EOS_TOKEN,
@@ -15,12 +16,11 @@ from threadsum.tokenizer import (
     URL_TOKEN,
     Tokenizer,
     bytes_to_unicode,
-    merge_pair,
     pre_tokenize,
     tokenize_utterance,
 )
 
-from helpers import train_bpe
+from helpers import merge_pair, train_bpe
 
 
 class TestPreTokenizer:
@@ -420,3 +420,63 @@ class TestAgainstTheLoops:
         assert tok.encode("ab") == [tok.vocab["a"], tok.vocab["b"]]
         assert list(tok._bpe_cache) == ["ab"]
 
+
+class TestCappedEncode:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.lists(st.one_of(TEXTS, SPECIAL_MIXES), max_size=3).map("".join), data=st.data())
+    def test_capped_encode_is_the_full_encode_cut(self, text, data):
+        full = BYTE_COMPLETE.encode(text)
+        limit = data.draw(st.integers(0, len(full) + 2), label="limit")
+        fresh = Tokenizer(BYTE_COMPLETE.vocab, BYTE_COMPLETE.merges)
+        assert fresh.encode(text, limit) == full[:limit]
+        # each piece merged starts inside the cap and gives at least one id
+        assert len(fresh._bpe_cache) <= limit
+        assert BYTE_COMPLETE.encode(text, limit) == full[:limit]  # every piece cached
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            BYTE_COMPLETE.encode("abc", -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_merge_loop_matches_the_loop_on_random_merge_tables(self, data):
+        pool = ["a", "b", "c"]
+        merges = []
+        for _ in range(data.draw(st.integers(0, 10), label="merges")):
+            pair = (data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+            merges.append(pair)
+            pool.append(pair[0] + pair[1])
+        tokens = list(REQUIRED_SPECIALS) + pool
+        tok = Tokenizer({t: i for i, t in enumerate(dict.fromkeys(tokens))}, merges)
+        # runs of one repeated symbol make overlapping occurrences of a pair
+        runs = st.builds(str.__mul__, st.sampled_from("abc"), st.integers(1, 9))
+        chunks = st.one_of(runs, st.text("abc", min_size=1, max_size=4))
+        word = data.draw(st.lists(chunks, min_size=1, max_size=4).map("".join), label="word")
+        assert tuple(tok._bpe(word)) == loop_bpe(word, tok.ranks)
+
+    @pytest.mark.parametrize("word,merges,expected", [
+        ("aaa", [("a", "a")], ["aa", "a"]),
+        # every (a, b) merges in one round before the lower-ranked (ab, a) forms
+        ("abab", [("ab", "a"), ("a", "b")], ["ab", "ab"]),
+    ])
+    def test_merge_rounds(self, word, merges, expected):
+        tokens = list(REQUIRED_SPECIALS) + ["a", "b"] + ["".join(m) for m in merges]
+        tok = Tokenizer({t: i for i, t in enumerate(dict.fromkeys(tokens))}, merges)
+        assert tok._bpe(word) == expected
+        assert tuple(expected) == loop_bpe(word, tok.ranks)
+
+    def test_missing_unk_raises_inside_the_cap_only(self):
+        tokens = list(REQUIRED_SPECIALS) + ["a", "b"]
+        tok = Tokenizer({t: i for i, t in enumerate(tokens)}, [])
+        a, b = tok.vocab["a"], tok.vocab["b"]
+        # a piece that starts inside the cap is merged whole
+        with pytest.raises(CorpusError, match="not in vocabulary"):
+            tok.encode("ac", 1)
+        with pytest.raises(CorpusError, match="not in vocabulary"):
+            tok.encode("ab c", 3)
+        assert tok._bpe_cache == {"ab": (a, b)}
+        # one that starts past it is neither merged nor cached
+        assert tok.encode("ab c", 2) == [a, b]
+        assert tok.encode(f"a{EOS_TOKEN}c", 2) == [a, tok.eos_id]
+        assert tok.encode("ab c", 0) == []
+        assert set(tok._bpe_cache) == {"ab", "a"}

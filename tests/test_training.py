@@ -16,7 +16,7 @@ from threadsum.checkpoint import (
     save_checkpoint,
 )
 from threadsum.conversation import ConversationTree, Utterance
-from threadsum.corpus import TrainingInstance
+from threadsum.corpus import TrainingInstance, read_instances
 from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
 from threadsum.objectives import instance_loss
@@ -121,6 +121,32 @@ class TestTruncation:
         out = truncate_instance(inst, cfg, tok)
         assert out.tree.utterances[0].text == "x"
         assert out.pseudo_summary == "x"
+
+    def test_capped_encodes_match_the_full_encode(self, tiny_tokenizer, fixture_dir):
+        # the reference cuts each text from its uncapped ids
+        tok = tiny_tokenizer
+
+        def cut(text, cap):
+            ids = tok.encode(text)
+            if len(ids) <= cap:
+                return text
+            while cap > 0 and tok.continues_character(ids[cap]):
+                cap -= 1
+            return tok.decode(ids[:cap])
+
+        (inst,) = read_instances(f"{fixture_dir}/corpus/expected-00000.jsonl")
+        cuts = 0
+        for utt_cap, summary_cap in zip(range(2, 20), range(2, 56, 3)):
+            cfg = toy_config(vocab_size=tok.vocab_size, max_utterance_tokens=utt_cap,
+                             max_summary_tokens=summary_cap)
+            out = truncate_instance(inst, cfg, tok)
+            want = [cut(u.text, utt_cap - 1) for u in inst.tree.utterances[:cfg.max_utterances]]
+            assert [u.text for u in out.tree.utterances] == want
+            assert out.pseudo_summary == cut(inst.pseudo_summary, summary_cap - 2)
+            cuts += out is not inst
+        # every cap cuts the fixture's longest utterance (19 ids); the summary
+        # (51 ids) is cut by all but the last
+        assert cuts == 18
 
     @settings(max_examples=60, deadline=None)
     @given(texts=st.lists(st.text(max_size=12), min_size=2, max_size=5), merges=st.integers(0, 8),
