@@ -7,12 +7,12 @@ order, and a central-finite-difference gradient checker.  Ops are plain
 functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 
 There is no broadcasting between operands: ``add`` takes two arrays of one
-shape, and ``matmul`` equal batch axes, so no backward rule has to sum a
-gradient back down to a smaller operand.  A product against a transposed
-operand is ``matmul_transposed``, whose right operand is 2-d and whose
-gradient is summed over all the left's rows.  The one constant that
-broadcasts, an attention mask, enters through ``attention``'s layout,
-outside the graph.
+shape, so no backward rule has to sum a gradient back down to a smaller
+operand.  A row product is ``linear``, 2-d by 2-d, with an optional bias.
+A product against a transposed operand is ``matmul_transposed``, whose
+right operand is 2-d and whose gradient g^T a is one product over all the
+left's rows.  The one constant that broadcasts, an attention mask, enters
+through ``attention``'s layout, outside the graph.
 
 ``attention`` is all of multi-head attention between the projections: from
 packed [N, d] query rows to packed key and value rows, laying buckets of
@@ -21,30 +21,30 @@ softmax, dropout and the product with the values, back to packed rows.
 ``cross_entropy`` with a table is the tied output projection and the loss
 in one op, so training holds no [S, V] array.
 
-A tensor's value is apart from its place in the graph.  An op's output
-points at a ``Node`` holding the gradient, the parent nodes, the backward
-rule, and the value's shape and dtype; a ``Parameter`` is its own node and
-a constant has none.  Rules reference nodes, never tensors, and close over
-just the arrays they read, so a value lives only while forward code or a
-rule holds it, and dropout outputs and residual sums are freed during
-forward.  The large ops' rules read little: ``attention`` its q, k and v
-rows as given and each bucket's probabilities and bool keep mask, never
-the scores or a head copy; ``dropout`` a bool mask; ``gelu`` its
-derivative; and ``cross_entropy`` its input rows and each row's max and
-exponential sum.  Backward frees each rule's arrays once the rule has run.
+A ``Tensor`` is a value: an array and an optional ``node``, its place in
+the graph.  An op's output points at a ``Node`` holding the gradient, the
+parent nodes, the backward rule, and the value's shape and dtype.  A
+``Parameter`` points at a leaf node, one without parents, made with it and
+holding its gradient but no reference back to it; a constant has no node.
+Rules reference nodes, never tensors, and close over just the arrays they
+read, so a value lives only while forward code or a rule holds it, and
+dropout outputs and residual sums are freed during forward.  The large
+ops' rules read little: ``attention`` its q, k and v rows as given and
+each bucket's probabilities and bool keep mask, never the scores or a head
+copy; ``dropout`` a bool mask; ``gelu`` its derivative; and
+``cross_entropy`` its input rows and each row's max and exponential sum.
+Backward frees each rule's arrays once the rule has run.
 
 Gradients change hands: an array a backward rule passes to
 ``accumulate_grad`` belongs to the receiver from then on, and the rule
-never touches it again.  A node keeps its first gradient as is and adds
-later ones into it in place.  So no two nodes ever hold one array: ``add``
-hands ``g`` to one operand and a copy to the other when both need it.
-Indexing and a table (``matmul_transposed``'s right operand,
-``cross_entropy``'s ``table``) add into its gradient in place
-(``Node.grad_buffer``), a table GRAD_BLOCK_ROWS rows at a time, so the
-embedding table's gradient has no table-sized scratch beside it.  A
-``Parameter`` copies a strided first gradient, so every parameter gradient
-is C-contiguous: clipping may scale it in place and micro-batches
-accumulate into it.
+never touches it again.  A node keeps its first gradient, copied to C
+order if strided, and adds later ones into it in place, so every gradient
+is C-contiguous: clipping may scale a parameter's in place and
+micro-batches accumulate into it.  No two nodes ever hold one array:
+``add`` hands ``g`` to one operand and a copy to the other when both need
+it.  Indexing and ``cross_entropy``'s ``table`` add into a gradient in
+place (``Node.grad_buffer``), the table GRAD_BLOCK_ROWS rows at a time, so
+the embedding table's gradient has no table-sized scratch beside it.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     # ops
-    "add", "scale", "matmul", "matmul_transposed", "attention", "attention_scores",
+    "add", "scale", "matmul_transposed", "attention", "attention_scores",
     "layer_norm", "linear", "gelu", "sigmoid", "dropout", "cross_entropy", "binary_cross_entropy",
 ]
 
@@ -79,8 +79,8 @@ _GRAD_ENABLED = True
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# table rows per block of a table's gradient (4 MiB of scratch at d = 128
-# in float64) and of cross_entropy's logits
+# vocabulary entries per block of cross_entropy: the logit columns it forms
+# at a time, and the table rows whose gradient it adds at a time
 GRAD_BLOCK_ROWS = 4096
 
 
@@ -123,9 +123,10 @@ class Node:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Take ``g``, which from now on belongs to this node: keep it as
-        the gradient if there is none yet, else add it into the gradient."""
+        the gradient if there is none yet, copied to C order if strided,
+        else add it into the gradient."""
         if self.grad is None:
-            self.grad = g
+            self.grad = g if g.flags.c_contiguous else np.array(g, order="C")
         else:
             self.grad += g
 
@@ -138,21 +139,24 @@ class Node:
         return self.grad
 
 
-class Tensor(Node):
+class Tensor:
     """A dense array and, when a tape recorded the op that made it, that
     op's ``node``; a constant has none.  ``data`` may be rebound only to an
     array of the same shape and dtype."""
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, node: Optional[Node] = None):
         self.data = np.asarray(data, dtype=data.dtype if isinstance(data, np.ndarray) else np.float64)
-        super().__init__(self.data.shape, self.data.dtype)
-        self._node = node
+        self.node = node
 
     @property
-    def node(self) -> Optional[Node]:
-        return self._node
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def requires_grad(self) -> bool:
@@ -181,31 +185,27 @@ class Tensor(Node):
 
 
 class Parameter(Tensor):
-    """Named learnable tensor, its own graph node; ``decay`` marks
-    eligibility for weight decay."""
+    """Named learnable tensor over a leaf node of its own, which holds its
+    gradient; ``decay`` marks eligibility for weight decay."""
 
     __slots__ = ("name", "decay")
 
     def __init__(self, name: str, data, decay: bool = True):
-        super().__init__(np.asarray(data))
+        data = np.asarray(data)
+        super().__init__(data, Node(data.shape, data.dtype))
         self.name = name
         self.decay = decay
 
     @property
-    def node(self) -> Node:
-        # not an attribute: a tensor that referenced itself would be freed
-        # only by the cyclic garbage collector
-        return self
+    def grad(self) -> Optional[np.ndarray]:
+        return self.node.grad
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """As ``Node.accumulate_grad``, but a strided first gradient is
-        copied, so the gradient is always C-contiguous."""
-        if self.grad is None and not g.flags.c_contiguous:
-            g = np.array(g, order="C")
-        super().accumulate_grad(g)
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self.node.grad = g
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.node.grad = None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -214,11 +214,8 @@ class Parameter(Tensor):
 def _make(data: np.ndarray, operands: Sequence[Tensor], rule: Callable) -> Tensor:
     """An op's output, with a node over the operands' nodes when a tape
     records; else ``rule`` is dropped."""
-    out = Tensor(data)
     parents = _GRAD_ENABLED and tuple(t.node for t in operands if t.node is not None)
-    if parents:
-        out._node = Node(out.shape, out.dtype, parents, rule)
-    return out
+    return Tensor(data, Node(data.shape, data.dtype, parents, rule) if parents else None)
 
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -249,29 +246,9 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), rule)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for operands with equal batch axes ([..., s, k] @ [..., k, n])."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not align")
-    if ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul batch dims of {ad.shape} and {bd.shape} differ")
-
-    def rule(g, an=a.node, bn=b.node):
-        if an is not None:
-            an.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
-        if bn is not None:
-            bn.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
-
-    return _make(ad @ bd, (a, b), rule)
-
-
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b^T`` for ``a`` [..., s, k] and a 2-d ``b`` [t, k].
-
-    ``b``'s gradient g^T a, summed over all of ``a``'s rows, is added into
-    its gradient buffer GRAD_BLOCK_ROWS rows at a time, so a table-sized
-    ``b`` gets no table-sized scratch."""
+    """``a @ b^T`` for ``a`` [..., s, k] and a 2-d ``b`` [t, k]; ``b``'s
+    gradient is g^T a, summed over all of ``a``'s rows."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[-1]:
         raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align "
@@ -281,11 +258,7 @@ def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
         if an is not None:
             an.accumulate_grad(g @ bd)
         if bn is not None:
-            g2, a2 = g.reshape(-1, g.shape[-1]), ad.reshape(-1, ad.shape[-1])
-            buf = bn.grad_buffer()
-            for start in range(0, len(buf), GRAD_BLOCK_ROWS):
-                rows = slice(start, start + GRAD_BLOCK_ROWS)
-                buf[rows] += g2[:, rows].T @ a2
+            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).T @ ad.reshape(-1, ad.shape[-1]))
 
     return _make(ad @ bd.T, (a, b), rule)
 
@@ -447,15 +420,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gd + bias.data, (x, gain, bias), rule)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of the rows of a 2-d ``x``: x @ w + b."""
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """The rows of a 2-d ``x`` through a 2-d ``w``: x @ w, plus ``b`` if given."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} do not align")
     y = xd @ wd
-    y += b.data
+    if b is not None:
+        y += b.data
 
-    def rule(g, xn=x.node, wn=w.node, bn=b.node):
+    def rule(g, xn=x.node, wn=w.node, bn=None if b is None else b.node):
         if xn is not None:
             xn.accumulate_grad(g @ wd.T)
         if wn is not None:
@@ -463,7 +437,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if bn is not None:
             bn.accumulate_grad(g.sum(axis=0))
 
-    return _make(y, (x, w, b), rule)
+    return _make(y, (x, w) + (() if b is None else (b,)), rule)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -624,11 +598,11 @@ class ComputationTape:
         """Run every recorded backward rule once, children before parents;
         the root gets a copy of ``seed``.
 
-        Each node but a parameter drops its gradient and its rule, and so
-        the arrays the rule reads, once the rule has run; the parent links
-        stay, so the graph can still be walked, but a second backward over
-        it raises ``RuntimeError``.  Parameters keep accumulating."""
-        if any(node.rule is None and not isinstance(node, Parameter) for node in self.nodes):
+        Each node but a leaf (a parameter's) drops its gradient and its
+        rule, and so the arrays the rule reads, once the rule has run; the
+        parent links stay, so the graph can still be walked, but a second
+        backward over it raises ``RuntimeError``.  Leaves keep accumulating."""
+        if any(node.rule is None and node.parents for node in self.nodes):
             raise RuntimeError("backward has already run over this graph and released its rules")
         root = self.root
         root.grad = None
@@ -636,7 +610,7 @@ class ComputationTape:
         for node in reversed(self.nodes):
             if node.rule is not None and node.grad is not None:
                 node.rule(node.grad)
-            if not isinstance(node, Parameter):
+            if node.parents:
                 node.grad = node.rule = None
 
 

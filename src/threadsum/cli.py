@@ -18,10 +18,11 @@ that older versions accepted and that have since been removed.  So is a value
 of another type than its key's default (a bool, an integer or a number, and
 null for train.clip_norm and decode.max_len), or one the run cannot honour,
 such as a shard size, beam size or log interval below 1, a negative learning
-rate, a clip norm of 0, a min_len beyond the summary cap or a non-finite
-length penalty; each is reported before the command reads its data or
-builds a model.  A manifest is written atomically before and after each
-file-producing run; commands that only print to stdout write one when
+rate, a clip norm of 0, a min_len beyond the summary cap, a non-finite
+length penalty, or a build-corpus length cap set by flag without the
+--vocab that applies it; each is reported before the command reads its
+data or builds a model.  A manifest is written atomically before and after
+each file-producing run; commands that only print to stdout write one when
 --manifest is given.  Manifests, --stats files, corpus shards, predictions
 and score reports go through the one atomic writer (fileio.atomic_write), so
 a failed run leaves none of them half-written.
@@ -292,6 +293,12 @@ def _load_instances(paths: List[str]):
 
 def cmd_build_corpus(args, config, provenance) -> int:
     _check_int(config, "corpus.shard_size", 1)
+    for flag, key in (("--max-utt", "model.max_utterances"),
+                      ("--max-utt-tokens", "model.max_utterance_tokens"),
+                      ("--max-summary-tokens", "model.max_summary_tokens")):
+        # a config file may hold model.* keys for the later commands
+        if provenance[key] == "flag" and not args.vocab:
+            raise ConfigError(f"{flag} ({key}) caps token-level truncation, which needs --vocab")
     tokenizer = Tokenizer.load(args.vocab) if args.vocab else None
     manifest_path = args.manifest or args.output + "-manifest.json"
     with RunManifest(manifest_path, "build-corpus", config, provenance,
@@ -525,9 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="write rejection statistics JSON here")
     p.add_argument("--min-comments", dest="corpus.min_comments", type=int)
     p.add_argument("--shard-size", dest="corpus.shard_size", type=int)
-    p.add_argument("--max-utt", dest="model.max_utterances", type=int)
-    p.add_argument("--max-utt-tokens", dest="model.max_utterance_tokens", type=int)
-    p.add_argument("--max-summary-tokens", dest="model.max_summary_tokens", type=int)
+    p.add_argument("--max-utt", dest="model.max_utterances", type=int,
+                   help="utterances kept per instance; needs --vocab")
+    p.add_argument("--max-utt-tokens", dest="model.max_utterance_tokens", type=int,
+                   help="token slots per utterance, bos included; needs --vocab")
+    p.add_argument("--max-summary-tokens", dest="model.max_summary_tokens", type=int,
+                   help="summary token slots, bos and eos included; needs --vocab")
 
     for name in ("pretrain", "finetune"):
         p = command(name, cmd_train, f"{name} a model on instance shards")

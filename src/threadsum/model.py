@@ -23,8 +23,8 @@ the formula that ``thread_attention_scores`` also gives.
 Only the utterance encoder's attention has a key bias (``utt.*.attn.bk``):
 anywhere else a key bias adds one value to all of a query's scores, which
 softmax cancels, so it could never learn; there it also meets the relation
-vectors in the k·r term.  A projection without a bias is a plain
-``ad.matmul``.
+vectors in the k·r term.  A projection is one ``ad.linear``, with its bias
+if it has one.
 
 The output projection is the transpose of the embedding table (weight
 tying): ``decoder_forward`` applies it to ``decoder_states``, and a
@@ -346,8 +346,7 @@ class Model:
     # -- shared blocks ------------------------------------------------------
 
     def _proj(self, x: Tensor, prefix: str, which: str) -> Tensor:
-        w, b = self.params[f"{prefix}.w{which}"], self.params.get(f"{prefix}.b{which}")
-        return ad.matmul(x, w) if b is None else ad.linear(x, w, b)
+        return ad.linear(x, self.params[f"{prefix}.w{which}"], self.params.get(f"{prefix}.b{which}"))
 
     def _attention(self, prefix: str, x: Tensor, layout: ad.Layout, rng,
                    kv: Optional[Tuple[Tensor, Tensor]] = None,

@@ -75,8 +75,8 @@ def sample_thread_pairs(tree: Union[ConversationTree, np.ndarray],
 def pair_probabilities(vectors: Tensor, w_a: Parameter, w_b: Parameter,
                        batch: ThreadPairBatch) -> Tensor:
     """sigmoid((v_i W_a) (v_j W_b)^T) for every candidate pair, as [|A|]."""
-    va = ad.matmul(vectors, w_a)
-    vb = ad.matmul(vectors, w_b)
+    va = ad.linear(vectors, w_a)
+    vb = ad.linear(vectors, w_b)
     scores = ad.matmul_transposed(va, vb)
     return ad.sigmoid(scores[batch.rows, batch.cols])
 

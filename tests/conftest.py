@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from threadsum.autodiff import Node, Parameter
+from threadsum.autodiff import Node
 from threadsum.tokenizer import Tokenizer
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -37,7 +37,6 @@ def _zero_fill():
     # the reference zero-fills every first gradient and owns every buffer
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Node, "accumulate_grad", _zero_fill_accumulate)
-        mp.setattr(Parameter, "accumulate_grad", _zero_fill_accumulate)
         mp.setattr(Node, "grad_buffer", _zero_fill_buffer)
         yield
 

@@ -1,7 +1,8 @@
 """Code only the tests use.
 
 Graph ops the tests build losses and oracles with: an elementwise product,
-a sum, and ``a @ b^T`` against a right operand with the left's batch axes.
+a sum, and ``a @ b`` and ``a @ b^T`` against a right operand with the
+left's batch axes.
 They follow ``threadsum.autodiff``'s rules: operands of one shape, no
 broadcasting, and every gradient handed over to its receiver.  A pointwise
 ancestry test for conversation trees.  And a BPE trainer for small fixture
@@ -44,6 +45,22 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         xn.accumulate_grad(np.broadcast_to(g, xn.shape).copy())
 
     return ad._make(x.data.sum(axis=axis, keepdims=keepdims), (x,), rule)
+
+
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for operands with equal batch axes ([..., s, k] @ [..., k, n]),
+    such as attention probabilities and value heads."""
+    x, y = a.data, b.data
+    if x.ndim < 3 or y.ndim != x.ndim or x.shape[-1] != y.shape[-2] or x.shape[:-2] != y.shape[:-2]:
+        raise ShapeError(f"batched_matmul shapes {x.shape} and {y.shape} do not align")
+
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g @ np.swapaxes(y, -1, -2))
+        if bn is not None:
+            bn.accumulate_grad(np.swapaxes(x, -1, -2) @ g)
+
+    return ad._make(x @ y, (a, b), rule)
 
 
 def batched_matmul_transposed(a: Tensor, b: Tensor) -> Tensor:

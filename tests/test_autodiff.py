@@ -1,6 +1,8 @@
 import copy
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from threadsum.autodiff import (
     no_grad,
 )
 
-from helpers import batched_matmul_transposed, mul, tensor_sum
+from helpers import batched_matmul, batched_matmul_transposed, mul, tensor_sum
 
 RNG = np.random.default_rng(7)
 
@@ -107,7 +109,7 @@ def composite_attention(q, k, v, heads, layout, rng, p, rel=None):
     att = ad.dropout(softmax(ad.scale(scores, 1.0 / math.sqrt(dz)), bias), p, rng)
     seq, pos = np.nonzero(q_valid)
     cols = np.arange(heads * dz)
-    return ad.matmul(att, vh)[seq[:, None], cols // dz, pos[:, None], cols % dz]
+    return batched_matmul(att, vh)[seq[:, None], cols // dz, pos[:, None], cols % dz]
 
 
 def held_arrays(*nodes):
@@ -202,30 +204,40 @@ class TestElementwiseOps:
 
 class TestMatmulAndShapes:
     def test_matmul_2d(self):
-        check_op(ad.matmul, RNG.normal(size=(3, 4)), RNG.normal(size=(4, 5)))
+        # the one 2-d product is ``linear`` without a bias
+        check_op(ad.linear, RNG.normal(size=(3, 4)), RNG.normal(size=(4, 5)))
+
+    def test_linear_without_bias_is_numpys_product(self):
+        x, w = Parameter("x", RNG.normal(size=(3, 4))), Parameter("w", RNG.normal(size=(4, 5)))
+        g = RNG.normal(size=(3, 5))
+        y = ad.linear(x, w)
+        assert y.node.parents == (x.node, w.node)
+        np.testing.assert_array_equal(y.data, x.data @ w.data)
+        ComputationTape(y).backward(g)
+        np.testing.assert_array_equal(x.grad, g @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ g)
 
     def test_matmul_batched_equal(self):
-        check_op(ad.matmul, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(2, 4, 5)))
+        # batched products are the tests' own op, for the composite attention
+        check_op(batched_matmul, RNG.normal(size=(2, 3, 4)), RNG.normal(size=(2, 4, 5)))
 
     def test_matmul_4d(self):
-        check_op(ad.matmul, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 4, 3)))
+        check_op(batched_matmul, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 4, 3)))
 
     def test_matmul_rejects_bad_inner(self):
         with pytest.raises(ShapeError) as e:
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
 
     def test_matmul_rejects_mismatched_batch(self):
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-        # the right operand takes exactly the left's batch axes: neither
-        # extra leading axes on either side nor a 2-d operand is broadcast
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.zeros((3, 2, 4, 5))), Tensor(np.zeros((2, 5, 6))))
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 5, 6))))
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+        # ``linear`` is 2-d by 2-d: no batch axes on either side
+        for left, right in (((2, 3, 4), (2, 4, 5)), ((4, 5), (2, 5, 6)), ((2, 3, 4), (4, 5))):
+            with pytest.raises(ShapeError):
+                ad.linear(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
+        # the batched helper takes exactly the left's batch axes
+        for left, right in (((2, 3, 4), (3, 4, 5)), ((3, 2, 4, 5), (2, 5, 6)), ((2, 3, 4), (4, 5))):
+            with pytest.raises(ShapeError):
+                batched_matmul(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
 
     def test_linear_with_bias(self):
         check_op(ad.linear, RNG.normal(size=(3, 4)), RNG.normal(size=(4, 5)),
@@ -316,8 +328,8 @@ class TestMatmulAndShapes:
 
 
 class TestTableGradient:
-    """A 2-d right operand of ``matmul_transposed`` takes its gradient in
-    blocks of GRAD_BLOCK_ROWS rows added into its buffer, and the tied
+    """A 2-d right operand of ``matmul_transposed`` takes its gradient as
+    one product, added into a gradient it already has, and the tied
     projection's loss adds no table-sized scratch."""
 
     B = ad.GRAD_BLOCK_ROWS
@@ -351,18 +363,6 @@ class TestTableGradient:
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-
-    def test_second_backward_keeps_no_table_sized_scratch(self):
-        rng = np.random.default_rng(0)
-        table = Parameter("embed", rng.normal(size=(3 * self.B + 5, 64)))
-        x = Parameter("x", rng.normal(size=(2, 64)))
-
-        def loss():
-            return ad.cross_entropy(ad.matmul_transposed(x, table), [1, 2])
-
-        backward(loss())
-        second = loss()
-        assert self._traced_peak(lambda: backward(second)) < table.data.nbytes
 
     def test_tied_loss_second_backward_keeps_no_table_sized_scratch(self):
         rng = np.random.default_rng(0)
@@ -851,11 +851,12 @@ class TestGraphMechanics:
         y = ad.scale(x, 2.0)
         loss = tensor_sum(ad.add(mul(y, y), y))
         nodes = ComputationTape(loss).nodes
-        assert all(n.rule is not None for n in nodes if n is not x)
+        assert [n for n in nodes if not n.parents] == [x.node]
+        assert all(n.rule is not None for n in nodes if n.parents)
         backward(loss)
         after = ComputationTape(loss).nodes
         assert [id(n) for n in after] == [id(n) for n in nodes]
-        assert all(n.rule is None and n.grad is None for n in after if n is not x)
+        assert all(n.rule is None and n.grad is None for n in after if n.parents)
         np.testing.assert_allclose(x.grad, 2 * (2 * 2 * x.data + 1), rtol=1e-14)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["same-tape", "shared-graph"])
@@ -895,12 +896,15 @@ class TestGraphMechanics:
 
     def test_parameter_copies_a_strided_first_gradient(self):
         # no op here hands over a strided view, but a rule written elsewhere
-        # may; clipping scales a parameter's gradient in place
+        # may; clipping scales a parameter's gradient in place.  Every node
+        # takes its gradient by the one rule
         p = Parameter("p", np.zeros((3, 2)))
-        g = RNG.normal(size=(2, 3))
-        p.accumulate_grad(g.T)
-        assert p.grad.flags.c_contiguous and not np.shares_memory(p.grad, g)
-        np.testing.assert_array_equal(p.grad, g.T)
+        for node in (p.node, ad.scale(p, 2.0).node):
+            g = RNG.normal(size=(2, 3))
+            node.accumulate_grad(g.T)
+            assert node.grad.flags.c_contiguous and not np.shares_memory(node.grad, g)
+            np.testing.assert_array_equal(node.grad, g.T)
+        assert p.grad is p.node.grad
 
     def test_tape_topological_order(self):
         x = Parameter("x", np.array([1.0]))
@@ -930,9 +934,43 @@ class TestGraphMechanics:
         x = Parameter("x", np.ones((2, 2)))
         c = Tensor(np.ones((2, 2)))
         y = ad.add(x, c)
-        assert c.node is None and y.node.parents == (x,)
+        assert c.node is None and y.node.parents == (x.node,)
         backward(tensor_sum(y))
-        assert c.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+
+    def test_tensor_is_a_value(self):
+        # a tensor holds its array and its node, and no graph slot of its own
+        x = Parameter("x", np.ones((2, 2)))
+        for t in (Tensor, Tensor(np.ones(3)), ad.scale(x, 2.0)):
+            assert not [slot for slot in ("grad", "parents", "rule") if hasattr(t, slot)]
+        for t in (Parameter, x):  # a parameter's grad is its node's
+            assert not hasattr(t, "parents") and not hasattr(t, "rule")
+        assert ad.scale(x, 2.0).shape == (2, 2) and x.dtype == np.float64
+
+    def test_parameter_owns_a_leaf_node(self):
+        p = Parameter("p", np.ones((2, 3)))
+        assert p.node is not p and not p.node.parents and p.node.rule is None
+        assert (p.node.shape, p.node.dtype) == (p.shape, p.dtype)
+        p.grad = np.full((2, 3), 2.0)
+        assert p.node.grad is p.grad
+        p.zero_grad()
+        assert p.grad is None and p.node.grad is None
+
+    def test_deleted_parameter_frees_its_node(self):
+        # the node holds no reference back to its parameter, so no cycle
+        # keeps either alive
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = Parameter("p", np.ones(3))
+            backward(tensor_sum(ad.scale(p, 2.0)))
+            refs = [weakref.ref(p), weakref.ref(p.node)]
+            assert refs[0]() is not refs[1]()
+            del p
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_dropout_eval_is_identity(self):
         x = Parameter("x", RNG.normal(size=(4,)))
@@ -1065,7 +1103,7 @@ class TestGradChecker:
             return ad._make(td * td, (t,), rule)
 
         def f():
-            return tensor_sum(bad_square(ad.matmul(x, w)))
+            return tensor_sum(bad_square(ad.linear(x, w)))
 
         report = grad_check(f, [w], eps=1e-5, tol=1e-6)
         assert not report.passed

@@ -315,6 +315,35 @@ class TestBuildCorpus:
         produced = (tmp_path / "shard-00000.jsonl").read_bytes()
         assert produced == (tmp_path / "ref").read_bytes() != open(GOLDEN, "rb").read()
 
+    @pytest.mark.parametrize("cap, flag", [
+        (["--max-utt", "2"], "--max-utt"),
+        (["--max-utt-tokens", "6"], "--max-utt-tokens"),
+        (["--max-summary-tokens", "9"], "--max-summary-tokens"),
+        (["--set", "model.max_utterances=2"], "--max-utt"),
+    ], ids=["max-utt", "max-utt-tokens", "max-summary-tokens", "set"])
+    def test_cap_without_vocab_is_config_error(self, tmp_path, capsys, monkeypatch, cap, flag):
+        # without a tokenizer no cap can be applied, so the run is refused
+        # before the dump is read, rather than writing uncapped instances
+        def no_read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "read_post_dump", no_read)
+        rc = dispatch(["build-corpus", "--input", POSTS, "--output", str(tmp_path / "s"),
+                       "--min-comments", "1"] + cap)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "--vocab" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_cap_from_config_file_needs_no_vocab(self, tmp_path):
+        # a config shared across the pipeline holds model.* keys for training
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"model.max_utterances": 2}))
+        assert dispatch(["build-corpus", "--input", POSTS, "--output", str(tmp_path / "s"),
+                         "--config", str(cfg)]) == 0
+        produced = (tmp_path / "s-00000.jsonl").read_bytes()
+        assert produced == open(GOLDEN, "rb").read()
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = dispatch(["build-corpus", "--input", str(tmp_path / "nope.jsonl"),
                        "--output", str(tmp_path / "s")])

@@ -231,10 +231,10 @@ class TestTotalLoss:
         labels = np.array([1.0, 0.0, 1.0, 0.0])
 
         def clm():
-            return ad.cross_entropy(ad.matmul(x, w), t)
+            return ad.cross_entropy(ad.linear(x, w), t)
 
         def tp():
-            return ad.binary_cross_entropy(ad.sigmoid(tensor_sum(ad.matmul(x, w), axis=1)), labels)
+            return ad.binary_cross_entropy(ad.sigmoid(tensor_sum(ad.linear(x, w), axis=1)), labels)
 
         lam = 0.7
         w.zero_grad()
