@@ -11,10 +11,8 @@ element-wise relative error must stay under 1e-3.
 
 import time
 
-import numpy as np
-
 from threadsum.autodiff import grad_check
-from threadsum.conversation import ConversationTree, Utterance, relation_index
+from threadsum.conversation import ConversationTree, Utterance
 from threadsum.model import Model, ModelInput, toy_config
 from threadsum.objectives import instance_loss, sample_thread_pairs
 from threadsum.training import derive_rng
@@ -34,11 +32,7 @@ tree = ConversationTree([
 rng = derive_rng(0, "demo")
 token_ids = [[0] + rng.integers(2, cfg.vocab_size, size=3).tolist() for _ in tree]
 full = [0] + rng.integers(2, cfg.vocab_size, size=4).tolist() + [1]
-mi = ModelInput(token_ids=token_ids,
-                relation_buckets=relation_index(tree, cfg.clip_k),
-                ancestors=tree.ancestor_matrix(),
-                summary_input=np.asarray(full[:-1], dtype=np.int64),
-                summary_target=np.asarray(full[1:], dtype=np.int64))
+mi = ModelInput.build(tree, token_ids, full, cfg.clip_k)
 pairs = sample_thread_pairs(tree, derive_rng(0, "pairs"))
 
 # the checked function is the full objective: encoders, decoder, both losses

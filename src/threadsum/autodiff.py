@@ -9,10 +9,10 @@ functions; a ``Tensor`` has no arithmetic operators, only basic indexing.
 There is no broadcasting between operands: ``add`` takes two arrays of one
 shape, so no backward rule has to sum a gradient back down to a smaller
 operand.  A row product is ``linear``, 2-d by 2-d, with an optional bias.
-A product against a transposed operand is ``matmul_transposed``, whose
-right operand is 2-d and whose gradient g^T a is one product over all the
-left's rows.  The one constant that broadcasts, an attention mask, enters
-through ``attention``'s layout, outside the graph.
+A product against a transposed operand is ``matmul_transposed``, 2-d by
+2-d, whose right operand's gradient is g^T a.  The one constant that
+broadcasts, an attention mask, enters through ``attention``'s layout,
+outside the graph.
 
 ``attention`` is all of multi-head attention between the projections: from
 packed [N, d] query rows to packed key and value rows, laying buckets of
@@ -247,18 +247,18 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b^T`` for ``a`` [..., s, k] and a 2-d ``b`` [t, k]; ``b``'s
-    gradient is g^T a, summed over all of ``a``'s rows."""
+    """``a @ b^T`` for 2-d ``a`` [s, k] and ``b`` [t, k]; ``b``'s gradient
+    is g^T a."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[-1]:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
         raise ShapeError(f"matmul_transposed shapes {ad.shape} and {bd.shape} do not align "
-                         f"(the right operand must be 2-d)")
+                         f"(both operands must be 2-d)")
 
     def rule(g, an=a.node, bn=b.node):
         if an is not None:
             an.accumulate_grad(g @ bd)
         if bn is not None:
-            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).T @ ad.reshape(-1, ad.shape[-1]))
+            bn.accumulate_grad(g.T @ ad)
 
     return _make(ad @ bd.T, (a, b), rule)
 

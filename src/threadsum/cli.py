@@ -19,9 +19,10 @@ of another type than its key's default (a bool, an integer or a number, and
 null for train.clip_norm and decode.max_len), or one the run cannot honour,
 such as a shard size, beam size or log interval below 1, a negative learning
 rate, a clip norm of 0, a min_len beyond the summary cap, a non-finite
-length penalty, or a build-corpus length cap set by flag without the
---vocab that applies it; each is reported before the command reads its
-data or builds a model.  A manifest is written atomically before and after
+length penalty, a build-corpus length cap set by flag without the
+--vocab that applies it, or a cap of one utterance under the thread
+objective; each is reported before the command reads its data or builds a
+model.  A manifest is written atomically before and after
 each file-producing run; commands that only print to stdout write one when
 --manifest is given.  Manifests, --stats files, corpus shards, predictions
 and score reports go through the one atomic writer (fileio.atomic_write), so
@@ -50,7 +51,7 @@ import scipy
 from . import __version__
 from .autodiff import NumericsError, grad_check
 from .checkpoint import CheckpointError, load_checkpoint
-from .conversation import ConversationTree, TreeError, Utterance, relation_index
+from .conversation import ConversationTree, TreeError, Utterance
 from .corpus import (
     CorpusError,
     build_corpus,
@@ -351,16 +352,19 @@ def _from_checkpoint(config, provenance, path: str):
 def cmd_train(args, config, provenance) -> int:
     """pretrain from a seeded init, or finetune (--init) from a checkpoint.
 
-    The run config is checked and the data read before the model is built,
-    so a bad value or bad data fails fast."""
+    Every config value is checked before the data is read, and the data is
+    read before the model is built, so a bad value or bad data fails fast."""
     run = train_config_from(config)
-    tokenizer = Tokenizer.load(args.vocab)
-    instances, data_paths = _load_instances(args.data)
     if args.init is None:
         mconfig, params = model_config_from(config), None
     else:
         mconfig, params = _from_checkpoint(config, provenance, args.init)
+    if mconfig.lambda_thread_pred > 0 and mconfig.max_utterances < 2:
+        raise ConfigError("model.max_utterances must be >= 2 when model.lambda_thread_pred > 0 "
+                          f"(thread prediction needs two utterances), got {mconfig.max_utterances}")
+    tokenizer = Tokenizer.load(args.vocab)
     _check_vocabulary(tokenizer, mconfig)
+    instances, data_paths = _load_instances(args.data)
     if params is None:
         model = Model.init(mconfig, seed=named_seed(config["train.seed"], "init"))
     else:
@@ -368,9 +372,7 @@ def cmd_train(args, config, provenance) -> int:
     state = OptimizerState.init(model.params, peak_lr=run.peak_lr,
                                 total_steps=run.total_steps,
                                 weight_decay=run.weight_decay)
-    inputs = [encode_instance(model.config, tokenizer,
-                              truncate_instance(inst, model.config, tokenizer))
-              for inst in instances]
+    inputs = [encode_instance(model.config, tokenizer, inst) for inst in instances]
     del instances  # the run keeps only the encoded inputs
 
     os.makedirs(args.out, exist_ok=True)
@@ -386,16 +388,17 @@ def cmd_train(args, config, provenance) -> int:
 
 
 def cmd_generate(args, config, provenance) -> int:
-    ck = load_checkpoint(args.ckpt, with_optimizer=False)
     _check_int(config, "decode.beam_size", 1)
+    penalty = config["decode.length_penalty"]
+    if not math.isfinite(penalty):
+        raise ConfigError(f"decode.length_penalty must be finite, got {penalty!r}")
+    # the length bounds depend on the checkpoint's summary cap
+    ck = load_checkpoint(args.ckpt, with_optimizer=False)
     max_len = ck.config.max_summary_tokens - 1  # room for the bos slot
     if config["decode.max_len"] is not None:
         _check_int(config, "decode.max_len", 1, max_len)
         max_len = config["decode.max_len"]
     _check_int(config, "decode.min_len", 1, max_len)
-    penalty = config["decode.length_penalty"]
-    if not math.isfinite(penalty):
-        raise ConfigError(f"decode.length_penalty must be finite, got {penalty!r}")
     tokenizer = Tokenizer.load(args.vocab)
     _check_vocabulary(tokenizer, ck.config)
     model = Model(ck.config, ck.params)
@@ -404,9 +407,8 @@ def cmd_generate(args, config, provenance) -> int:
                      inputs=[args.ckpt, args.input], outputs=[args.out]):
         lines = []
         for i, inst in enumerate(read_instances(args.input)):
-            trimmed = truncate_instance(inst, ck.config, tokenizer)
             text = generate_summary(
-                model, tokenizer, trimmed.tree,
+                model, tokenizer, inst.tree,
                 beam_size=config["decode.beam_size"],
                 length_penalty=config["decode.length_penalty"],
                 max_len=config["decode.max_len"],
@@ -461,12 +463,7 @@ def _gradcheck_instance(mconfig: ModelConfig, seed: int):
     token_ids = [[0] + rng.integers(2, mconfig.vocab_size, size=4).tolist()
                  for _ in range(len(tree))]
     full = [0] + rng.integers(2, mconfig.vocab_size, size=5).tolist() + [1]
-    mi = ModelInput(token_ids=token_ids,
-                    relation_buckets=relation_index(tree, mconfig.clip_k),
-                    ancestors=tree.ancestor_matrix(),
-                    summary_input=np.asarray(full[:-1], dtype=np.int64),
-                    summary_target=np.asarray(full[1:], dtype=np.int64))
-    return mi, tree
+    return ModelInput.build(tree, token_ids, full, mconfig.clip_k), tree
 
 
 def cmd_grad_check(args, config, provenance) -> int:

@@ -146,7 +146,7 @@ def beam_search(decode_fn: DecodeFn, bos_id: int, eos_id: int, max_len: int,
 
 
 def conversation_input(config, tokenizer, tree: ConversationTree) -> ModelInput:
-    """Encoder-side inputs for a bare conversation (no reference summary)."""
+    """Encoder-side inputs for a bare conversation under the config's caps."""
     return encode_instance(config, tokenizer, TrainingInstance(tree, ""))
 
 

@@ -39,7 +39,7 @@ keys and values to the ``DecoderCache`` it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +47,9 @@ from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .conversation import num_relation_buckets, relation_index
+from .conversation import ConversationTree, num_relation_buckets, relation_index
 from .corpus import TrainingInstance
-from .tokenizer import Tokenizer, tokenize_utterance
+from .tokenizer import Tokenizer
 
 __all__ = [
     "ModelConfig",
@@ -61,6 +61,7 @@ __all__ = [
     "DecoderCache",
     "sinusoidal_pe",
     "count_parameters",
+    "fit_instance",
     "encode_instance",
 ]
 
@@ -265,6 +266,17 @@ class ModelInput:
     summary_input: np.ndarray  # decoder input ids, starts with bos
     summary_target: np.ndarray  # next-token targets, ends with eos
 
+    @classmethod
+    def build(cls, tree: ConversationTree, token_ids: List[List[int]],
+              summary_ids: List[int], clip_k: int) -> "ModelInput":
+        """The input of ``tree`` with its utterances' bos-prefixed ``token_ids``
+        and the summary's ids from bos to eos, split into inputs and targets."""
+        return cls(token_ids=token_ids,
+                   relation_buckets=relation_index(tree, clip_k),
+                   ancestors=tree.ancestor_matrix(),
+                   summary_input=np.asarray(summary_ids[:-1], dtype=np.int64),
+                   summary_target=np.asarray(summary_ids[1:], dtype=np.int64))
+
 
 @dataclass
 class ForwardResult:
@@ -297,19 +309,32 @@ class DecoderCache:
                         for k, v in self.self_kv]
 
 
+def fit_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInstance,
+                 encode_cut: bool = True):
+    """``instance`` cut to the config's caps by ``Tokenizer.fit``, itself if
+    nothing is cut, with each kept utterance's ids and the summary's: the
+    first ``max_utterances`` utterances (ancestor-closed, as a parent precedes
+    its children) of ``max_utterance_tokens`` ids with the bos, and a summary
+    of ``max_summary_tokens`` with bos and eos.  With ``encode_cut`` false a
+    cut text's ids are None."""
+    kept, token_ids = [], []
+    for u in instance.tree.utterances[: config.max_utterances]:
+        text, ids = tok.fit(u.text, config.max_utterance_tokens - 1, encode_cut)
+        kept.append(u if text is u.text else replace(u, text=text))
+        token_ids.append(ids)
+    summary, summary_ids = tok.fit(instance.pseudo_summary, config.max_summary_tokens - 2, encode_cut)
+    if summary is not instance.pseudo_summary or kept != list(instance.tree.utterances):
+        instance = TrainingInstance(ConversationTree(kept), summary, instance.source_meta)
+    return instance, token_ids, summary_ids
+
+
 def encode_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInstance) -> ModelInput:
-    """Tokenize a training instance and precompute its discrete structure."""
-    tree = instance.tree
-    token_ids = [tokenize_utterance(tok, u.text, config.max_utterance_tokens) for u in tree]
-    content = tok.encode(instance.pseudo_summary, config.max_summary_tokens - 2)
-    full = [tok.bos_id] + content + [tok.eos_id]
-    return ModelInput(
-        token_ids=token_ids,
-        relation_buckets=relation_index(tree, config.clip_k),
-        ancestors=tree.ancestor_matrix(),
-        summary_input=np.asarray(full[:-1], dtype=np.int64),
-        summary_target=np.asarray(full[1:], dtype=np.int64),
-    )
+    """The model input of ``instance`` cut by ``fit_instance``: each kept text
+    is encoded once, and a cut one again after its cut."""
+    fitted, token_ids, summary_ids = fit_instance(config, tok, instance)
+    bos = [tok.bos_id]
+    return ModelInput.build(fitted.tree, [bos + ids for ids in token_ids],
+                            bos + summary_ids + [tok.eos_id], config.clip_k)
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:

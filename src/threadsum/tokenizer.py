@@ -14,7 +14,9 @@ Each round merges every left-to-right occurrence of the lowest-ranked pair
 and re-ranks only the two pairs beside each new symbol.  ``encode``
 memoizes the ids of each distinct piece, so a repeated word costs one
 dictionary lookup; with a ``limit`` it stops at the first piece that starts
-at or past it, so the text a truncation drops is never merged.
+at or past it, so the text a truncation drops is never merged.  ``fit``
+is the one length cap: it cuts a text to a number of ids on a character
+boundary.
 
 Special tokens are plain vocabulary entries with reserved surface forms;
 ``encode`` splits them out of the text with one compiled pattern (leftmost
@@ -223,10 +225,25 @@ class Tokenizer:
         flush()
         return "".join(out)
 
-    def continues_character(self, token_id: int) -> bool:
-        """Whether the token starts with a UTF-8 continuation byte, so that a
-        cut just before it would split a character."""
-        return _SYMBOL_BYTES[ord(self.id_to_token[token_id][0])] & 0xC0 == 0x80
+    def fit(self, text: str, cap: int, encode_cut: bool = True) -> Tuple[str, Optional[List[int]]]:
+        """``text`` cut to at most ``cap`` ids, and its ids.
+
+        A text that fits comes back as is, with the ids of its one encode.
+        A longer one is cut after ``cap`` ids, or fewer so as not to split a
+        character, and the cut text is encoded again to ``cap`` ids, as its
+        ids need not be those it was cut from; with ``encode_cut`` false
+        they are None.
+        """
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
+        ids = self.encode(text, cap + 1)  # one id past the cap, read at the cut
+        if len(ids) <= cap:
+            return text, ids
+        end = cap
+        while end and _SYMBOL_BYTES[ord(self.id_to_token[ids[end]][0])] & 0xC0 == 0x80:
+            end -= 1
+        cut = self.decode(ids[:end])
+        return cut, self.encode(cut, cap) if encode_cut else None
 
     # -- persistence ---------------------------------------------------------
 
@@ -258,10 +275,3 @@ class Tokenizer:
                     raise CorpusError(f"{path}:{lineno}: a merge is two symbols and one space")
                 merges.append(tuple(pair))
         return cls(vocab, merges)
-
-
-def tokenize_utterance(tok: Tokenizer, text: str, max_tokens: int) -> List[int]:
-    """bos followed by at most max_tokens - 1 content ids (tail truncated)."""
-    if max_tokens < 2:
-        raise ValueError(f"max_tokens must be >= 2, got {max_tokens}")
-    return [tok.bos_id] + tok.encode(text, max_tokens - 1)

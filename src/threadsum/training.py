@@ -15,16 +15,15 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, backward
-from .conversation import ConversationTree
 from .corpus import TrainingInstance
-from .model import Model, ModelConfig, ModelInput
+from .model import Model, ModelConfig, ModelInput, fit_instance
 from .objectives import instance_loss
 
 METRICS_FIELDS = ("step", "loss_clm", "loss_tp", "lr", "grad_norm")
@@ -64,45 +63,11 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
 # truncation
 
 
-def _cut_text(tokenizer, ids: List[int], cap: int) -> str:
-    """The text of at most ``cap`` leading ids, cut on a character boundary."""
-    while cap > 0 and tokenizer.continues_character(ids[cap]):
-        cap -= 1
-    return tokenizer.decode(ids[:cap])
-
-
 def truncate_instance(instance: TrainingInstance, config: ModelConfig,
                       tokenizer) -> TrainingInstance:
-    """Apply the length limits: utterance count, tokens per utterance, summary.
-
-    The kept prefix is ancestor-closed because a parent always precedes its
-    children in tree order.  The token caps mirror ``encode_instance``: the
-    bos takes one utterance slot, and the summary also reserves one for eos.
-    """
-    utterances = instance.tree.utterances
-    changed = len(utterances) > config.max_utterances
-    per_utt = config.max_utterance_tokens - 1
-    per_summary = config.max_summary_tokens - 2
-    trimmed = []
-    for u in utterances[: config.max_utterances]:
-        # one id past the cap, since _cut_text reads the id at the cut
-        ids = tokenizer.encode(u.text, per_utt + 1)
-        if len(ids) > per_utt:
-            trimmed.append(replace(u, text=_cut_text(tokenizer, ids, per_utt)))
-            changed = True
-        else:
-            trimmed.append(u)
-    summary = instance.pseudo_summary
-    ids = tokenizer.encode(summary, per_summary + 1)
-    if len(ids) > per_summary:
-        summary = _cut_text(tokenizer, ids, per_summary)
-        changed = True
-
-    if not changed:
-        return instance
-    return TrainingInstance(tree=ConversationTree(trimmed),
-                            pseudo_summary=summary,
-                            source_meta=instance.source_meta)
+    """Apply the length limits of ``model.fit_instance``, the caps that
+    ``encode_instance`` applies, without encoding a cut text again."""
+    return fit_instance(config, tokenizer, instance, encode_cut=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Code only the tests use.
 
 Graph ops the tests build losses and oracles with: an elementwise product,
-a sum, and ``a @ b`` and ``a @ b^T`` against a right operand with the
-left's batch axes.
+a sum, ``a @ b`` and ``a @ b^T`` against a right operand with the left's
+batch axes, and ``a @ b^T`` of a batched left operand and a 2-d right one.
 They follow ``threadsum.autodiff``'s rules: operands of one shape, no
 broadcasting, and every gradient handed over to its receiver.  A pointwise
-ancestry test for conversation trees.  And a BPE trainer for small fixture
-vocabularies, with the pair merge it applies to each word.
+ancestry test for conversation trees.  A length cut of a text computed
+from its uncapped ids.  And a BPE trainer for small fixture vocabularies,
+with the pair merge it applies to each word.
 """
 
 from typing import Dict, Iterable, List, Tuple
@@ -21,8 +22,11 @@ from threadsum.tokenizer import (
     UNK_TOKEN,
     Tokenizer,
     _symbols,
+    bytes_to_unicode,
     pre_tokenize,
 )
+
+SYMBOL_BYTE = {c: b for b, c in bytes_to_unicode().items()}
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -80,6 +84,24 @@ def batched_matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
     return ad._make(x @ np.swapaxes(y, -1, -2), (a, b), rule)
 
 
+def batched_left_matmul_transposed(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b^T`` for a batched ``a`` [..., s, k] and a 2-d ``b`` [t, k],
+    such as query heads against the relation table; ``b``'s gradient is
+    g^T a, one product over all of ``a``'s rows."""
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim != 2 or x.shape[-1] != y.shape[-1]:
+        raise ShapeError(f"batched_left_matmul_transposed shapes {x.shape} and {y.shape} "
+                         f"do not align (the right operand must be 2-d)")
+
+    def rule(g, an=a.node, bn=b.node):
+        if an is not None:
+            an.accumulate_grad(g @ y)
+        if bn is not None:
+            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1]))
+
+    return ad._make(x @ y.T, (a, b), rule)
+
+
 def is_ancestor(tree: ConversationTree, j: int, i: int) -> bool:
     """True when utterance ``j`` is a strict ancestor of utterance ``i``."""
     for k in (i, j):
@@ -91,6 +113,21 @@ def is_ancestor(tree: ConversationTree, j: int, i: int) -> bool:
     while tree.depth(node) > tree.depth(j):
         node = tree[node].parent_id
     return node == j
+
+
+def fit_reference(tok: Tokenizer, text: str, cap: int) -> Tuple[str, List[int]]:
+    """``Tokenizer.fit(text, cap)`` from the text's uncapped ids: the text if
+    they fit, else the decode of the longest prefix of at most ``cap`` of
+    them whose next id does not start with a UTF-8 continuation byte, with
+    the first ``cap`` ids of that cut text's own encode."""
+    ids = tok.encode(text)
+    if len(ids) <= cap:
+        return text, ids
+    end = cap
+    while end > 0 and SYMBOL_BYTE[tok.id_to_token[ids[end]][0]] & 0xC0 == 0x80:
+        end -= 1
+    cut = tok.decode(ids[:end])
+    return cut, tok.encode(cut)[:cap]
 
 
 def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:

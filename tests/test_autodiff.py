@@ -21,7 +21,13 @@ from threadsum.autodiff import (
     no_grad,
 )
 
-from helpers import batched_matmul, batched_matmul_transposed, mul, tensor_sum
+from helpers import (
+    batched_left_matmul_transposed,
+    batched_matmul,
+    batched_matmul_transposed,
+    mul,
+    tensor_sum,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -104,8 +110,8 @@ def composite_attention(q, k, v, heads, layout, rng, p, rel=None):
     if rel is not None:
         table, buckets = rel
         rows = np.arange(len(buckets))[:, None]
-        scores = ad.add(ad.add(scores, ad.matmul_transposed(qh, table)[..., rows, buckets]),
-                        ad.matmul_transposed(kh, table)[..., rows.T, buckets])
+        scores = ad.add(ad.add(scores, batched_left_matmul_transposed(qh, table)[..., rows, buckets]),
+                        batched_left_matmul_transposed(kh, table)[..., rows.T, buckets])
     att = ad.dropout(softmax(ad.scale(scores, 1.0 / math.sqrt(dz)), bias), p, rng)
     seq, pos = np.nonzero(q_valid)
     cols = np.arange(heads * dz)
@@ -309,22 +315,23 @@ class TestMatmulAndShapes:
         assert b.grad.flags.c_contiguous
         with pytest.raises(ShapeError):
             ad.matmul_transposed(a, Tensor(np.zeros((4, 5))))
-        # the right operand is 2-d; a batched one is the tests' own op,
-        # which needs the left's batch axes
-        for left in ((2, 3, 4), (3, 4)):
+        # both operands are 2-d; batched ones are the tests' own ops
+        for left, right in (((2, 3, 4), (2, 5, 4)), ((3, 4), (2, 5, 4)), ((2, 3, 4), (5, 4))):
             with pytest.raises(ShapeError):
-                ad.matmul_transposed(Tensor(np.zeros(left)), Tensor(np.zeros((2, 5, 4))))
+                ad.matmul_transposed(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
         check_op(batched_matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(2, 2, 5, 4)))
         with pytest.raises(ShapeError):
             batched_matmul_transposed(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 5, 4))))
         # a relation table projection: the 2-d right operand's gradient is
         # one product over all of the left's rows, in its own layout
-        check_op(ad.matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(5, 4)))
+        check_op(batched_left_matmul_transposed, RNG.normal(size=(2, 2, 3, 4)), RNG.normal(size=(5, 4)))
         a = Tensor(RNG.normal(size=(2, 3, 4)))
         b = Parameter("b", RNG.normal(size=(5, 4)))
-        np.testing.assert_array_equal(ad.matmul_transposed(a, b).data, a.data @ b.data.T)
-        backward(tensor_sum(ad.matmul_transposed(a, b)))
+        np.testing.assert_array_equal(batched_left_matmul_transposed(a, b).data, a.data @ b.data.T)
+        backward(tensor_sum(batched_left_matmul_transposed(a, b)))
         assert b.grad.flags.c_contiguous
+        with pytest.raises(ShapeError):
+            batched_left_matmul_transposed(a, Tensor(np.zeros((2, 5, 4))))
 
 
 class TestTableGradient:
@@ -338,11 +345,11 @@ class TestTableGradient:
     @pytest.mark.parametrize("existing", [False, True], ids=["empty", "existing"])
     def test_blocks_equal_one_product(self, rows, existing):
         rng = np.random.default_rng(rows)
-        a = Tensor(rng.normal(size=(2, 3, 5)))
+        a = Tensor(rng.normal(size=(6, 5)))
         table = Parameter("table", rng.normal(size=(rows, 5)))
-        w = rng.normal(size=(2, 3, rows))
+        w = rng.normal(size=(6, rows))
         held = rng.normal(size=table.shape) if existing else None
-        expected = w.reshape(-1, rows).T @ a.data.reshape(-1, 5)
+        expected = w.T @ a.data
         if existing:
             expected += held
         table.grad = held
@@ -1036,7 +1043,7 @@ class TestHandOver:
                 # both add into x's one gradient buffer
                 outs += [x[np.array([3, 0, 3])], ad.matmul_transposed(y, x)]
             elif motif == "2-d-right":
-                outs += [ad.matmul_transposed(x, y), ad.matmul_transposed(x[self.PAIRS], y)]
+                outs += [ad.matmul_transposed(x, y), batched_left_matmul_transposed(x[self.PAIRS], y)]
             elif motif == "batched-right":
                 outs.append(batched_matmul_transposed(x[self.PAIRS], y[self.PAIRS]))
             elif motif == "attention":

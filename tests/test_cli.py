@@ -26,6 +26,8 @@ from threadsum.model import Model, count_parameters, paper_config, toy_config
 from threadsum.tokenizer import Tokenizer
 from threadsum.training import truncate_instance
 
+from helpers import fit_reference
+
 POSTS = "tests/fixtures/corpus/posts.jsonl"
 GOLDEN = "tests/fixtures/corpus/expected-00000.jsonl"
 VOCAB = "tests/fixtures/tinyvocab"
@@ -483,11 +485,29 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
         ("clip_norm=Infinity", "clip_norm must be null or a finite number > 0"),
         ("checkpoint_every=-1", "checkpoint_every must be >= 0"),
     ]
+] + [
+    # model values are checked before the data is read
+    (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
+      "--set", value], message)
+    for value, message in [
+        ("model.num_heads=0", "model.num_heads must be >= 1, got 0"),
+        ("model.max_utterances=1", "model.max_utterances must be >= 2 when"),
+    ]
+] + [
+    # and the decode values that need no checkpoint before the checkpoint
+    (["generate", "--ckpt", "{tmp}/missing", "--input", "{tmp}/missing.jsonl",
+      "--out", "{tmp}/p.jsonl", "--vocab", VOCAB] + flags, message)
+    for flags, message in [
+        (["--beam", "0"], "decode.beam_size must be an integer >= 1, got 0"),
+        (["--length-penalty", "nan"], "decode.length_penalty must be finite, got nan"),
+    ]
 ], ids=["shard-size-0", "log-every-0", "seed-negative", "grad-check-seed-negative",
         "grad-check-eps-0", "grad-check-eps-negative", "grad-check-eps-nan", "grad-check-tol-0",
         "grad-check-tol-inf", "peak-lr-negative", "peak-lr-nan", "weight-decay-negative",
         "weight-decay-inf", "clip-norm-0", "clip-norm-negative", "clip-norm-inf",
-        "checkpoint-every-negative"])
+        "checkpoint-every-negative", "model-value-missing-data",
+        "one-utterance-under-thread-prediction-missing-data", "beam-0-missing-checkpoint",
+        "length-penalty-nan-missing-checkpoint"])
 def test_value_the_run_cannot_honour_exits_1_before_reading_input(
         tmp_path, capsys, monkeypatch, argv, key):
     def no_model(*args, **kwargs):
@@ -620,6 +640,54 @@ def test_one_utterance_conversation_under_thread_prediction_is_data_error(tmp_pa
     assert manifest["status"] == "failed"
     # a failed run records its peak RSS too
     assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
+
+
+def test_one_utterance_cap_needs_the_thread_objective_off(tmp_path, capsys):
+    # thread prediction needs two utterances, so no pretraining step could run
+    config = write_toy_config(tmp_path / "toy.json", **{"model.max_utterances": 1})
+    argv = ["pretrain", "--config", config, "--data", GOLDEN, "--vocab", VOCAB, "--steps", "1"]
+    assert dispatch(argv + ["--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.max_utterances must be >= 2 when "
+                          "model.lambda_thread_pred > 0") and "got 1" in err
+    assert not (tmp_path / "run").exists()
+    # without the thread objective the cap is a valid one
+    assert dispatch(argv + ["--out", str(tmp_path / "clm"),
+                            "--set", "model.lambda_thread_pred=0"]) == 0
+    assert json.loads((tmp_path / "clm" / "metrics.jsonl").read_text())["loss_tp"] == 0.0
+    # and build-corpus applies it as before
+    assert dispatch(["build-corpus", "--input", POSTS, "--output", str(tmp_path / "one"),
+                     "--vocab", VOCAB, "--max-utt", "1", "--min-comments", "1"]) == 0
+    shard = corpus.read_instances(str(tmp_path / "one-00000.jsonl"))
+    assert shard and all(len(inst.tree) == 1 for inst in shard)
+
+
+def record_encodes(monkeypatch) -> list:
+    """The texts every ``Tokenizer.encode`` call is given, from now on."""
+    texts = []
+    encode = Tokenizer.encode
+
+    def recorded(self, text, limit=None):
+        texts.append(text)
+        return encode(self, text, limit)
+
+    monkeypatch.setattr(Tokenizer, "encode", recorded)
+    return texts
+
+
+def test_pretrain_encodes_each_kept_text_once(tmp_path, monkeypatch):
+    # caps that cut nothing: the fixture's longest utterance has 19 ids and
+    # its summary 51
+    config = write_toy_config(tmp_path / "toy.json", **{
+        "model.max_utterance_tokens": 24, "model.max_summary_tokens": 60})
+    encoded = record_encodes(monkeypatch)
+    entered = []
+    monkeypatch.setattr(cli, "run_training", lambda *args, **kwargs: entered.append(1) or [])
+    assert dispatch(["pretrain", "--config", config, "--data", GOLDEN, "--vocab", VOCAB,
+                     "--out", str(tmp_path / "run")]) == 0
+    assert entered == [1]
+    (inst,) = corpus.read_instances(GOLDEN)
+    assert encoded == [u.text for u in inst.tree] + [inst.pseudo_summary]
 
 
 def test_shard_that_is_not_utf8_is_data_error(tmp_path, capsys):
@@ -760,6 +828,23 @@ class TestGenerateEvaluate:
         report = json.loads(scores.read_text())
         assert report["count"] == 1
         assert set(report["mean"]) == {"rouge_1", "rouge_2", "rouge_l", "rouge_su4"}
+
+    def test_generate_encodes_no_reference_summary(self, trained_run, tmp_path, monkeypatch):
+        # each kept utterance is encoded once, and a cut one once more after
+        # its cut; the bare conversation's summary is empty
+        (inst,) = corpus.read_instances(trained_run["shard"])
+        tok = Tokenizer.load(VOCAB)
+        expected = []
+        for u in inst.tree.utterances[:TOY_KEYS["model.max_utterances"]]:
+            cut, _ = fit_reference(tok, u.text, TOY_KEYS["model.max_utterance_tokens"] - 1)
+            expected += [u.text] if cut == u.text else [u.text, cut]
+        assert len(expected) > len(inst.tree)  # the 16-token cap cuts
+        encoded = record_encodes(monkeypatch)
+        assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
+                         "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB,
+                         "--beam", "1", "--max-len", "2"]) == 0
+        assert encoded == expected + [""]
+        assert inst.pseudo_summary not in encoded
 
     def test_generate_reads_no_optimizer_moments(self, trained_run, tmp_path):
         with np.load(trained_run["ckpt"] + ".npz") as archive:

@@ -279,15 +279,13 @@ class TestTokenEncoder:
         assert states.shape == (int(lengths.sum()), toy_model.config.d_hidden)
 
     def test_identical_utterances_identical_outputs(self, toy_model, tiny_tokenizer):
-        from threadsum.tokenizer import tokenize_utterance
-        ids = tokenize_utterance(tiny_tokenizer, "check the logs", 16)
+        ids = [tiny_tokenizer.bos_id] + tiny_tokenizer.encode("check the logs")
         states, _ = toy_model.token_encode([ids, ids])
         np.testing.assert_array_equal(states.data[: len(ids)], states.data[len(ids):])
 
     def test_padding_does_not_leak(self, toy_model, tiny_tokenizer):
-        from threadsum.tokenizer import tokenize_utterance
-        short = tokenize_utterance(tiny_tokenizer, "np", 16)
-        long = tokenize_utterance(tiny_tokenizer, "the quick brown fox jumps over it", 16)
+        short, long = ([tiny_tokenizer.bos_id] + tiny_tokenizer.encode(text, 15)
+                       for text in ("np", "the quick brown fox jumps over it"))
         batched, lengths = toy_model.token_encode([short, long])
         alone, _ = toy_model.token_encode([short])
         np.testing.assert_allclose(batched.data[: lengths[0]], alone.data, atol=1e-12)

@@ -17,10 +17,12 @@ from threadsum.tokenizer import (
     Tokenizer,
     bytes_to_unicode,
     pre_tokenize,
-    tokenize_utterance,
 )
+from threadsum.conversation import ConversationTree, Utterance
+from threadsum.corpus import TrainingInstance
+from threadsum.model import encode_instance, toy_config
 
-from helpers import merge_pair, train_bpe
+from helpers import SYMBOL_BYTE, fit_reference, merge_pair, train_bpe
 
 
 class TestPreTokenizer:
@@ -136,24 +138,40 @@ class TestRoundTripProperties:
         assert BYTE_COMPLETE.decode(ids) == text
 
 
+def utterance_ids(tok, text, max_tokens):
+    """The model's ids of a one-utterance conversation under a token cap."""
+    cfg = toy_config(vocab_size=tok.vocab_size, max_utterance_tokens=max_tokens)
+    inst = TrainingInstance(ConversationTree([Utterance(0, "a", text, 0, None)]), "")
+    (ids,) = encode_instance(cfg, tok, inst).token_ids
+    return ids
+
+
 class TestTokenizeUtterance:
+    """An utterance's ids are its bos, then what ``Tokenizer.fit`` keeps."""
+
     def test_empty_text_is_just_bos(self, tiny_tokenizer):
-        assert tokenize_utterance(tiny_tokenizer, "", 10) == [tiny_tokenizer.bos_id]
+        assert tiny_tokenizer.fit("", 9) == ("", [])
+        assert utterance_ids(tiny_tokenizer, "", 10) == [tiny_tokenizer.bos_id]
 
     def test_hello_is_bos_plus_single_id(self, tiny_tokenizer):
         tok = tiny_tokenizer
-        assert tokenize_utterance(tok, "hello", 10) == [tok.bos_id, tok.vocab["hello"]]
+        assert tok.fit("hello", 9) == ("hello", [tok.vocab["hello"]])
+        assert utterance_ids(tok, "hello", 10) == [tok.bos_id, tok.vocab["hello"]]
 
     def test_truncates_to_max(self, tiny_tokenizer):
         text = " ".join(["the server crashed"] * 200)
         assert len(tiny_tokenizer.encode(text)) > 300
-        ids = tokenize_utterance(tiny_tokenizer, text, 200)
-        assert len(ids) == 200
-        assert ids[0] == tiny_tokenizer.bos_id
+        cut, content = tiny_tokenizer.fit(text, 199)
+        assert text.startswith(cut) and len(cut) < len(text)
+        assert content == tiny_tokenizer.encode(cut) and len(content) == 199
+        assert utterance_ids(tiny_tokenizer, text, 200) == [tiny_tokenizer.bos_id] + content
 
     def test_rejects_tiny_budget(self, tiny_tokenizer):
-        with pytest.raises(ValueError):
-            tokenize_utterance(tiny_tokenizer, "x", 1)
+        with pytest.raises(ValueError, match="cap"):
+            tiny_tokenizer.fit("x", -1)
+        # a token cap holds the bos and one more id
+        with pytest.raises(ValueError, match="max_utterance_tokens"):
+            toy_config(max_utterance_tokens=1)
 
 
 class TestTraining:
@@ -256,7 +274,6 @@ def scanner_pre_tokenize(text):
 
 
 BYTE_MAP = bytes_to_unicode()
-SYMBOL_BYTE = {c: b for b, c in BYTE_MAP.items()}
 
 
 def loop_bpe(symbols, ranks):
@@ -357,11 +374,15 @@ class TestAgainstTheLoops:
     def test_decode_matches_the_byte_loop(self, ids):
         assert BYTE_COMPLETE.decode(ids) == loop_decode(BYTE_COMPLETE, ids)
 
-    def test_continues_character_matches_the_byte_map(self):
-        tok = BYTE_COMPLETE
-        for i, token in tok.id_to_token.items():
-            if i not in tok._special_ids:
-                assert tok.continues_character(i) == (SYMBOL_BYTE[token[0]] & 0xC0 == 0x80)
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.lists(st.one_of(TEXTS, SPECIAL_MIXES), max_size=3).map("".join), data=st.data())
+    def test_fit_cuts_as_the_byte_map_reference(self, text, data):
+        cap = data.draw(st.integers(0, len(BYTE_COMPLETE.encode(text)) + 2), label="cap")
+        expected = fit_reference(BYTE_COMPLETE, text, cap)
+        assert BYTE_COMPLETE.fit(text, cap) == expected
+        kept, ids = BYTE_COMPLETE.fit(text, cap, encode_cut=False)
+        assert kept == expected[0]
+        assert ids == (expected[1] if kept is text else None)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -432,6 +453,16 @@ class TestCappedEncode:
         # each piece merged starts inside the cap and gives at least one id
         assert len(fresh._bpe_cache) <= limit
         assert BYTE_COMPLETE.encode(text, limit) == full[:limit]  # every piece cached
+
+    def test_fit_encodes_a_cut_text_again(self):
+        # the cut ends a whitespace run, which then splits into other pieces,
+        # so the cut text's ids are not the ids it was cut from
+        texts = ["!b\n\né\n\n !'s", "!   a!abéa", "\n\n \n\nb   ab"]
+        tok = train_bpe(texts, vocab_size=27)
+        full = tok.encode(texts[2])
+        cut, ids = tok.fit(texts[2], 2)
+        assert cut == tok.decode(full[:2]) == "\n\n \n\n"
+        assert ids == tok.encode(cut)[:2] != full[:2]
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError, match="limit"):

@@ -15,7 +15,7 @@ from threadsum.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from threadsum.conversation import ConversationTree, Utterance
+from threadsum.conversation import ConversationTree, Utterance, relation_index
 from threadsum.corpus import TrainingInstance, read_instances
 from threadsum.fileio import atomic_write
 from threadsum.model import Model, encode_instance, toy_config
@@ -35,7 +35,7 @@ from threadsum.training import (
     truncate_instance,
 )
 
-from helpers import train_bpe
+from helpers import fit_reference, train_bpe
 from test_autodiff import held_arrays
 
 PEAK = 5e-5
@@ -65,6 +65,10 @@ def chain_instance(n, text="check the logs", summary="restart the server"):
     utts = [Utterance(0, "a", "[MASK]", 0, None)]
     utts += [Utterance(i, "a", text, i, i - 1) for i in range(1, n)]
     return TrainingInstance(ConversationTree(utts), summary)
+
+
+# multibyte characters and whitespace runs, so that cuts fall inside both
+FRAGMENTS = ["a", "b", "ab", " ", "   ", "\n\n", "\t ", "é", "漢", "😀", "'s", "!"]
 
 
 class TestTruncation:
@@ -127,12 +131,7 @@ class TestTruncation:
         tok = tiny_tokenizer
 
         def cut(text, cap):
-            ids = tok.encode(text)
-            if len(ids) <= cap:
-                return text
-            while cap > 0 and tok.continues_character(ids[cap]):
-                cap -= 1
-            return tok.decode(ids[:cap])
+            return fit_reference(tok, text, cap)[0]
 
         (inst,) = read_instances(f"{fixture_dir}/corpus/expected-00000.jsonl")
         cuts = 0
@@ -164,6 +163,34 @@ class TestTruncation:
         for before, after in zip(utts, out.tree.utterances):
             assert before.text.startswith(after.text)
         assert texts[0].startswith(out.pseudo_summary)
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+                          min_size=2, max_size=7),
+           merges=st.integers(0, 24), data=st.data())
+    def test_encode_instance_is_truncation_then_a_capped_encode(self, texts, merges, data):
+        # what encode_instance(truncate_instance(x)) did: cut every text,
+        # then encode each cut text again to its cap
+        alphabet = {b for t in texts for b in t.encode("utf-8")}
+        tok = train_bpe(texts, vocab_size=6 + len(alphabet) + merges)
+        cfg = toy_config(vocab_size=tok.vocab_size,
+                         max_utterances=data.draw(st.integers(1, 7), label="max_utterances"),
+                         max_utterance_tokens=data.draw(st.integers(2, 9), label="utterance cap"),
+                         max_summary_tokens=data.draw(st.integers(2, 12), label="summary cap"))
+        parents = [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, len(texts) - 1)]
+        utts = [Utterance(i, "a", t, i, p) for i, (t, p) in enumerate(zip(texts[1:], parents))]
+        inst = TrainingInstance(ConversationTree(utts), texts[0])
+
+        cut = truncate_instance(inst, cfg, tok)
+        bos, eos = tok.bos_id, tok.eos_id
+        full = [bos] + tok.encode(cut.pseudo_summary, cfg.max_summary_tokens - 2) + [eos]
+        got = encode_instance(cfg, tok, inst)
+        assert got.token_ids == [[bos] + tok.encode(u.text, cfg.max_utterance_tokens - 1)
+                                 for u in cut.tree]
+        np.testing.assert_array_equal(got.relation_buckets, relation_index(cut.tree, cfg.clip_k))
+        np.testing.assert_array_equal(got.ancestors, cut.tree.ancestor_matrix())
+        assert got.summary_input.tolist() == full[:-1]
+        assert got.summary_target.tolist() == full[1:]
 
 
 def scalar_param(value, grad=None, decay=True):
