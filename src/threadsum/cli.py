@@ -394,7 +394,7 @@ def cmd_generate(args, config, provenance) -> int:
         raise ConfigError(f"decode.length_penalty must be finite, got {penalty!r}")
     # the length bounds depend on the checkpoint's summary cap
     ck = load_checkpoint(args.ckpt, with_optimizer=False)
-    max_len = ck.config.max_summary_tokens - 1  # room for the bos slot
+    max_len = ck.config.max_decode_len
     if config["decode.max_len"] is not None:
         _check_int(config, "decode.max_len", 1, max_len)
         max_len = config["decode.max_len"]
@@ -411,7 +411,7 @@ def cmd_generate(args, config, provenance) -> int:
                 model, tokenizer, inst.tree,
                 beam_size=config["decode.beam_size"],
                 length_penalty=config["decode.length_penalty"],
-                max_len=config["decode.max_len"],
+                max_len=max_len,
                 min_len=config["decode.min_len"],
                 block_trigrams=config["decode.block_trigrams"])
             lines.append(json.dumps({"id": i, "summary": text},

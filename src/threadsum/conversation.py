@@ -9,7 +9,7 @@ buckets, and ancestor relations label the thread-prediction pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -116,14 +116,11 @@ class ConversationTree:
         remap = {u.id: pos for pos, u in enumerate(ordered)}
         rebuilt = []
         for pos, u in enumerate(ordered):
-            parent = None
-            if u.parent_id is not None:
-                if u.parent_id not in remap:
-                    raise TreeError(f"utterance {u.id} replies to unknown id {u.parent_id}")
-                parent = remap[u.parent_id]
-            meta = dict(u.meta)
-            meta.setdefault("source_id", u.id)
-            rebuilt.append(replace(u, id=pos, parent_id=parent, meta=meta))
+            if u.parent_id is not None and u.parent_id not in remap:
+                raise TreeError(f"utterance {u.id} replies to unknown id {u.parent_id}")
+            parent = None if u.parent_id is None else remap[u.parent_id]
+            rebuilt.append(Utterance(pos, u.author, u.text, u.timestamp, parent, u.role, u.score,
+                                     {"source_id": u.id, **u.meta}))
         return cls(rebuilt)
 
     def depth(self, i: int) -> int:

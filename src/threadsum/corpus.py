@@ -42,7 +42,6 @@ __all__ = [
 MIN_COMMENTS_DEFAULT = 10
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
-_MARKUP_CHARS = str.maketrans("", "", "*~[]")
 _URL_SENTINEL = "\x00URL\x00"
 
 
@@ -182,14 +181,14 @@ def post_from_record(obj: dict) -> RawPost:
 
 
 def clean_text(raw: str) -> str:
-    """Normalize raw comment text: URLs to the url token, markup stripped.
+    """Normalize raw comment text: URLs to the url token, markup ``*~[]`` deleted.
 
     Existing url-token surfaces are protected before the bracket strip so
     the function is idempotent.
     """
     s = raw.replace(URL_TOKEN, _URL_SENTINEL)
     s = _URL_RE.sub(_URL_SENTINEL, s)
-    s = s.translate(_MARKUP_CHARS)
+    s = s.replace("*", "").replace("~", "").replace("[", "").replace("]", "")
     s = " ".join(s.split())
     return s.replace(_URL_SENTINEL, URL_TOKEN)
 

@@ -203,7 +203,7 @@ def generate_summary(model: Model, tokenizer, tree: ConversationTree,
     with no_grad():
         _, _, memory = model.encode_conversation(mi)
     if max_len is None:
-        max_len = model.config.max_summary_tokens - 1  # room for the bos slot
+        max_len = model.config.max_decode_len
     best = batch_beam_search(cached_step(model, memory),
                              tokenizer.bos_id, tokenizer.eos_id, max_len,
                              beam_size=beam_size, length_penalty=length_penalty,

@@ -99,6 +99,10 @@ class ModelConfig:
     def d_head(self) -> int:
         return self.d_hidden // self.num_heads
 
+    @property
+    def max_decode_len(self) -> int:  # the summary cap less the bos slot
+        return self.max_summary_tokens - 1
+
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -315,8 +319,8 @@ def fit_instance(config: ModelConfig, tok: Tokenizer, instance: TrainingInstance
     nothing is cut, with each kept utterance's ids and the summary's: the
     first ``max_utterances`` utterances (ancestor-closed, as a parent precedes
     its children) of ``max_utterance_tokens`` ids with the bos, and a summary
-    of ``max_summary_tokens`` with bos and eos.  With ``encode_cut`` false a
-    cut text's ids are None."""
+    of ``max_summary_tokens`` with bos and eos.  With ``encode_cut`` false no
+    ids are returned: each id slot is None."""
     kept, token_ids = [], []
     for u in instance.tree.utterances[: config.max_utterances]:
         text, ids = tok.fit(u.text, config.max_utterance_tokens - 1, encode_cut)

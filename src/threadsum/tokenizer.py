@@ -16,7 +16,8 @@ memoizes the ids of each distinct piece, so a repeated word costs one
 dictionary lookup; with a ``limit`` it stops at the first piece that starts
 at or past it, so the text a truncation drops is never merged.  ``fit``
 is the one length cap: it cuts a text to a number of ids on a character
-boundary.
+boundary; asked for no ids, with ``<unk>`` in the vocabulary, it keeps a
+text of at most that many UTF-8 bytes unencoded: each id covers a byte or more.
 
 Special tokens are plain vocabulary entries with reserved surface forms;
 ``encode`` splits them out of the text with one compiled pattern (leftmost
@@ -231,14 +232,18 @@ class Tokenizer:
         A text that fits comes back as is, with the ids of its one encode.
         A longer one is cut after ``cap`` ids, or fewer so as not to split a
         character, and the cut text is encoded again to ``cap`` ids, as its
-        ids need not be those it was cut from; with ``encode_cut`` false
-        they are None.
+        ids need not be those it was cut from.  With ``encode_cut`` false no
+        ids are returned, and a text of at most ``cap`` UTF-8 bytes is kept
+        unencoded when the vocabulary has ``<unk>``: every id covers at least
+        one byte, and only a missing ``<unk>`` can make its encode raise.
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
+        if not encode_cut and self.unk_id is not None and len(text.encode("utf-8")) <= cap:
+            return text, None
         ids = self.encode(text, cap + 1)  # one id past the cap, read at the cut
         if len(ids) <= cap:
-            return text, ids
+            return text, ids if encode_cut else None
         end = cap
         while end and _SYMBOL_BYTES[ord(self.id_to_token[ids[end]][0])] & 0xC0 == 0x80:
             end -= 1

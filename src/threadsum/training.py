@@ -66,7 +66,7 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
 def truncate_instance(instance: TrainingInstance, config: ModelConfig,
                       tokenizer) -> TrainingInstance:
     """Apply the length limits of ``model.fit_instance``, the caps that
-    ``encode_instance`` applies, without encoding a cut text again."""
+    ``encode_instance`` applies, asking ``Tokenizer.fit`` for no ids."""
     return fit_instance(config, tokenizer, instance, encode_cut=False)[0]
 
 

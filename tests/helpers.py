@@ -6,15 +6,16 @@ batch axes, and ``a @ b^T`` of a batched left operand and a 2-d right one.
 They follow ``threadsum.autodiff``'s rules: operands of one shape, no
 broadcasting, and every gradient handed over to its receiver.  A pointwise
 ancestry test for conversation trees.  A length cut of a text computed
-from its uncapped ids.  And a BPE trainer for small fixture vocabularies,
-with the pair merge it applies to each word.
+from its uncapped ids.  A recorder of the decode lengths beam searches are
+given.  And a BPE trainer for small fixture vocabularies, with the pair
+merge it applies to each word.
 """
 
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from threadsum import autodiff as ad
+from threadsum import autodiff as ad, decoding
 from threadsum.autodiff import ShapeError, Tensor
 from threadsum.conversation import ConversationTree
 from threadsum.tokenizer import (
@@ -128,6 +129,19 @@ def fit_reference(tok: Tokenizer, text: str, cap: int) -> Tuple[str, List[int]]:
         end -= 1
     cut = tok.decode(ids[:end])
     return cut, tok.encode(cut)[:cap]
+
+
+def record_max_lens(monkeypatch) -> List[int]:
+    """The ``max_len`` of every ``decoding.batch_beam_search`` call, from now on."""
+    seen: List[int] = []
+    search = decoding.batch_beam_search
+
+    def recorded(step, bos_id, eos_id, max_len, **kwargs):
+        seen.append(max_len)
+        return search(step, bos_id, eos_id, max_len, **kwargs)
+
+    monkeypatch.setattr(decoding, "batch_beam_search", recorded)
+    return seen
 
 
 def merge_pair(word: Tuple[str, ...], first: str, second: str) -> Tuple[str, ...]:

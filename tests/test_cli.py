@@ -26,7 +26,7 @@ from threadsum.model import Model, count_parameters, paper_config, toy_config
 from threadsum.tokenizer import Tokenizer
 from threadsum.training import truncate_instance
 
-from helpers import fit_reference
+from helpers import fit_reference, record_max_lens
 
 POSTS = "tests/fixtures/corpus/posts.jsonl"
 GOLDEN = "tests/fixtures/corpus/expected-00000.jsonl"
@@ -619,14 +619,26 @@ def one_conversation_shard(path, utterances=None, text=None) -> str:
     return str(path)
 
 
-def test_text_outside_a_vocabulary_without_unk_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["pretrain", "build-corpus"])
+def test_text_outside_a_vocabulary_without_unk_is_data_error(tmp_path, capsys, command):
     vocab = write_vocabulary(tmp_path / "vocab", without("<unk>"))
-    shard = one_conversation_shard(tmp_path / "shard.jsonl", text="caf\u00e9")
-    rc = dispatch(["pretrain", "--config", write_toy_config(tmp_path / "toy.json"),
-                   "--data", shard, "--vocab", vocab, "--out", str(tmp_path / "run")])
-    assert rc == 2
+    if command == "pretrain":
+        shard = one_conversation_shard(tmp_path / "shard.jsonl", text="caf\u00e9")
+        argv = ["pretrain", "--config", write_toy_config(tmp_path / "toy.json"),
+                "--data", shard, "--out", str(tmp_path / "run")]
+    else:
+        # a one-comment post whose body, the summary, is far within its cap:
+        # without <unk> it is encoded all the same
+        dump = tmp_path / "posts.jsonl"
+        dump.write_text(json.dumps({"id": "p", "title": "t", "comments": [
+            {"id": "a", "parent_id": None, "created_utc": 1, "author": "u", "body": "caf\u00e9"}]}) + "\n")
+        argv = ["build-corpus", "--input", str(dump), "--output", str(tmp_path / "s"),
+                "--min-comments", "1"]
+    assert dispatch(argv + ["--vocab", vocab]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "not in vocabulary and no <unk> defined" in err
+    if command == "build-corpus":
+        assert not list(tmp_path.glob("s-0*.jsonl"))
 
 
 def test_one_utterance_conversation_under_thread_prediction_is_data_error(tmp_path, capsys):
@@ -797,13 +809,15 @@ class TestTrainingCommands:
 
     def test_nonfinite_loss_is_numeric_failure(self, trained_run, tmp_path):
         # an absurd learning rate blows the toy model up within a few steps
+        # and saturates the thread-prediction probabilities on the way
         out = tmp_path / "blowup"
-        rc = dispatch(["pretrain", "--config", trained_run["config"],
-                       "--data", trained_run["shard"], "--out", str(out),
-                       "--vocab", VOCAB, "--seed", "3",
-                       "--steps", "40", "--peak-lr", "1e6"])
-        if rc == 0:
-            pytest.skip("toy model survived the absurd learning rate")
+        with pytest.warns(RuntimeWarning, match="binary_cross_entropy clamped"):
+            rc = dispatch(["pretrain", "--config", trained_run["config"],
+                           "--data", trained_run["shard"], "--out", str(out),
+                           "--vocab", VOCAB, "--seed", "3",
+                           "--steps", "40", "--peak-lr", "1e6"])
+            if rc == 0:
+                pytest.skip("toy model survived the absurd learning rate")
         assert rc == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
@@ -869,13 +883,15 @@ class TestGenerateEvaluate:
     @pytest.mark.parametrize("flags,key", [
         (["--beam", "0"], "decode.beam_size"),
         (["--max-len", "0"], "decode.max_len"),
+        (["--max-len", "16"], "decode.max_len must be an integer in [1, 15]"),
         (["--max-len", "100"], "decode.max_len must be an integer in [1, 15]"),
         (["--min-len", "0"], "decode.min_len must be an integer in [1, 15]"),
         (["--min-len", "16"], "decode.min_len must be an integer in [1, 15]"),
         (["--max-len", "5", "--min-len", "6"], "decode.min_len must be an integer in [1, 5]"),
         (["--set", "decode.length_penalty=NaN"], "decode.length_penalty must be finite, got nan"),
         (["--length-penalty=-inf"], "decode.length_penalty must be finite, got -inf"),
-    ], ids=["beam-0", "max-len-0", "max-len-beyond-the-checkpoint", "min-len-0",
+    ], ids=["beam-0", "max-len-0", "max-len-one-past-the-checkpoint",
+            "max-len-beyond-the-checkpoint", "min-len-0",
             "min-len-beyond-the-checkpoint", "min-len-beyond-max-len", "length-penalty-nan",
             "length-penalty-inf"])
     def test_value_the_run_cannot_honour_exits_1_before_reading_input(
@@ -907,6 +923,18 @@ class TestGenerateEvaluate:
         assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
                          "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB,
                          "--max-len", "15"]) == 0
+
+    @pytest.mark.parametrize("flags,max_len", [([], 15), (["--max-len", "3"], 3)],
+                             ids=["default", "flag"])
+    def test_generate_decodes_to_its_resolved_max_len(self, trained_run, tmp_path, monkeypatch,
+                                                      flags, max_len):
+        # without --max-len a decode runs to the checkpoint's bound, 15 tokens
+        # after the bos of its 16-token summary cap
+        seen = record_max_lens(monkeypatch)
+        assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],
+                         "--out", str(tmp_path / "p.jsonl"), "--vocab", VOCAB, "--beam", "1"]
+                        + flags) == 0
+        assert seen == [max_len]
 
     def test_min_len_at_max_len_runs(self, trained_run, tmp_path):
         assert dispatch(["generate", "--ckpt", trained_run["ckpt"], "--input", trained_run["shard"],

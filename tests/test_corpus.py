@@ -52,6 +52,7 @@ class TestCleanText:
 
     def test_markup_chars_removed(self):
         assert clean_text("a *b* [c]~") == "a b c"
+        assert clean_text("\u00e9 *b* [c]~ \u00fc") == "\u00e9 b c \u00fc"
 
     def test_www_form(self):
         assert clean_text("go to www.example.com please") == "go to [URL] please"

@@ -29,6 +29,8 @@ from threadsum.decoding import (
 )
 from threadsum.model import Model, toy_config
 
+from helpers import record_max_lens
+
 CONFIGS = {
     "toy": toy_config(),
     "d128": toy_config(d_hidden=128, num_heads=4, d_ff=64, vocab_size=300,
@@ -188,6 +190,15 @@ class TestResources:
         assert 1 <= len(batches) <= 12
         assert batches[0] == (1, 1)
         assert all(s == 1 and 1 <= b <= 4 for b, s in batches)
+
+    def test_default_max_len_is_the_model_bound(self, tiny_tokenizer, monkeypatch):
+        # the summary cap less the bos slot, the bound generate checks --max-len against
+        model = Model.init(toy_config(vocab_size=tiny_tokenizer.vocab_size, max_summary_tokens=7),
+                           seed=5)
+        assert model.config.max_decode_len == 6
+        seen = record_max_lens(monkeypatch)
+        generate_summary(model, tiny_tokenizer, _tree(), beam_size=2)
+        assert seen == [6]
 
     def test_cache_freed_by_reference_counting(self, tiny_tokenizer, monkeypatch):
         model = Model.init(toy_config(vocab_size=tiny_tokenizer.vocab_size), seed=3)
