@@ -10,6 +10,7 @@ files are written to temporaries and renamed into place by
 import hashlib
 import json
 import zipfile
+from dataclasses import asdict
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ class Checkpoint(NamedTuple):
 
 def config_hash(config: ModelConfig) -> str:
     digest = hashlib.sha256(
-        json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()
+        json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()
     return digest[:16]
 
 
@@ -62,7 +63,7 @@ def save_checkpoint(prefix, config: ModelConfig, params: Dict[str, Parameter],
 
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_hash": config_hash(config),
         "step": optimizer.step if optimizer is not None else 0,
     }
@@ -96,7 +97,7 @@ def load_checkpoint(prefix, with_optimizer: bool = True) -> Checkpoint:
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')!r}")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in manifest: {exc}") from exc
     if manifest.get("config_hash") != config_hash(config):

@@ -8,11 +8,15 @@ files that cannot be read or decoded; any other exception is a bug, and it
 propagates with its traceback.
 
 Configuration is a flat JSON object with dotted keys ("model.d_hidden",
-"train.peak_lr", ...).  Resolution order is defaults <- config file <- flags,
-and every key's provenance lands in the run manifest.  Each config flag is
-shorthand for one key, which is its argparse dest (``--steps`` sets
-"train.total_steps"), and ``--set KEY=VALUE`` sets any key; ``dispatch``
-resolves the config once and hands it to the command.  A key the package does
+"train.peak_lr", ...).  A section's keys and defaults are the parameters of
+what it configures (ModelConfig, TrainRunConfig, generate_summary, build_corpus,
+grad_check), which gets the section whole; the only defaults set here are the
+paper recipe's train.total_steps 500000 and train.accumulation 256.
+Resolution order is defaults <- config file <- flags, and every key's
+provenance lands in the run manifest.  Each config flag is shorthand for one
+key, which is its argparse dest (``--steps`` sets "train.total_steps"), and
+``--set KEY=VALUE`` sets any key; ``dispatch`` resolves the config once and
+hands it to the command.  A key the package does
 not define is a configuration error (exit 1); that includes ``model.*`` keys
 that older versions accepted and that have since been removed.  So is a value
 of another type than its key's default (a bool, an integer or a number, and
@@ -35,12 +39,13 @@ launch (``OPENBLAS_NUM_THREADS=1 threadsum ...``).
 import argparse
 import glob
 import hashlib
+import inspect
 import json
 import math
 import os
 import resource
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from functools import partial
 from typing import Dict, List, Optional
@@ -86,31 +91,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _defaults() -> Dict[str, object]:
-    cfg = {"model." + k: v for k, v in paper_config().to_dict().items()}
-    cfg.update({
-        "train.total_steps": 500000,
-        "train.accumulation": 256,
-        "train.peak_lr": 5e-5,
-        "train.seed": 0,
-        "train.weight_decay": 0.01,
-        "train.clip_norm": 1.0,
-        "train.checkpoint_every": 0,
-        "train.log_every": 1,
-        "decode.beam_size": 4,
-        "decode.length_penalty": 1.0,
-        "decode.min_len": 1,
-        "decode.max_len": None,
-        "decode.block_trigrams": True,
-        "corpus.min_comments": 10,
-        "corpus.shard_size": 100000,
-        "gradcheck.eps": 1e-3,
-        "gradcheck.tol": 1e-3,
-    })
-    return cfg
+def _keywords(fn, *names) -> Dict[str, object]:
+    """The defaults of ``fn``'s keyword parameters ``names``."""
+    parameters = inspect.signature(fn).parameters
+    return {name: parameters[name].default for name in names}
 
 
-CONFIG_DEFAULTS = _defaults()
+CONFIG_DEFAULTS = {
+    f"{prefix}.{key}": value
+    for prefix, section in (
+        ("model", asdict(paper_config())),
+        ("train", asdict(TrainRunConfig(total_steps=500000, accumulation=256))),
+        ("decode", _keywords(generate_summary, "beam_size", "length_penalty", "min_len",
+                             "max_len", "block_trigrams")),
+        ("corpus", _keywords(build_corpus, "min_comments", "shard_size")),
+        ("gradcheck", _keywords(grad_check, "eps", "tol")))
+    for key, value in section.items()}
+
 # the keys that also take null, with the type of their other values
 _NULLABLE = {"train.clip_norm": float, "decode.max_len": int}
 _KIND_NAMES = {bool: "a bool", int: "an integer", float: "a number"}
@@ -156,11 +153,15 @@ def load_config(path=None, flag_values: Optional[Dict[str, object]] = None):
     return config, provenance
 
 
+def _section(config: Dict[str, object], prefix: str) -> Dict[str, object]:
+    """The ``prefix.*`` keys, as the keyword arguments of what they configure."""
+    return {k[len(prefix) + 1:]: v for k, v in config.items() if k.startswith(prefix + ".")}
+
+
 def _section_config(cls, config: Dict[str, object], prefix: str):
     """The ``cls`` dataclass built from the ``prefix.*`` keys; a bad value is a ConfigError."""
-    fields = {k.split(".", 1)[1]: v for k, v in config.items() if k.startswith(prefix + ".")}
     try:
-        return cls(**fields)
+        return cls(**_section(config, prefix))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{prefix}.{exc}") from exc
 
@@ -300,19 +301,16 @@ def cmd_build_corpus(args, config, provenance) -> int:
         # a config file may hold model.* keys for the later commands
         if provenance[key] == "flag" and not args.vocab:
             raise ConfigError(f"{flag} ({key}) caps token-level truncation, which needs --vocab")
-    tokenizer = Tokenizer.load(args.vocab) if args.vocab else None
+    prepare = None
+    if args.vocab:  # the caps are checked before the vocabulary is read
+        prepare = partial(truncate_instance, config=model_config_from(config),
+                          tokenizer=Tokenizer.load(args.vocab))
     manifest_path = args.manifest or args.output + "-manifest.json"
     with RunManifest(manifest_path, "build-corpus", config, provenance,
                      inputs=[args.input], outputs=[args.output]) as manifest:
         posts = list(read_post_dump(args.input))
-        prepare = None
-        if tokenizer is not None:
-            prepare = partial(truncate_instance, config=model_config_from(config),
-                              tokenizer=tokenizer)
-        shards, stats = build_corpus(posts, args.output,
-                                     min_comments=config["corpus.min_comments"],
-                                     shard_size=config["corpus.shard_size"],
-                                     prepare=prepare)
+        shards, stats = build_corpus(posts, args.output, prepare=prepare,
+                                     **_section(config, "corpus"))
         if args.stats:
             write_json(args.stats, stats.as_dict())
         manifest.payload["outputs"] = list(shards) + ([args.stats] if args.stats else [])
@@ -336,7 +334,7 @@ def _from_checkpoint(config, provenance, path: str):
     explicitly.  Any other architecture change is a ConfigError.
     """
     ck = load_checkpoint(path, with_optimizer=False)
-    for key, value in ck.config.to_dict().items():
+    for key, value in asdict(ck.config).items():
         if provenance["model." + key] == "default":
             config["model." + key] = value
             provenance["model." + key] = "checkpoint"
@@ -402,18 +400,13 @@ def cmd_generate(args, config, provenance) -> int:
     tokenizer = Tokenizer.load(args.vocab)
     _check_vocabulary(tokenizer, ck.config)
     model = Model(ck.config, ck.params)
+    decode = dict(_section(config, "decode"), max_len=max_len)
     with RunManifest(args.manifest or args.out + ".manifest.json",
                      "generate", config, provenance,
                      inputs=[args.ckpt, args.input], outputs=[args.out]):
         lines = []
         for i, inst in enumerate(read_instances(args.input)):
-            text = generate_summary(
-                model, tokenizer, inst.tree,
-                beam_size=config["decode.beam_size"],
-                length_penalty=config["decode.length_penalty"],
-                max_len=max_len,
-                min_len=config["decode.min_len"],
-                block_trigrams=config["decode.block_trigrams"])
+            text = generate_summary(model, tokenizer, inst.tree, **decode)
             lines.append(json.dumps({"id": i, "summary": text},
                                     ensure_ascii=False, sort_keys=True) + "\n")
         payload = "".join(lines).encode("utf-8")
@@ -485,8 +478,7 @@ def cmd_grad_check(args, config, provenance) -> int:
             loss, _ = instance_loss(model, mi, pair_batch=batch)
             return loss
 
-        report = grad_check(f, list(model.params.values()),
-                            eps=config["gradcheck.eps"], tol=config["gradcheck.tol"])
+        report = grad_check(f, list(model.params.values()), **_section(config, "gradcheck"))
         print(report.format())
         if not report.passed:
             raise NumericsError("gradient check failed")

@@ -399,4 +399,5 @@ def build_corpus(
 
 
 def read_post_dump(path: str) -> Iterator[dict]:
-    return (record for _, record in read_jsonl(path, "post record"))
+    for _, record in read_jsonl(path, "post record"):
+        yield record

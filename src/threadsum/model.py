@@ -103,17 +103,6 @@ class ModelConfig:
     def max_decode_len(self) -> int:  # the summary cap less the bos slot
         return self.max_summary_tokens - 1
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 def paper_config() -> ModelConfig:
     return ModelConfig()

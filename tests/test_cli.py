@@ -458,6 +458,11 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
 @pytest.mark.parametrize("argv,key", [
     (["build-corpus", "--input", "{tmp}/missing.jsonl", "--output", "{tmp}/s",
       "--shard-size", "0"], "corpus.shard_size"),
+    # a length cap is checked before the dump or the vocabulary is opened
+    (["build-corpus", "--input", "{tmp}/missing.jsonl", "--output", "{tmp}/s",
+      "--vocab", VOCAB, "--max-utt", "0"], "model.max_utterances must be >= 1, got 0"),
+    (["build-corpus", "--input", "{tmp}/missing.jsonl", "--output", "{tmp}/s",
+      "--vocab", "{tmp}/missing-vocab", "--max-utt", "0"], "model.max_utterances must be >= 1"),
     (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
       "--log-every", "0"], "log_every must be >= 1"),
     (["pretrain", "--data", "{tmp}/missing.jsonl", "--vocab", VOCAB, "--out", "{tmp}/run",
@@ -501,8 +506,9 @@ def test_malformed_shard_line_is_data_error_before_the_model_is_built(
         (["--beam", "0"], "decode.beam_size must be an integer >= 1, got 0"),
         (["--length-penalty", "nan"], "decode.length_penalty must be finite, got nan"),
     ]
-], ids=["shard-size-0", "log-every-0", "seed-negative", "grad-check-seed-negative",
-        "grad-check-eps-0", "grad-check-eps-negative", "grad-check-eps-nan", "grad-check-tol-0",
+], ids=["shard-size-0", "max-utt-0-missing-input", "max-utt-0-missing-vocabulary",
+        "log-every-0", "seed-negative", "grad-check-seed-negative", "grad-check-eps-0",
+        "grad-check-eps-negative", "grad-check-eps-nan", "grad-check-tol-0",
         "grad-check-tol-inf", "peak-lr-negative", "peak-lr-nan", "weight-decay-negative",
         "weight-decay-inf", "clip-norm-0", "clip-norm-negative", "clip-norm-inf",
         "checkpoint-every-negative", "model-value-missing-data",
@@ -1014,3 +1020,60 @@ class TestGradCheckCommand:
         cfg = tmp_path / "drop.json"
         cfg.write_text(json.dumps({"model.dropout": 0.1}))
         assert dispatch(["grad-check", "--config", str(cfg)]) == 1
+
+
+# a valid value other than its default for every key of the sections that a
+# command hands whole to the library call it configures
+SECTION_VALUES = {
+    "decode.beam_size": 3, "decode.length_penalty": 0.5, "decode.min_len": 2,
+    "decode.max_len": 5, "decode.block_trigrams": False,
+    "corpus.min_comments": 1, "corpus.shard_size": 7,
+    "gradcheck.eps": 1e-4, "gradcheck.tol": 0.05,
+}
+
+
+def record_section(monkeypatch, name, result) -> list:
+    """Stub ``cli.<name>``: each call records its keyword arguments other than
+    ``prepare``, then returns ``result``."""
+    calls = []
+
+    def stub(*args, prepare=None, **section):
+        calls.append(section)
+        return result
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+class TestSectionsReachWhatTheyConfigure:
+    def test_every_section_key_has_a_value_other_than_its_default(self):
+        sections = {k for k in CONFIG_DEFAULTS if k.split(".")[0] in ("decode", "corpus", "gradcheck")}
+        assert set(SECTION_VALUES) == sections
+        assert all(SECTION_VALUES[k] != CONFIG_DEFAULTS[k] for k in sections)
+
+    def test_build_corpus_gets_the_corpus_section(self, tmp_path, monkeypatch):
+        calls = record_section(monkeypatch, "build_corpus", ([], corpus.CorpusStats()))
+        cfg = write_toy_config(tmp_path / "c.json", **SECTION_VALUES)
+        assert dispatch(["build-corpus", "--config", cfg, "--input", POSTS,
+                         "--output", str(tmp_path / "s")]) == 0
+        assert calls == [{"min_comments": 1, "shard_size": 7}]
+
+    @pytest.mark.parametrize("max_len,resolved", [(5, 5), (None, 15)], ids=["set", "null"])
+    def test_generate_summary_gets_the_decode_section(self, trained_run, tmp_path, monkeypatch,
+                                                      max_len, resolved):
+        # a null decode.max_len is the checkpoint's bound: a 16-token cap less the bos
+        calls = record_section(monkeypatch, "generate_summary", "x")
+        cfg = write_toy_config(tmp_path / "c.json", **{**SECTION_VALUES, "decode.max_len": max_len})
+        assert dispatch(["generate", "--config", cfg, "--ckpt", trained_run["ckpt"],
+                         "--input", trained_run["shard"], "--out", str(tmp_path / "p.jsonl"),
+                         "--vocab", VOCAB]) == 0
+        expected = {"beam_size": 3, "length_penalty": 0.5, "min_len": 2, "max_len": resolved,
+                    "block_trigrams": False}
+        assert calls == [expected] * len(list(corpus.read_instances(trained_run["shard"])))
+
+    def test_grad_check_gets_the_gradcheck_section(self, tmp_path, monkeypatch):
+        passed = type("Report", (), {"passed": True, "format": lambda self: "stub"})()
+        calls = record_section(monkeypatch, "grad_check", passed)
+        cfg = write_toy_config(tmp_path / "c.json", **SECTION_VALUES)
+        assert dispatch(["grad-check", "--config", cfg]) == 0
+        assert calls == [{"eps": 1e-4, "tol": 0.05}]

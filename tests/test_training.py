@@ -12,13 +12,14 @@ from threadsum.autodiff import ComputationTape, NumericsError, Parameter
 from threadsum.checkpoint import (
     Checkpoint,
     CheckpointError,
+    config_hash,
     load_checkpoint,
     save_checkpoint,
 )
 from threadsum.conversation import ConversationTree, Utterance, relation_index
 from threadsum.corpus import TrainingInstance, read_instances
 from threadsum.fileio import atomic_write
-from threadsum.model import Model, encode_instance, toy_config
+from threadsum.model import Model, encode_instance, paper_config, toy_config
 from threadsum.objectives import instance_loss
 from threadsum.training import (
     METRICS_FIELDS,
@@ -618,6 +619,20 @@ class TestCheckpoint:
         (tmp_path / "ck.json").write_text(json.dumps(manifest))
         opt = load_checkpoint(tmp_path / "ck").optimizer
         assert (opt.peak_lr, opt.total_steps, opt.weight_decay) == (1e-3, 20, state.weight_decay)
+
+    def test_manifest_config_with_an_unknown_key_is_checkpoint_error(self, tiny_inputs, tmp_path):
+        cfg, _ = tiny_inputs
+        save_checkpoint(tmp_path / "ck", cfg, Model.init(cfg, seed=11).params)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["config"]["n_layers"] = 2
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="bad config in manifest: .*'n_layers'"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_config_hashes_of_earlier_checkpoints_still_match(self):
+        # a checkpoint's manifest holds this hash, and loading recomputes it
+        assert config_hash(paper_config()) == "40d6e352054b4203"
+        assert config_hash(toy_config()) == "0ecffce64e32dd52"
 
     def test_dead_key_biases_of_older_checkpoints_are_dropped(self, tiny_inputs, tmp_path):
         # older versions also kept a key bias in the token encoder and in the
